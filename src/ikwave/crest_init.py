@@ -119,6 +119,7 @@ def solve_crest(delta, hint=None):
     (delta beyond the critical value) and AmbiguousRoot if several roots pass
     and sit at exactly the same distance from the continuation hint.
     """
+    delta = float(delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     c = phase_speed(delta)
@@ -126,10 +127,9 @@ def solve_crest(delta, hint=None):
     roots = np.roots(coeffs)
     # the absolute floor keeps the double root at the critical shallowness,
     # where rounding splits it into a conjugate pair with |imag| ~ 1e-8
-    real = [r.real for r in roots
+    real = [float(r.real) for r in roots
             if abs(r.imag) <= max(1e-10 * (1.0 + abs(r)), 1e-7)]
     survivors = sorted({_polish(coeffs, r) for r in real if _admissible(c, r)})
-    survivors = [u for u in survivors if _admissible(c, u)]
     if not survivors:
         raise NoSolitaryRoot(
             f"no admissible real root of the crest quartic at delta={delta!r}; "
@@ -160,13 +160,13 @@ def solve_crest(delta, hint=None):
             f"delta={delta!r}: best quartic residual "
             f"{_quartic_value(coeffs, u0)!r}"
         )
-    # second steady identity must close as a residual check
-    H = 1.0 + eta0
-    w = c * eta0 + H * u0
-    res2 = eta0 * eta0 - H * u0 * u0 + 2.0 * u0 * w - 6.0 / (5.0 * H) * w * w
+    # second steady identity must close as a residual check; imported here
+    # because profile_ode imports CrestState from this module
+    from .profile_ode import identity_residuals
+    _, res2 = identity_residuals((eta0, u0, 0.0), c, delta)
     if abs(res2) > 1e-9:
         raise NoSolitaryRoot(
             f"selected root violates the second steady identity at "
             f"delta={delta!r}: residual {res2!r}"
         )
-    return CrestState(delta=float(delta), c=c, eta0=eta0, u0=u0)
+    return CrestState(delta=delta, c=c, eta0=eta0, u0=u0)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crest_init import (_crest_denominator, _eta_of_u, _quartic_slope,
+                         _quartic_value, phase_speed, quartic_coeffs)
 from .errors import NegativeRadicand, NewtonDiverged
 from .profile_ode import IntegratorConfig, integrate_from
 from .solitary_profile import assemble_profile
@@ -44,22 +46,16 @@ class CriticalPoint:
 
 
 def _residuals(delta, u):
-    c = 1.0 + 2.0 / 3.0 * delta * delta
-    eta = -(c * u + 0.5 * u * u)
-    H = 1.0 + eta
-    v = c + u
-    c2 = c * c
-    F1 = (7.0 * u ** 4 + 42.0 * c * u ** 3 + 6.0 * (16.0 * c2 - 3.0) * u * u
-          + 8.0 * c * (13.0 * c2 - 8.0) * u
-          + 8.0 * (6.0 * c2 - 1.0) * (c2 - 1.0))
-    F2 = 3.0 * H * v * v + 3.0 * c * v - H * H
-    return F1, F2, c, eta, H, v
+    c = phase_speed(delta)
+    eta = _eta_of_u(c, u)
+    F1 = _quartic_value(quartic_coeffs(c), u)
+    F2 = _crest_denominator(c, u)
+    return F1, F2, c, eta, 1.0 + eta, c + u
 
 
 def _jacobian(delta, u, c, H, v):
     c2 = c * c
-    dF1_du = (28.0 * u ** 3 + 126.0 * c * u * u
-              + 12.0 * (16.0 * c2 - 3.0) * u + 8.0 * c * (13.0 * c2 - 8.0))
+    dF1_du = _quartic_slope(quartic_coeffs(c), u)
     dF1_dc = (42.0 * u ** 3 + 192.0 * c * u * u
               + 8.0 * (39.0 * c2 - 8.0) * u + 16.0 * c * (12.0 * c2 - 7.0))
     # eta = -(cu + u^2/2) gives dH/du = -v, dH/dc = -u

@@ -58,13 +58,6 @@ class ModelParams:
     kappa3: float
 
 
-def _ratio(num, den):
-    # notational convention 0/0 = 0 (cannot trigger for valid exponent sets)
-    if num == 0 and den == 0:
-        return 0.0
-    return num / den
-
-
 def build_params(p):
     """Build all matrices and constants for an exponent set.
 
@@ -75,7 +68,7 @@ def build_params(p):
         p = ExponentSet(tuple(p))
     pv = p.p
     N = p.N
-    A1 = np.array([[_ratio(pi * pj, pi + pj - 1) for pj in pv] for pi in pv])
+    A1 = np.array([[pi * pj / (pi + pj - 1) for pj in pv] for pi in pv])
     A0 = np.array([[1.0 / (pi + pj + 1) for pj in pv] for pi in pv])
     a0 = np.array([1.0 / (pj + 1) for pj in pv])
     one_minus_a0 = 1.0 - a0

@@ -63,36 +63,28 @@ class IntegratorConfig:
 
 
 def _unpack(state):
+    """(eta, u, phi1) as Python floats, or as float arrays for array input."""
     if isinstance(state, WaveState):
-        return state.eta, state.u, state.phi1
+        state = (state.eta, state.u, state.phi1)
     eta, u, phi1 = state
-    return float(eta), float(u), float(phi1)
+    if np.ndim(eta) == 0:
+        return float(eta), float(u), float(phi1)
+    return (np.asarray(eta, dtype=float), np.asarray(u, dtype=float),
+            np.asarray(phi1, dtype=float))
 
 
-def denominator(state, c, delta):
-    """Denominator d of the reduced system; vanishes at the extreme crest."""
-    eta, u, phi1 = _unpack(state)
+def _terms(eta, u, phi1, c, delta):
+    """H, v, w, q = 4 delta^-2 H phi1^2 and the denominator d at a state."""
     H = 1.0 + eta
     v = c + u
     w = c * eta + H * u
-    return 6.0 * H * v * v - 3.0 * v * w - H * H * (
-        1.0 + 4.0 * H * phi1 * phi1 / (delta * delta)
-    )
+    q = 4.0 * H * phi1 * phi1 / (delta * delta)
+    return H, v, w, q, 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
 
 
-def rhs(state, c, delta, d_min=1e-13):
-    """Right-hand side (eta', u', phi1') at a state; H must be positive."""
-    eta, u, phi1 = _unpack(state)
-    H = 1.0 + eta
-    v = c + u
-    w = c * eta + H * u
+def _slopes(phi1, delta, H, v, w, q, d):
+    """(eta', u', phi1') from phi1 and the _terms of a state."""
     dd = delta * delta
-    q = 4.0 * H * phi1 * phi1 / dd
-    d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
-    if abs(d) <= d_min:
-        raise DenominatorVanished(
-            f"denominator d = {d!r} at eta={eta!r}, u={u!r}, phi1={phi1!r}"
-        )
     return (
         (6.0 * H * w + 10.0 * H * H * v) * phi1 / (dd * d),
         -(18.0 * w * (2.0 * H * v - w) + 10.0 * H ** 3 * (1.0 + q)) * phi1 / (dd * H * d),
@@ -100,27 +92,50 @@ def rhs(state, c, delta, d_min=1e-13):
     )
 
 
+def denominator(state, c, delta):
+    """Denominator d of the reduced system; vanishes at the extreme crest.
+
+    Scalars or arrays.
+    """
+    return _terms(*_unpack(state), c, delta)[-1]
+
+
+def rhs(state, c, delta, d_min=1e-13):
+    """Right-hand side (eta', u', phi1') at a state; H must be positive."""
+    eta, u, phi1 = _unpack(state)
+    terms = _terms(eta, u, phi1, c, delta)
+    d = terms[-1]
+    if abs(d) <= d_min:
+        raise DenominatorVanished(
+            f"denominator d = {d!r} at eta={eta!r}, u={u!r}, phi1={phi1!r}"
+        )
+    return _slopes(phi1, delta, *terms)
+
+
 def identity_residuals(state, c, delta):
-    """(I1, I2); both vanish on exact solutions."""
+    """(I1, I2); both vanish on exact solutions.
+
+    Scalars or arrays.
+    """
     eta, u, phi1 = _unpack(state)
     H = 1.0 + eta
     w = c * eta + H * u
     dd = delta * delta
-    I1 = c * u + eta + 0.5 * u * u + 2.0 / dd * H * H * phi1 * phi1
-    I2 = (eta * eta - H * u * u + 2.0 * u * w - 6.0 / (5.0 * H) * w * w
-          + 4.0 / (3.0 * dd) * H ** 3 * phi1 * phi1)
+    I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
+    I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
+          + 4.0 / (3.0 * dd) * H ** 3 * phi1 ** 2)
     return I1, I2
 
 
 def reconstruct_potentials(state, c):
-    """Surface potential derivatives (phi0', phi1') from the 2x2 linear solve."""
-    eta, u, phi1 = _unpack(state)
+    """Surface potential derivatives (phi0', phi1') from the 2x2 linear solve.
+
+    Scalars or arrays.
+    """
+    eta, u, _ = _unpack(state)
     H = 1.0 + eta
-    w = c * eta + H * u
-    inv = 1.0 / ((2.0 / 3.0) * H ** 3)
-    phi0p = inv * (-H * H * (c * eta + H * u / 3.0))
-    phi1p = inv * w
-    return phi0p, phi1p
+    inv = 1.5 / H ** 3
+    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (c * eta + H * u)
 
 
 def crest_curvature(crest):
@@ -129,18 +144,15 @@ def crest_curvature(crest):
     eta' is a smooth prefactor times phi1 and phi1(0) = 0, so eta''(0) is the
     prefactor at the crest times phi1'(0); no finite differencing involved.
     """
-    c, delta = crest.c, crest.delta
-    y0 = (crest.eta0, crest.u0, 0.0)
-    d0 = denominator(y0, c, delta)
+    terms = _terms(crest.eta0, crest.u0, 0.0, crest.c, crest.delta)
+    d0 = terms[-1]
     if d0 <= 1e-13:
         raise DenominatorVanished(
             f"curvature diverges: crest denominator {d0!r} at delta={crest.delta!r}"
         )
-    H = crest.H0
-    v = crest.v0
-    w = c * crest.eta0 + H * crest.u0
-    prefactor = (6.0 * H * w + 10.0 * H * H * v) / (delta * delta * d0)
-    phi1p0 = 1.5 / H ** 3 * w
+    # apart from that factor phi1 enters the slopes only through q, which the
+    # crest terms fix, so a unit phi1 returns the prefactor itself
+    prefactor, _, phi1p0 = _slopes(1.0, crest.delta, *terms)
     return prefactor * phi1p0
 
 
@@ -154,9 +166,6 @@ class HalfProfile:
     eta: np.ndarray
     u: np.ndarray
     phi1: np.ndarray
-    d: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
     stop: str          # "tail", "floor", or "x_max"
     warning: bool
     interpolant: object  # OdeSolution over the computed range
@@ -170,20 +179,11 @@ def integrate_from(x0, y0, c, delta, cfg):
     to the minimum sample ("floor"); x reaching cfg.x_max ("x_max", flagged
     as a warning).  A denominator or depth crossing raises instead.
     """
-    dd = delta * delta
-
     def f(x, y):
-        eta, u, phi1 = y
-        H = 1.0 + eta
-        v = c + u
-        w = c * eta + H * u
-        q = 4.0 * H * phi1 * phi1 / dd
-        d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
-        return (
-            (6.0 * H * w + 10.0 * H * H * v) * phi1 / (dd * d),
-            -(18.0 * w * (2.0 * H * v - w) + 10.0 * H ** 3 * (1.0 + q)) * phi1 / (dd * H * d),
-            1.5 / H ** 3 * w,
-        )
+        # Python floats: the same IEEE results, at a third of the cost of
+        # numpy scalar arithmetic
+        eta, u, phi1 = y.tolist()
+        return _slopes(phi1, delta, *_terms(eta, u, phi1, c, delta))
 
     def ev_tail(x, y):
         return float(np.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])) - cfg.tail_eps
@@ -246,15 +246,8 @@ def integrate_from(x0, y0, c, delta, cfg):
         warning = True
 
     eta, u, phi1 = y
-    H = 1.0 + eta
-    w = c * eta + H * u
-    v = c + u
-    d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + 4.0 * H * phi1 ** 2 / dd)
-    I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
-    I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
-          + 4.0 / (3.0 * dd) * H ** 3 * phi1 ** 2)
     return HalfProfile(
-        delta=delta, c=c, x=x, eta=eta, u=u, phi1=phi1, d=d, I1=I1, I2=I2,
+        delta=delta, c=c, x=x, eta=eta, u=u, phi1=phi1,
         stop=stop, warning=warning, interpolant=sol.sol,
     )
 

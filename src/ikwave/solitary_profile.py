@@ -11,7 +11,6 @@ serves as the small-amplitude reference; its sup-norm distance from the
 computed profile scales like delta^4.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +18,9 @@ import numpy as np
 
 from .crest_init import solve_crest
 from .errors import DenominatorVanished, IkwaveError
-from .profile_ode import IntegratorConfig, crest_curvature, integrate_half
+from .profile_ode import (IntegratorConfig, crest_curvature, denominator,
+                          identity_residuals, integrate_half,
+                          reconstruct_potentials)
 
 
 @dataclass
@@ -54,17 +55,10 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, warning,
     if x[0] != 0.0:
         raise ValueError("half grid must start at x = 0")
 
-    H = 1.0 + eta
-    w = c * eta + H * u
-    v = c + u
-    dd = delta * delta
-    inv = 1.5 / H ** 3
-    phi0p = inv * (-H * H * (c * eta + H * u / 3.0))
-    phi1p = inv * w
-    d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + 4.0 * H * phi1 ** 2 / dd)
-    I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
-    I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
-          + 4.0 / (3.0 * dd) * H ** 3 * phi1 ** 2)
+    state = (eta, u, phi1)
+    phi0p, phi1p = reconstruct_potentials(state, c)
+    d = denominator(state, c, delta)
+    I1, I2 = identity_residuals(state, c, delta)
 
     def even(a):
         return np.concatenate([a[:0:-1], a])
@@ -142,7 +136,6 @@ class TableRow:
 
 
 def _one_row(delta):
-    from .profile_ode import denominator
     try:
         crest = solve_crest(delta)
     except IkwaveError as exc:
@@ -158,15 +151,10 @@ def _one_row(delta):
 def diagnostics_table(deltas):
     """Crest diagnostics (delta, eta(0), -kappa(0), d(0)), one row per delta.
 
-    Rows are computed concurrently and returned in input order; a failing
-    delta yields a row carrying the error message instead of aborting the
-    sweep.
+    Rows are returned in input order; a failing delta yields a row carrying
+    the error message instead of aborting the sweep.
     """
-    deltas = list(deltas)
-    if not deltas:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(deltas))) as pool:
-        return list(pool.map(_one_row, deltas))
+    return [_one_row(delta) for delta in deltas]
 
 
 @dataclass

@@ -73,6 +73,12 @@ def test_table_matches_reference(capsys):
     assert float(row[3]) == pytest.approx(1.55722, abs=1e-5)
 
 
+@pytest.mark.parametrize("deltas", ["0,0.5", "-0.1", "nan", "inf", "0.6,x"])
+def test_table_rejects_bad_deltas(deltas, capsys):
+    assert run(["table", "--deltas", deltas]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_table_reports_bad_rows(capsys):
     assert run(["table", "--deltas", "0.6,0.7"]) == 1
     out = capsys.readouterr().out
@@ -156,6 +162,9 @@ def test_reproduce_outputs(out_dir, capsys):
     assert float(np.max(data["eta"])) == pytest.approx(0.687926, abs=1e-6)
     table = (ref / "crest_table.csv").read_text().splitlines()
     assert len(table) == 10
+    for line in table[1:]:
+        for field in line.split(","):
+            float(field)
 
 
 def test_module_entry_point():

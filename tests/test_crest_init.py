@@ -48,6 +48,12 @@ def test_crest_satisfies_both_identities():
         assert 0.0 < eta < 1.0
 
 
+def test_crest_state_holds_python_floats():
+    crest = solve_crest(np.float64(0.6))
+    values = (crest.delta, crest.c, crest.eta0, crest.u0)
+    assert all(type(v) is float for v in values)
+
+
 def test_no_root_beyond_critical_shallowness():
     for delta in (0.6264, 0.63, 0.65, 0.7, 1.0):
         with pytest.raises(NoSolitaryRoot):

@@ -7,6 +7,7 @@ from ikwave import (DenominatorVanished, IntegratorConfig, WaveState,
                     crest_curvature, denominator, identity_residuals,
                     integrate_half, reconstruct_potentials, rhs, solve_crest)
 from ikwave.crest_init import CrestState
+from ikwave.solitary_profile import assemble_profile
 
 
 def test_config_validation():
@@ -45,6 +46,27 @@ def test_identities_vanish_at_solved_crest():
     assert abs(I2) <= 1e-11
 
 
+def test_scalar_kernel_calls_return_python_floats():
+    state = (np.float64(0.3), np.float64(-0.2), np.float64(0.01))
+    values = (denominator(state, 1.2, 0.5),
+              *identity_residuals(state, 1.2, 0.5),
+              *reconstruct_potentials(state, 1.2),
+              *rhs(WaveState(*state), 1.2, 0.5),
+              crest_curvature(solve_crest(0.55)))
+    assert all(type(v) is float for v in values)
+
+
+def test_profile_fields_are_the_kernel_on_its_samples(profile_cache):
+    p = profile_cache(0.55)
+    state = (p.eta, p.u, p.phi1)
+    assert np.array_equal(p.d, denominator(state, p.c, p.delta))
+    I1, I2 = identity_residuals(state, p.c, p.delta)
+    assert np.array_equal(p.I1, I1) and np.array_equal(p.I2, I2)
+    phi0p, phi1p = reconstruct_potentials(state, p.c)
+    assert np.array_equal(p.phi0_prime, phi0p)
+    assert np.array_equal(p.phi1_prime, phi1p)
+
+
 def test_potential_reconstruction_recovers_velocity():
     # u = phi0' + H^2 phi1' is an algebraic identity of the reconstruction
     rng = np.random.default_rng(7)
@@ -73,11 +95,14 @@ def test_vector_field_mirror_equivariance(eta, u, phi1, c, delta):
 
 def test_half_trajectory_conserves_identities():
     half = integrate_half(solve_crest(0.45))
-    assert np.max(np.abs(half.I1)) <= 1e-8
-    assert np.max(np.abs(half.I2)) <= 1e-8
+    p = assemble_profile(half.delta, half.c, half.x, half.eta, half.u,
+                         half.phi1, kappa0=None, stop=half.stop,
+                         warning=half.warning, interpolant=half.interpolant)
+    assert np.max(np.abs(p.I1)) <= 1e-8
+    assert np.max(np.abs(p.I2)) <= 1e-8
     assert half.stop in ("tail", "floor")
     assert np.all(np.diff(half.x) > 0.0)
-    assert np.all(half.d > 0.0)
+    assert np.all(p.d > 0.0)
     # surface decays monotonically from the crest on the stored samples
     assert np.all(np.diff(half.eta) < 0.0)
     assert half.eta[-1] < 1e-5
