@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ikwave import IntegratorConfig, solve_solitary
+from ikwave import solve_solitary
 from ikwave.output import profile_csv_text, write_text
 
 delta = 0.55
-profile = solve_solitary(delta, IntegratorConfig())
+profile = solve_solitary(delta)
 
 print(f"delta            = {delta}")
 print(f"phase speed c    = {profile.c:.12g}")
@@ -36,7 +36,7 @@ write_text(out, profile_csv_text(profile))
 print(f"wrote {out}")
 
 # resampled variant on a uniform grid, handy for plotting
-uniform = solve_solitary(delta, IntegratorConfig(), dx=0.02)
+uniform = solve_solitary(delta, dx=0.02)
 out = Path("demo_output") / f"profile_delta{delta}_uniform.csv"
 write_text(out, profile_csv_text(uniform))
 print(f"wrote {out} (dx = 0.02)")

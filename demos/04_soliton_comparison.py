@@ -6,12 +6,12 @@ critical shallowness the two shapes part ways completely; the computed wave
 height exceeds the soliton's by more than 20 percent.
 """
 
-from ikwave import IntegratorConfig, compare_kdv, solve_solitary
+from ikwave import compare_kdv, solve_solitary
 
 print("delta    height      soliton     sup error    error/delta^4")
 previous = None
 for delta in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
-    profile = solve_solitary(delta, IntegratorConfig())
+    profile = solve_solitary(delta)
     err = compare_kdv(profile)
     kdv_height = (4.0 / 3.0) * delta ** 2
     note = ""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ikwave import IntegratorConfig, extreme_profile, solve_critical
+from ikwave import extreme_profile, solve_critical
 from ikwave.output import profile_csv_text, write_text
 
 cp = solve_critical()
@@ -25,7 +25,7 @@ print(f"one-sided slope (dimensional) = {cp.slope_dim:.12g}")
 print(f"included crest angle          = {cp.theta_deg:.7g} degrees")
 print()
 
-profile = extreme_profile(cp, IntegratorConfig())
+profile = extreme_profile(cp)
 print(f"extreme profile: peak {profile.eta_max:.9g}, "
       f"{len(profile.x)} samples, stop = {profile.stop}")
 print(f"max |I1| = {np.max(np.abs(profile.I1)):.3e}   "

@@ -9,9 +9,9 @@ travelling at about 4.7 m/s, close to the textbook estimate
 
 import numpy as np
 
-from ikwave import IntegratorConfig, dimensionalize, solve_solitary
+from ikwave import dimensionalize, solve_solitary
 
-profile = solve_solitary(0.3, IntegratorConfig())
+profile = solve_solitary(0.3)
 dp = dimensionalize(profile, depth=2.0, gravity=9.81)
 
 print(f"depth h          = {dp.depth} m, gravity g = {dp.gravity} m/s^2")

@@ -9,9 +9,8 @@ as delta -> 0.
 
 import numpy as np
 
-from ikwave import (IntegratorConfig, build_params, first_order_family,
-                    fundamental_checks, q_positivity, solve_solitary,
-                    verify_kdv_solution)
+from ikwave import (build_params, first_order_family, fundamental_checks,
+                    q_positivity, solve_solitary, verify_kdv_solution)
 
 grid = np.linspace(-10.0, 10.0, 2001)
 
@@ -28,7 +27,7 @@ for p in [(2,), (1, 2), (2, 4)]:
 # the first-order family vs the actual solver, fourth-order agreement
 params = build_params([2])
 for delta in (0.05, 0.1):
-    profile = solve_solitary(delta, IntegratorConfig())
+    profile = solve_solitary(delta)
     _, eta, _, _ = first_order_family(delta, 2.0 * params.gamma, profile.x)
     sup = float(np.max(np.abs(profile.eta - eta)))
     print(f"delta={delta}: sup |eta - eta_family| = {sup:.3e} "

@@ -35,7 +35,6 @@ from .model_params import (
 from .profile_ode import (
     HalfProfile,
     IntegratorConfig,
-    WaveState,
     crest_curvature,
     denominator,
     identity_residuals,
@@ -86,7 +85,6 @@ __all__ = [
     "StepSizeUnderflow",
     "TableRow",
     "WaveProfile",
-    "WaveState",
     "build_params",
     "check_positivity",
     "compare_kdv",

@@ -18,8 +18,9 @@ from .errors import DenominatorVanished, IkwaveError
 from .extreme_wave import extreme_profile, solve_critical
 from .model_params import ExponentSet, build_params, check_positivity, exact_params
 from .output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
-                     profile_csv_text, resolve_out_path, write_text)
-from .profile_ode import IntegratorConfig, crest_curvature, denominator
+                     profile_arrays, profile_csv_text, resolve_out_path,
+                     write_text)
+from .profile_ode import crest_curvature, denominator
 from .solitary_profile import (compare_kdv, diagnostics_table, dimensionalize,
                                kdv_profile, solve_solitary)
 from .theory_checks import (first_order_family, fundamental_checks, q_eval,
@@ -168,7 +169,7 @@ def _default_name(stem, delta):
 
 
 def cmd_solve(args):
-    profile = solve_solitary(args.delta, IntegratorConfig(), dx=args.dx)
+    profile = solve_solitary(args.delta, dx=args.dx)
     path = resolve_out_path(args.out or _default_name("profile", args.delta))
     write_text(path, profile_csv_text(profile))
     _kv("delta", profile.delta)
@@ -179,7 +180,7 @@ def cmd_solve(args):
     _kv("max_abs_I1", np.max(np.abs(profile.I1)))
     _kv("max_abs_I2", np.max(np.abs(profile.I2)))
     print(f"stop = {profile.stop}")
-    if profile.warning:
+    if profile.stop == "x_max":
         print("warning: trajectory truncated at x_max before reaching the tail",
               file=sys.stderr)
     print(f"wrote {path}")
@@ -206,7 +207,7 @@ def cmd_table(args):
 
 
 def cmd_compare_kdv(args):
-    profile = solve_solitary(args.delta, IntegratorConfig())
+    profile = solve_solitary(args.delta)
     err = compare_kdv(profile)
     _kv("delta", args.delta)
     _kv("eta_max", profile.eta_max)
@@ -231,7 +232,7 @@ def cmd_critical(args):
 
 def cmd_extreme(args):
     cp = solve_critical()
-    profile = extreme_profile(cp, IntegratorConfig())
+    profile = extreme_profile(cp)
     path = resolve_out_path(args.out or "extreme_profile.csv")
     write_text(path, profile_csv_text(profile))
     _kv("delta_c", cp.delta_c)
@@ -248,7 +249,7 @@ def cmd_extreme(args):
 
 
 def cmd_dimensional(args):
-    profile = solve_solitary(args.delta, IntegratorConfig())
+    profile = solve_solitary(args.delta)
     dp = dimensionalize(profile, args.depth, args.gravity)
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
     write_text(path, csv_text(("x", "eta", "u"), (dp.x, dp.eta, dp.u)))
@@ -297,18 +298,15 @@ def cmd_checks(args):
 
 
 def _profile_csv_with_kdv(delta):
-    profile = solve_solitary(delta, IntegratorConfig(), dx=0.01)
+    profile = solve_solitary(delta, dx=0.01)
     eta_kdv = kdv_profile(delta, profile.x)
     return profile_csv_text(profile, extra=(("eta_kdv", eta_kdv),))
 
 
 def _zoom_csv(delta):
-    profile = solve_solitary(delta, IntegratorConfig(), dx=0.002)
+    profile = solve_solitary(delta, dx=0.002)
     mask = np.abs(profile.x) <= 1.0 + 1e-12
-    arrays = [profile.x, profile.eta, profile.u, profile.phi1,
-              profile.phi0_prime, profile.phi1_prime,
-              profile.d, profile.I1, profile.I2]
-    return csv_text(PROFILE_COLUMNS, [a[mask] for a in arrays])
+    return csv_text(PROFILE_COLUMNS, [a[mask] for a in profile_arrays(profile)])
 
 
 def reproduce_outputs(out_dir):
@@ -331,7 +329,7 @@ def reproduce_outputs(out_dir):
             "description": "near-crest samples (|x| <= 1) at "
                            f"delta={delta!r} resolving the sharpening crest",
         })
-    profile = extreme_profile(solve_critical(), IntegratorConfig())
+    profile = extreme_profile(solve_critical())
     write_text(out_dir / "extreme_profile.csv", profile_csv_text(profile))
     entries.append({
         "file": "extreme_profile.csv",

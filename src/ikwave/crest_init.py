@@ -14,9 +14,9 @@ Eliminating eta(0) collapses the pair to a quartic in u(0),
 whose admissible real root determines the crest.  Root selection: the root
 must satisfy u(0) in (-1, 0), eta(0) in (0, 1) and d(0) >= 0, where d is the
 denominator of the reduced system; on the solitary branch exactly one real
-root survives these filters, and the other real root carries d(0) < 0.  The
-optional continuation hint (default: the small-amplitude value -(4/3)delta^2)
-breaks hypothetical ties.
+root survives these filters, and the other real root carries d(0) < 0.  If
+rounding next to the critical shallowness lets two roots through, the one
+nearer the small-amplitude value -(4/3)delta^2 is taken.
 """
 
 from dataclasses import dataclass, field
@@ -112,16 +112,17 @@ def _admissible(c, u):
     return (-1.0 < u < 0.0) and (0.0 < eta < 1.0) and _crest_denominator(c, u) >= -1e-6
 
 
-def solve_crest(delta, hint=None):
+def solve_crest(delta):
     """Crest initial data for a given shallowness delta.
 
-    Raises NoSolitaryRoot when no quartic root passes the selection filters
-    (delta beyond the critical value) and AmbiguousRoot if several roots pass
-    and sit at exactly the same distance from the continuation hint.
+    Raises ValueError unless 0 < delta < inf, NoSolitaryRoot when no quartic
+    root passes the selection filters (delta beyond the critical value) and
+    AmbiguousRoot if several roots pass and sit at exactly the same distance
+    from the small-amplitude value -(4/3)delta^2.
     """
     delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     c = phase_speed(delta)
     coeffs = quartic_coeffs(c)
     roots = np.roots(coeffs)
@@ -139,14 +140,13 @@ def solve_crest(delta, hint=None):
     if len(survivors) == 1:
         u0 = survivors[0]
     else:
-        if hint is None:
-            hint = -(4.0 / 3.0) * delta * delta
-        dists = [abs(u - hint) for u in survivors]
+        reference = -(4.0 / 3.0) * delta * delta
+        dists = [abs(u - reference) for u in survivors]
         order = np.argsort(dists)
         if dists[order[0]] == dists[order[1]]:
             raise AmbiguousRoot(
-                f"{len(survivors)} admissible roots equidistant from hint "
-                f"{hint!r} at delta={delta!r}: {survivors}"
+                f"{len(survivors)} admissible roots equidistant from "
+                f"{reference!r} at delta={delta!r}: {survivors}"
             )
         u0 = survivors[order[0]]
 

@@ -16,7 +16,7 @@ class NoSolitaryRoot(IkwaveError):
 
 class AmbiguousRoot(IkwaveError):
     """More than one quartic root passed every selection filter and the
-    continuation hint could not break the tie."""
+    small-amplitude value -(4/3)delta^2 could not break the tie."""
 
 
 class DenominatorVanished(IkwaveError):

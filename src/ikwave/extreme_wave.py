@@ -32,6 +32,9 @@ from .errors import NegativeRadicand, NewtonDiverged
 from .profile_ode import IntegratorConfig, integrate_from
 from .solitary_profile import assemble_profile
 
+# length of the one-sided Taylor step off the corner crest
+SEED_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -132,18 +135,18 @@ def included_angle(slope_dim):
     return 180.0 - 2.0 * math.degrees(math.atan(slope_dim))
 
 
-def extreme_profile(cp=None, cfg=None, seed_step=1e-4):
+def extreme_profile(cp=None, cfg=None):
     """Extreme-wave profile with a corner crest.
 
     The right side of the profile system is 0/0 at the degenerate crest, so
     the integrator cannot start there.  The first step is a Taylor step of
-    length seed_step built from the one-sided derivatives
+    length SEED_STEP built from the one-sided derivatives
 
         eta'(0+) = slope_nondim,
         u'(0+)   = -eta'(0+)/v_c0,
         phi1'(0) = (3/(2H^3))(Hv - c),
 
-    accurate to O(seed_step^2), after which adaptive integration takes over.
+    accurate to O(SEED_STEP^2), after which adaptive integration takes over.
     The crest sample itself is prepended before mirroring, producing the
     corner at x = 0.
     """
@@ -156,7 +159,7 @@ def extreme_profile(cp=None, cfg=None, seed_step=1e-4):
     eta_p = cp.slope_nondim
     u_p = -eta_p / cp.v_c0
     phi1_p = 1.5 / H ** 3 * w0
-    h = seed_step
+    h = SEED_STEP
     y_h = (cp.eta_c0 + h * eta_p, cp.u_c0 + h * u_p, h * phi1_p)
     half = integrate_from(h, y_h, cp.c_c, cp.delta_c, cfg)
     x = np.concatenate([[0.0], half.x])
@@ -165,6 +168,6 @@ def extreme_profile(cp=None, cfg=None, seed_step=1e-4):
     phi1 = np.concatenate([[0.0], half.phi1])
     return assemble_profile(
         cp.delta_c, cp.c_c, x, eta, u, phi1,
-        kappa0=None, stop=half.stop, warning=half.warning,
+        kappa0=None, stop=half.stop,
         interpolant=half.interpolant,
     )

@@ -46,12 +46,15 @@ def csv_text(columns, arrays):
     return "\n".join(lines) + "\n"
 
 
+def profile_arrays(profile):
+    """The profile's arrays in PROFILE_COLUMNS order."""
+    return [getattr(profile, name) for name in PROFILE_COLUMNS]
+
+
 def profile_csv_text(profile, extra=()):
     """Standard profile CSV; extra is a sequence of (name, array) columns."""
     cols = list(PROFILE_COLUMNS)
-    arrays = [profile.x, profile.eta, profile.u, profile.phi1,
-              profile.phi0_prime, profile.phi1_prime,
-              profile.d, profile.I1, profile.I2]
+    arrays = profile_arrays(profile)
     for name, a in extra:
         cols.append(name)
         arrays.append(a)

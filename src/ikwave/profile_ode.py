@@ -38,34 +38,27 @@ GUARD_ARM_NORM = 1e-3
 GUARD_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class WaveState:
-    eta: float
-    u: float
-    phi1: float
+# |d| at or below which the reduced system counts as degenerate
+D_MIN = 1e-13
+# end of the integration interval; default solves stop by x ~ 10
+X_SPAN = 30.0
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
-    initial_step: float = None
-    x_max: float = 30.0
     tail_eps: float = 1e-9
-    d_min: float = 1e-13
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
             raise ValueError("tolerances must lie in (0, 1e-2]")
-        if self.x_max <= 0.0 or self.tail_eps <= 0.0 or self.d_min < 0.0:
-            raise ValueError("x_max, tail_eps must be positive; d_min nonnegative")
+        if not self.tail_eps > 0.0:
+            raise ValueError("tail_eps must be positive")
 
 
 def _unpack(state):
     """(eta, u, phi1) as Python floats, or as float arrays for array input."""
-    if isinstance(state, WaveState):
-        state = (state.eta, state.u, state.phi1)
     eta, u, phi1 = state
     if np.ndim(eta) == 0:
         return float(eta), float(u), float(phi1)
@@ -100,12 +93,12 @@ def denominator(state, c, delta):
     return _terms(*_unpack(state), c, delta)[-1]
 
 
-def rhs(state, c, delta, d_min=1e-13):
+def rhs(state, c, delta):
     """Right-hand side (eta', u', phi1') at a state; H must be positive."""
     eta, u, phi1 = _unpack(state)
     terms = _terms(eta, u, phi1, c, delta)
     d = terms[-1]
-    if abs(d) <= d_min:
+    if abs(d) <= D_MIN:
         raise DenominatorVanished(
             f"denominator d = {d!r} at eta={eta!r}, u={u!r}, phi1={phi1!r}"
         )
@@ -123,7 +116,7 @@ def identity_residuals(state, c, delta):
     dd = delta * delta
     I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
     I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
-          + 4.0 / (3.0 * dd) * H ** 3 * phi1 ** 2)
+          + 4.0 / (3.0 * dd) * (H * H * H) * phi1 ** 2)
     return I1, I2
 
 
@@ -134,7 +127,7 @@ def reconstruct_potentials(state, c):
     """
     eta, u, _ = _unpack(state)
     H = 1.0 + eta
-    inv = 1.5 / H ** 3
+    inv = 1.5 / (H * H * H)
     return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (c * eta + H * u)
 
 
@@ -146,7 +139,7 @@ def crest_curvature(crest):
     """
     terms = _terms(crest.eta0, crest.u0, 0.0, crest.c, crest.delta)
     d0 = terms[-1]
-    if d0 <= 1e-13:
+    if d0 <= D_MIN:
         raise DenominatorVanished(
             f"curvature diverges: crest denominator {d0!r} at delta={crest.delta!r}"
         )
@@ -167,7 +160,6 @@ class HalfProfile:
     u: np.ndarray
     phi1: np.ndarray
     stop: str          # "tail", "floor", or "x_max"
-    warning: bool
     interpolant: object  # OdeSolution over the computed range
 
 
@@ -176,8 +168,8 @@ def integrate_from(x0, y0, c, delta, cfg):
 
     Stops at the first of: state norm <= tail_eps ("tail"); drift-guard
     regrowth past GUARD_FACTOR times the running norm minimum, truncated back
-    to the minimum sample ("floor"); x reaching cfg.x_max ("x_max", flagged
-    as a warning).  A denominator or depth crossing raises instead.
+    to the minimum sample ("floor"); x reaching X_SPAN ("x_max", a truncated
+    wave).  A denominator or depth crossing raises instead.
     """
     def f(x, y):
         # Python floats: the same IEEE results, at a third of the cost of
@@ -191,7 +183,7 @@ def integrate_from(x0, y0, c, delta, cfg):
     ev_tail.direction = -1
 
     def ev_denominator(x, y):
-        return denominator(y, c, delta) - cfg.d_min
+        return denominator(y, c, delta) - D_MIN
     ev_denominator.terminal = True
     ev_denominator.direction = -1
 
@@ -212,28 +204,24 @@ def integrate_from(x0, y0, c, delta, cfg):
     ev_guard.terminal = True
     ev_guard.direction = -1
 
-    kwargs = {}
-    if cfg.initial_step is not None:
-        kwargs["first_step"] = cfg.initial_step
     sol = solve_ivp(
-        f, (x0, cfg.x_max), list(y0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        f, (x0, X_SPAN), list(y0), method="RK45",
+        rtol=cfg.rel_tol, atol=cfg.abs_tol,
         events=(ev_tail, ev_denominator, ev_depth, ev_guard),
-        dense_output=True, **kwargs,
+        dense_output=True,
     )
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
     if sol.status == 1:
         if len(sol.t_events[1]):
             raise DenominatorVanished(
-                f"d reached {cfg.d_min!r} at x = {sol.t_events[1][0]!r} "
+                f"d reached {D_MIN!r} at x = {sol.t_events[1][0]!r} "
                 f"(delta={delta!r})"
             )
         if len(sol.t_events[2]):
             raise DepthVanished(f"H reached 0 at x = {sol.t_events[2][0]!r}")
 
     x, y = sol.t, sol.y
-    warning = False
     if sol.status == 1 and len(sol.t_events[0]):
         stop = "tail"
     elif sol.status == 1:
@@ -243,12 +231,11 @@ def integrate_from(x0, y0, c, delta, cfg):
         x, y = x[: cut + 1], y[:, : cut + 1]
     else:
         stop = "x_max"
-        warning = True
 
     eta, u, phi1 = y
     return HalfProfile(
         delta=delta, c=c, x=x, eta=eta, u=u, phi1=phi1,
-        stop=stop, warning=warning, interpolant=sol.sol,
+        stop=stop, interpolant=sol.sol,
     )
 
 

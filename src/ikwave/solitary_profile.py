@@ -41,12 +41,10 @@ class WaveProfile:
     eta_max: float
     kappa0: Optional[float]  # None for the extreme wave (corner crest)
     stop: str
-    warning: bool
     interpolant: object  # dense right-half solution, for resampling
 
 
-def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, warning,
-                     interpolant):
+def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, interpolant):
     """Mirror right-half samples (x[0] = 0) into a full WaveProfile."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -71,33 +69,34 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, warning,
         x=odd(x), eta=even(eta), u=even(u), phi1=odd(phi1),
         phi0_prime=even(phi0p), phi1_prime=even(phi1p),
         d=even(d), I1=even(I1), I2=even(I2),
-        eta_max=float(eta[0]), kappa0=kappa0, stop=stop, warning=warning,
+        eta_max=float(eta[0]), kappa0=kappa0, stop=stop,
         interpolant=interpolant,
     )
 
 
-def solve_solitary(delta, cfg=None, dx=None, hint=None):
+def solve_solitary(delta, cfg=None, dx=None):
     """Solve the full solitary profile at shallowness delta < delta_c.
 
     With dx given, the accepted-step samples are replaced by a uniform grid
     of that spacing evaluated through the integrator's 4th-order dense
-    interpolant (the final partial cell is dropped).
+    interpolant (the final partial cell is dropped).  Raises ValueError
+    unless 0 < delta < inf and, when given, 0 < dx < inf.
     """
+    if dx is not None and not 0.0 < dx < np.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx!r}")
     if cfg is None:
         cfg = IntegratorConfig()
-    crest = solve_crest(delta, hint=hint)
+    crest = solve_crest(delta)
     half = integrate_half(crest, cfg)
     x, eta, u, phi1 = half.x, half.eta, half.u, half.phi1
     if dx is not None:
-        if dx <= 0.0:
-            raise ValueError("dx must be positive")
         n = int(np.floor(x[-1] / dx + 1e-9))
         xs = np.arange(n + 1) * dx
         eta, u, phi1 = half.interpolant(xs)
         x = xs
     return assemble_profile(
         delta, crest.c, x, eta, u, phi1,
-        kappa0=crest_curvature(crest), stop=half.stop, warning=half.warning,
+        kappa0=crest_curvature(crest), stop=half.stop,
         interpolant=half.interpolant,
     )
 

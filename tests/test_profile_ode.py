@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (DenominatorVanished, IntegratorConfig, WaveState,
-                    crest_curvature, denominator, identity_residuals,
-                    integrate_half, reconstruct_potentials, rhs, solve_crest)
+from ikwave import (DenominatorVanished, IntegratorConfig, crest_curvature,
+                    denominator, identity_residuals, integrate_half,
+                    reconstruct_potentials, rhs, solve_crest)
+from ikwave import profile_ode
+from ikwave.cli import run
 from ikwave.crest_init import CrestState
 from ikwave.solitary_profile import assemble_profile
 
@@ -16,17 +18,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(x_max=-3.0)
+        IntegratorConfig(tail_eps=0.0)
     cfg = IntegratorConfig()
     assert cfg.rel_tol == 1e-10 and cfg.abs_tol == 1e-12
-    assert cfg.x_max == 30.0 and cfg.tail_eps == 1e-9 and cfg.d_min == 1e-13
-
-
-def test_rhs_accepts_state_or_tuple():
-    state = WaveState(eta=0.3, u=-0.2, phi1=0.01)
-    a = rhs(state, 1.2, 0.5)
-    b = rhs((0.3, -0.2, 0.01), 1.2, 0.5)
-    assert a == b
+    assert cfg.tail_eps == 1e-9
+    assert profile_ode.D_MIN == 1e-13 and profile_ode.X_SPAN == 30.0
 
 
 def test_rhs_raises_on_vanishing_denominator():
@@ -51,7 +47,7 @@ def test_scalar_kernel_calls_return_python_floats():
     values = (denominator(state, 1.2, 0.5),
               *identity_residuals(state, 1.2, 0.5),
               *reconstruct_potentials(state, 1.2),
-              *rhs(WaveState(*state), 1.2, 0.5),
+              *rhs(state, 1.2, 0.5),
               crest_curvature(solve_crest(0.55)))
     assert all(type(v) is float for v in values)
 
@@ -65,6 +61,20 @@ def test_profile_fields_are_the_kernel_on_its_samples(profile_cache):
     phi0p, phi1p = reconstruct_potentials(state, p.c)
     assert np.array_equal(p.phi0_prime, phi0p)
     assert np.array_equal(p.phi1_prime, phi1p)
+
+
+def test_scalar_kernel_calls_match_array_entries(profile_cache):
+    p = profile_cache(0.45)
+    state = (p.eta, p.u, p.phi1)
+    arrays = (denominator(state, p.c, p.delta),
+              *identity_residuals(state, p.c, p.delta),
+              *reconstruct_potentials(state, p.c))
+    for i, sample in enumerate(zip(p.eta.tolist(), p.u.tolist(),
+                                   p.phi1.tolist())):
+        scalars = (denominator(sample, p.c, p.delta),
+                   *identity_residuals(sample, p.c, p.delta),
+                   *reconstruct_potentials(sample, p.c))
+        assert scalars == tuple(a[i] for a in arrays), i
 
 
 def test_potential_reconstruction_recovers_velocity():
@@ -97,7 +107,7 @@ def test_half_trajectory_conserves_identities():
     half = integrate_half(solve_crest(0.45))
     p = assemble_profile(half.delta, half.c, half.x, half.eta, half.u,
                          half.phi1, kappa0=None, stop=half.stop,
-                         warning=half.warning, interpolant=half.interpolant)
+                         interpolant=half.interpolant)
     assert np.max(np.abs(p.I1)) <= 1e-8
     assert np.max(np.abs(p.I2)) <= 1e-8
     assert half.stop in ("tail", "floor")
@@ -112,17 +122,20 @@ def test_achievable_tail_threshold_reached():
     cfg = IntegratorConfig(tail_eps=2e-6)
     half = integrate_half(solve_crest(0.3), cfg)
     assert half.stop == "tail"
-    assert not half.warning
     norm = np.sqrt(half.eta[-1] ** 2 + half.u[-1] ** 2 + half.phi1[-1] ** 2)
     assert norm <= 2e-6 * 1.01
 
 
-def test_x_max_stop_sets_warning():
-    cfg = IntegratorConfig(x_max=2.0)
-    half = integrate_half(solve_crest(0.45), cfg)
+def test_x_max_stop_sets_warning(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(profile_ode, "X_SPAN", 2.0)
+    half = integrate_half(solve_crest(0.45))
     assert half.stop == "x_max"
-    assert half.warning
     assert half.x[-1] == pytest.approx(2.0)
+    assert run(["solve", "--delta", "0.45",
+                "--out", str(tmp_path / "wave.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "stop = x_max" in captured.out
+    assert "warning: trajectory truncated" in captured.err
 
 
 def test_floor_stop_truncates_at_norm_minimum():

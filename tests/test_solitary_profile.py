@@ -42,6 +42,16 @@ def test_uniform_resampling():
         solve_solitary(0.5, IntegratorConfig(), dx=-0.1)
 
 
+@pytest.mark.parametrize("delta, dx, name", [
+    (float("nan"), None, "delta"), (float("inf"), None, "delta"),
+    (0.0, None, "delta"), (0.3, float("nan"), "dx"),
+    (0.3, float("inf"), "dx"), (0.3, 0.0, "dx"),
+])
+def test_bad_delta_or_dx_raises_value_error(delta, dx, name):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        solve_solitary(delta, dx=dx)
+
+
 def test_kdv_profile_values():
     x = np.array([0.0, 1.0, 20.0])
     vals = kdv_profile(0.3, x)
