@@ -21,8 +21,8 @@ from .output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
                      profile_arrays, profile_csv_text, resolve_out_path,
                      write_text)
 from .profile_ode import crest_curvature, denominator
-from .solitary_profile import (compare_kdv, diagnostics_table, dimensionalize,
-                               kdv_profile, solve_solitary)
+from .solitary_profile import (DX_MIN, compare_kdv, diagnostics_table,
+                               dimensionalize, kdv_profile, solve_solitary)
 from .theory_checks import (first_order_family, fundamental_checks, q_eval,
                             q_positivity, verify_kdv_solution)
 
@@ -39,6 +39,13 @@ def _positive(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if v <= 0.0 or not np.isfinite(v):
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return v
+
+
+def _step(text):
+    v = _positive(text)
+    if v < DX_MIN:
+        raise argparse.ArgumentTypeError(f"must be at least {DX_MIN!r}: {text!r}")
     return v
 
 
@@ -91,7 +98,7 @@ def build_parser():
     p = sub.add_parser("solve", help="solve a full solitary profile to CSV")
     p.add_argument("--delta", type=_positive, required=True)
     p.add_argument("--out", default=None, help="CSV path")
-    p.add_argument("--dx", type=_positive, default=None,
+    p.add_argument("--dx", type=_step, default=None,
                    help="uniform resampling step")
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a plot script next to the CSV")

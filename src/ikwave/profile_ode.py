@@ -28,7 +28,6 @@ stops the run at the achievable tail floor (see integrate_half).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .crest_init import CrestState
 from .errors import DenominatorVanished, DepthVanished, StepSizeUnderflow
@@ -147,6 +146,16 @@ def crest_curvature(crest):
     # crest terms fix, so a unit phi1 returns the prefactor itself
     prefactor, _, phi1p0 = _slopes(1.0, crest.delta, *terms)
     return prefactor * phi1p0
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    Loading scipy.integrate costs about half a second, so only the commands
+    that integrate pay it.  integrate_from looks this name up on every call.
+    """
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass

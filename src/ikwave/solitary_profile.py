@@ -22,6 +22,9 @@ from .profile_ode import (IntegratorConfig, crest_curvature, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
 
+# smallest resampling step; the finest grid in use is reproduce-paper's 0.002
+DX_MIN = 1e-4
+
 
 @dataclass
 class WaveProfile:
@@ -80,10 +83,11 @@ def solve_solitary(delta, cfg=None, dx=None):
     With dx given, the accepted-step samples are replaced by a uniform grid
     of that spacing evaluated through the integrator's 4th-order dense
     interpolant (the final partial cell is dropped).  Raises ValueError
-    unless 0 < delta < inf and, when given, 0 < dx < inf.
+    unless 0 < delta < inf and, when given, DX_MIN <= dx < inf.
     """
-    if dx is not None and not 0.0 < dx < np.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx!r}")
+    if dx is not None and not DX_MIN <= dx < np.inf:
+        raise ValueError(
+            f"dx must be positive and finite, at least {DX_MIN!r}; got {dx!r}")
     if cfg is None:
         cfg = IntegratorConfig()
     crest = solve_crest(delta)
@@ -103,8 +107,8 @@ def solve_solitary(delta, cfg=None, dx=None):
 
 def kdv_profile(delta, grid):
     """Classical soliton (4/3) delta^2 sech^2 x on the given grid."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     grid = np.asarray(grid, dtype=float)
     return (4.0 / 3.0) * delta * delta / np.cosh(grid) ** 2
 
@@ -177,8 +181,9 @@ def dimensionalize(profile, depth, gravity):
     is why the dimensional crest slope of the extreme wave carries a factor
     delta_c.
     """
-    if depth <= 0.0 or gravity <= 0.0:
-        raise ValueError("depth and gravity must be positive")
+    if not (0.0 < depth < np.inf and 0.0 < gravity < np.inf):
+        raise ValueError(f"depth and gravity must be positive and finite, "
+                         f"got {depth!r} and {gravity!r}")
     speed = float(np.sqrt(gravity * depth))
     return DimensionalProfile(
         depth=depth, gravity=gravity, delta=profile.delta,

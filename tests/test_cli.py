@@ -24,6 +24,14 @@ def test_usage_errors_exit_2():
                 "--gravity", "9.81"]) == 2
 
 
+@pytest.mark.parametrize("dx", ["1e-320", "1e-9", "5e-5"])
+def test_solve_rejects_dx_below_minimum(dx, out_dir, capsys):
+    assert run(["solve", "--delta", "0.3", "--dx", dx]) == 2
+    err = capsys.readouterr().err
+    assert "argument --dx: must be at least 0.0001" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "reproduce-paper" in capsys.readouterr().out

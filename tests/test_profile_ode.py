@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (DenominatorVanished, IntegratorConfig, crest_curvature,
-                    denominator, identity_residuals, integrate_half,
-                    reconstruct_potentials, rhs, solve_crest)
+                    denominator, extreme_profile, identity_residuals,
+                    integrate_half, reconstruct_potentials, rhs, solve_crest,
+                    solve_solitary)
 from ikwave import profile_ode
 from ikwave.cli import run
 from ikwave.crest_init import CrestState
+from ikwave.output import profile_csv_text
 from ikwave.solitary_profile import assemble_profile
 
 
@@ -165,3 +167,24 @@ def test_crest_curvature_diverges_at_critical_point():
                             eta0=0.687926333843714, u0=-0.797196341205457)
     with pytest.raises(DenominatorVanished):
         crest_curvature(degenerate)
+
+
+def test_each_integration_calls_module_solve_ivp_once(monkeypatch, critical_point):
+    # perfbench's tracer wraps profile_ode.solve_ivp and reads nfev and t
+    # from its result, so the integrator must look the name up at call time
+    solves = (lambda: solve_solitary(0.45),
+              lambda: extreme_profile(critical_point))
+    plain = [profile_csv_text(solve()) for solve in solves]
+    results = []
+    original = profile_ode.solve_ivp
+
+    def counting(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(profile_ode, "solve_ivp", counting)
+    for solve, text in zip(solves, plain):
+        before = len(results)
+        assert profile_csv_text(solve()) == text
+        assert len(results) == before + 1
+        assert results[-1].nfev > 0 and len(results[-1].t) > 1

@@ -3,6 +3,8 @@ import pytest
 
 from ikwave import (IntegratorConfig, compare_kdv, diagnostics_table,
                     dimensionalize, kdv_profile, solve_solitary)
+from ikwave import solitary_profile
+from ikwave.solitary_profile import DX_MIN
 
 
 def test_reference_wave_heights(profile_cache):
@@ -50,6 +52,39 @@ def test_uniform_resampling():
 def test_bad_delta_or_dx_raises_value_error(delta, dx, name):
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         solve_solitary(delta, dx=dx)
+
+
+@pytest.mark.parametrize("dx", [1e-320, 1e-9, 5e-5])
+def test_dx_below_minimum_raises_before_solving(dx, monkeypatch):
+    def no_solve(delta):
+        raise AssertionError("solved despite a bad dx")
+    monkeypatch.setattr(solitary_profile, "solve_crest", no_solve)
+    with pytest.raises(ValueError, match=f"at least {DX_MIN!r}"):
+        solve_solitary(0.3, dx=dx)
+
+
+def test_dx_minimum_is_accepted():
+    assert DX_MIN == 1e-4
+    p = solve_solitary(0.3, dx=DX_MIN)
+    np.testing.assert_allclose(np.diff(p.x), DX_MIN, rtol=1e-9)
+
+
+BAD_POSITIVE = [float("nan"), float("inf"), 0.0]
+
+
+@pytest.mark.parametrize("delta", BAD_POSITIVE)
+def test_kdv_profile_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        kdv_profile(delta, np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_dimensionalize_rejects_bad_depth_or_gravity(bad, profile_cache):
+    p = profile_cache(0.3)
+    with pytest.raises(ValueError, match="depth and gravity"):
+        dimensionalize(p, depth=bad, gravity=9.81)
+    with pytest.raises(ValueError, match="depth and gravity"):
+        dimensionalize(p, depth=1.0, gravity=bad)
 
 
 def test_kdv_profile_values():
