@@ -34,7 +34,6 @@ from .model_params import (
 )
 from .profile_ode import (
     HalfProfile,
-    IntegratorConfig,
     crest_curvature,
     denominator,
     identity_residuals,
@@ -76,7 +75,6 @@ __all__ = [
     "FundamentalPair",
     "HalfProfile",
     "IkwaveError",
-    "IntegratorConfig",
     "ModelParams",
     "NegativeRadicand",
     "NewtonDiverged",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 solver failure (no admissible root, vanishing
 denominator, divergent iteration, ...), 2 usage error.  All numeric output
-carries 12 significant digits.  File outputs land in the directory given by
---out-dir, else $IK_OUT_DIR, else the working directory, and reruns with the
-same flags are byte-identical.
+carries 12 significant digits.  An absolute --out path is used as given; a
+relative one lands in $IK_OUT_DIR, else the working directory.  Reruns with
+the same flags are byte-identical.
 """
 
 import argparse
@@ -193,7 +193,7 @@ def cmd_solve(args):
     print(f"wrote {path}")
     if args.gnuplot:
         gp = path.with_suffix(".gp")
-        write_text(gp, gnuplot_script(path.name, ("eta", "u")))
+        write_text(gp, gnuplot_script(path.name))
         print(f"wrote {gp}")
     return 0
 
@@ -250,7 +250,7 @@ def cmd_extreme(args):
     print(f"wrote {path}")
     if args.gnuplot:
         gp = path.with_suffix(".gp")
-        write_text(gp, gnuplot_script(path.name, ("eta", "u")))
+        write_text(gp, gnuplot_script(path.name))
         print(f"wrote {gp}")
     return 0
 

@@ -19,7 +19,7 @@ rounding next to the critical shallowness lets two roots through, the one
 nearer the small-amplitude value -(4/3)delta^2 is taken.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,6 @@ class CrestState:
     c: float
     eta0: float
     u0: float
-    phi1_0: float = field(default=0.0)
-
-    @property
-    def H0(self):
-        return 1.0 + self.eta0
-
-    @property
-    def v0(self):
-        return self.c + self.u0
 
 
 def _eta_of_u(c, u):

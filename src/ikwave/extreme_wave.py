@@ -29,11 +29,15 @@ import numpy as np
 from .crest_init import (_crest_denominator, _eta_of_u, _quartic_slope,
                          _quartic_value, phase_speed, quartic_coeffs)
 from .errors import NegativeRadicand, NewtonDiverged
-from .profile_ode import IntegratorConfig, integrate_from
+from .profile_ode import integrate_from
 from .solitary_profile import assemble_profile
 
 # length of the one-sided Taylor step off the corner crest
 SEED_STEP = 1e-4
+# Newton stops once both residuals are at most NEWTON_TOL; from its fixed
+# guess it takes 4 steps
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,12 @@ def _jacobian(delta, u, c, H, v):
     return np.array([[dF1_dc * dc, dF1_du], [dF2_dc * dc, dF2_du]])
 
 
-def solve_critical(tol=1e-13, max_iter=30):
+def solve_critical():
     """Newton solve for the critical point, from the guess (0.62, -0.78)."""
     delta, u = 0.62, -0.78
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         F1, F2, c, eta, H, v = _residuals(delta, u)
-        if abs(F1) <= tol and abs(F2) <= tol:
+        if abs(F1) <= NEWTON_TOL and abs(F2) <= NEWTON_TOL:
             break
         J = _jacobian(delta, u, c, H, v)
         try:
@@ -92,7 +96,7 @@ def solve_critical(tol=1e-13, max_iter=30):
             )
     else:
         raise NewtonDiverged(
-            f"no convergence in {max_iter} iterations",
+            f"no convergence in {NEWTON_MAX_ITER} iterations",
             iterate=(delta, u), residuals=(F1, F2),
         )
     F1, F2, c, eta, H, v = _residuals(delta, u)
@@ -130,13 +134,14 @@ def crest_slope(cp):
 
 def included_angle(slope_dim):
     """Included crest angle 180 - 2*arctan(slope) in degrees."""
-    if slope_dim < 0.0:
-        raise ValueError("slope_dim must be nonnegative")
+    if not 0.0 <= slope_dim < math.inf:
+        raise ValueError(
+            f"slope_dim must be nonnegative and finite, got {slope_dim!r}")
     return 180.0 - 2.0 * math.degrees(math.atan(slope_dim))
 
 
-def extreme_profile(cp=None, cfg=None):
-    """Extreme-wave profile with a corner crest.
+def extreme_profile(cp):
+    """Extreme-wave profile with a corner crest at a solved critical point.
 
     The right side of the profile system is 0/0 at the degenerate crest, so
     the integrator cannot start there.  The first step is a Taylor step of
@@ -150,10 +155,6 @@ def extreme_profile(cp=None, cfg=None):
     The crest sample itself is prepended before mirroring, producing the
     corner at x = 0.
     """
-    if cp is None:
-        cp = solve_critical()
-    if cfg is None:
-        cfg = IntegratorConfig()
     H = 1.0 + cp.eta_c0
     w0 = H * cp.v_c0 - cp.c_c
     eta_p = cp.slope_nondim
@@ -161,7 +162,7 @@ def extreme_profile(cp=None, cfg=None):
     phi1_p = 1.5 / H ** 3 * w0
     h = SEED_STEP
     y_h = (cp.eta_c0 + h * eta_p, cp.u_c0 + h * u_p, h * phi1_p)
-    half = integrate_from(h, y_h, cp.c_c, cp.delta_c, cfg)
+    half = integrate_from(h, y_h, cp.c_c, cp.delta_c)
     x = np.concatenate([[0.0], half.x])
     eta = np.concatenate([[cp.eta_c0], half.eta])
     u = np.concatenate([[cp.u_c0], half.u])

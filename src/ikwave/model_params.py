@@ -31,6 +31,8 @@ class ExponentSet:
     p: tuple
 
     def __post_init__(self):
+        if not all(float(v).is_integer() for v in self.p):
+            raise ValueError(f"exponents must be integers, got {self.p!r}")
         p = tuple(int(v) for v in self.p)
         object.__setattr__(self, "p", p)
         if len(p) < 1:
@@ -134,9 +136,9 @@ def exact_params(p):
     Independent of the floating-point path; used for display and as a test
     oracle.
     """
-    if isinstance(p, ExponentSet):
-        p = p.p
-    pv = [int(v) for v in p]
+    if not isinstance(p, ExponentSet):
+        p = ExponentSet(tuple(p))
+    pv = p.p
     A1 = [[Fraction(pi * pj, pi + pj - 1) for pj in pv] for pi in pv]
     a0 = [Fraction(1, pj + 1) for pj in pv]
     one_minus_a0 = [1 - a for a in a0]

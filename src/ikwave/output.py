@@ -18,20 +18,18 @@ def fmt(x):
     return format(float(x), ".12g")
 
 
-def resolve_out_dir(explicit=None):
-    """Output directory: explicit argument, else $IK_OUT_DIR, else cwd."""
-    if explicit is not None:
-        return Path(explicit)
+def resolve_out_dir():
+    """Output directory: $IK_OUT_DIR, else cwd."""
     env = os.environ.get("IK_OUT_DIR")
     return Path(env) if env else Path(".")
 
 
-def resolve_out_path(name, out_dir=None):
+def resolve_out_path(name):
     """Join a (possibly relative) file name onto the output directory."""
     name = Path(name)
     if name.is_absolute():
         return name
-    return resolve_out_dir(out_dir) / name
+    return resolve_out_dir() / name
 
 
 def csv_text(columns, arrays):
@@ -69,23 +67,17 @@ def write_text(path, text):
     return path
 
 
-def gnuplot_script(csv_name, ycolumns=("eta",), columns=PROFILE_COLUMNS,
-                  title=None, xlabel="x"):
-    """gnuplot commands plotting named CSV columns against the first column."""
+def gnuplot_script(csv_name):
+    """gnuplot commands plotting eta and u of a profile CSV against x."""
+    plots = ", ".join(
+        f"'{csv_name}' using 1:{PROFILE_COLUMNS.index(y) + 1} with lines"
+        for y in ("eta", "u")
+    )
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
-        f"set xlabel '{xlabel}'",
+        "set xlabel 'x'",
         "set grid",
+        f"plot {plots}",
     ]
-    if title:
-        lines.append(f"set title '{title}'")
-    for y in ycolumns:
-        if y not in columns:
-            raise ValueError(f"unknown column {y!r}")
-    plots = ", ".join(
-        f"'{csv_name}' using 1:{columns.index(y) + 1} with lines"
-        for y in ycolumns
-    )
-    lines.append(f"plot {plots}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ potentials are recovered from the 2x2 solve
 
 The crest is a regular point for subcritical waves (phi1(0) = 0, d(0) > 0);
 integration therefore starts exactly at x = 0.  The trajectory decays toward
-the rest state until shooting drift, seeded at roughly sqrt(rel_tol) of the
+the rest state until shooting drift, seeded at roughly sqrt(REL_TOL) of the
 initial amplitude, re-amplifies along the unstable manifold; a drift guard
 stops the run at the achievable tail floor (see integrate_half).
 """
@@ -41,19 +41,11 @@ GUARD_FACTOR = 10.0
 D_MIN = 1e-13
 # end of the integration interval; default solves stop by x ~ 10
 X_SPAN = 30.0
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tail_eps: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
-            raise ValueError("tolerances must lie in (0, 1e-2]")
-        if not self.tail_eps > 0.0:
-            raise ValueError("tail_eps must be positive")
+# RK45 relative and absolute tolerances
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+# state norm at which the shot counts as having reached the rest state
+TAIL_EPS = 1e-9
 
 
 def _unpack(state):
@@ -172,10 +164,10 @@ class HalfProfile:
     interpolant: object  # OdeSolution over the computed range
 
 
-def integrate_from(x0, y0, c, delta, cfg):
+def integrate_from(x0, y0, c, delta):
     """Adaptive embedded Runge-Kutta 5(4) shot from (x0, y0) toward the tail.
 
-    Stops at the first of: state norm <= tail_eps ("tail"); drift-guard
+    Stops at the first of: state norm <= TAIL_EPS ("tail"); drift-guard
     regrowth past GUARD_FACTOR times the running norm minimum, truncated back
     to the minimum sample ("floor"); x reaching X_SPAN ("x_max", a truncated
     wave).  A denominator or depth crossing raises instead.
@@ -187,7 +179,7 @@ def integrate_from(x0, y0, c, delta, cfg):
         return _slopes(phi1, delta, *_terms(eta, u, phi1, c, delta))
 
     def ev_tail(x, y):
-        return float(np.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])) - cfg.tail_eps
+        return float(np.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])) - TAIL_EPS
     ev_tail.terminal = True
     ev_tail.direction = -1
 
@@ -215,7 +207,7 @@ def integrate_from(x0, y0, c, delta, cfg):
 
     sol = solve_ivp(
         f, (x0, X_SPAN), list(y0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        rtol=REL_TOL, atol=ABS_TOL,
         events=(ev_tail, ev_denominator, ev_depth, ev_guard),
         dense_output=True,
     )
@@ -248,10 +240,9 @@ def integrate_from(x0, y0, c, delta, cfg):
     )
 
 
-def integrate_half(crest, cfg=None):
+def integrate_half(crest):
     """Half profile from a subcritical crest; see integrate_from for stops."""
-    if cfg is None:
-        cfg = IntegratorConfig()
     if not isinstance(crest, CrestState):
         raise TypeError("integrate_half expects a CrestState")
-    return integrate_from(0.0, (crest.eta0, crest.u0, 0.0), crest.c, crest.delta, cfg)
+    return integrate_from(0.0, (crest.eta0, crest.u0, 0.0), crest.c,
+                          crest.delta)

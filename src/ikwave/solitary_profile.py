@@ -18,9 +18,8 @@ import numpy as np
 
 from .crest_init import solve_crest
 from .errors import DenominatorVanished, IkwaveError
-from .profile_ode import (IntegratorConfig, crest_curvature, denominator,
-                          identity_residuals, integrate_half,
-                          reconstruct_potentials)
+from .profile_ode import (crest_curvature, denominator, identity_residuals,
+                          integrate_half, reconstruct_potentials)
 
 # smallest resampling step; the finest grid in use is reproduce-paper's 0.002
 DX_MIN = 1e-4
@@ -77,7 +76,7 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, interpolant):
     )
 
 
-def solve_solitary(delta, cfg=None, dx=None):
+def solve_solitary(delta, dx=None):
     """Solve the full solitary profile at shallowness delta < delta_c.
 
     With dx given, the accepted-step samples are replaced by a uniform grid
@@ -88,10 +87,8 @@ def solve_solitary(delta, cfg=None, dx=None):
     if dx is not None and not DX_MIN <= dx < np.inf:
         raise ValueError(
             f"dx must be positive and finite, at least {DX_MIN!r}; got {dx!r}")
-    if cfg is None:
-        cfg = IntegratorConfig()
     crest = solve_crest(delta)
-    half = integrate_half(crest, cfg)
+    half = integrate_half(crest)
     x, eta, u, phi1 = half.x, half.eta, half.u, half.phi1
     if dx is not None:
         n = int(np.floor(x[-1] / dx + 1e-9))

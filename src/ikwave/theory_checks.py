@@ -32,7 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDetected
-from .model_params import ExponentSet, build_params
+from .model_params import build_params
+
+# q_positivity samples xi uniformly on [0, Q_XI_MAX]
+Q_XI_MAX = 100.0
+Q_SAMPLES = 1001
 
 
 def _sech(x):
@@ -97,8 +101,8 @@ def verify_kdv_solution(gamma, grid):
     c1 = 2 gamma and eta0 = 4 gamma sech^2 x; the residual is identically
     zero, gamma cancelling, so anything above rounding flags a bug.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     grid = np.asarray(grid, dtype=float)
     s2 = _sech(grid) ** 2
     eta0 = 4.0 * gamma * s2
@@ -153,19 +157,15 @@ def q_eval(params, xi2):
     return -float(np.linalg.det(M))
 
 
-def q_positivity(p, xi_max=100.0, samples=1001):
-    """Minimum of q(xi^2) over xi uniformly sampled in [0, xi_max].
+def q_positivity(p):
+    """Minimum of q(xi^2) for exponents p, xi uniform on [0, Q_XI_MAX].
 
     q is a degree N-1 polynomial in xi^2 and provably bounded below by a
     positive constant; a nonpositive sample would mean the matrices are
     built wrong, hence the hard error.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    if xi_max <= 0.0:
-        raise ValueError("xi_max must be positive")
-    params = p if not isinstance(p, (ExponentSet, tuple, list)) else build_params(p)
-    xs = np.linspace(0.0, xi_max, samples)
+    params = build_params(p)
+    xs = np.linspace(0.0, Q_XI_MAX, Q_SAMPLES)
     qs = np.array([q_eval(params, xi * xi) for xi in xs])
     qmin = float(qs.min())
     if qmin <= 0.0:
@@ -175,22 +175,23 @@ def q_positivity(p, xi_max=100.0, samples=1001):
     return qmin
 
 
-def first_order_family(delta, alpha, grid, p=(2,)):
-    """Leading-order family (c, eta, phi0, phi_vec) at shallowness delta.
+def first_order_family(delta, alpha, grid):
+    """Leading-order family (c, eta, phi0, phi_vec) at delta, for p = [2].
 
         c    = 1 + alpha delta^2,
         eta  = 2 alpha delta^2 sech^2(k x),        k = sqrt(alpha/(2 gamma)),
         phi0 = -2 sqrt(2 alpha gamma) delta^2 tanh(k x),
         phi  = -4 alpha gamma_vec sqrt(alpha/(2 gamma)) delta^4
-               tanh(k x) sech^2(k x)   (one row per exponent),
+               tanh(k x) sech^2(k x)   (one row, for the one exponent),
 
     dropping higher-order corrections.  At alpha = 2 gamma the surface
     elevation reduces to the classical soliton (4/3) delta^2 sech^2 x when
     gamma = 1/3.
     """
-    if delta <= 0.0 or alpha <= 0.0:
-        raise ValueError("delta and alpha must be positive")
-    params = build_params(p)
+    if not (0.0 < delta < math.inf and 0.0 < alpha < math.inf):
+        raise ValueError(f"delta and alpha must be positive and finite, "
+                         f"got {delta!r} and {alpha!r}")
+    params = build_params((2,))
     gamma = params.gamma
     grid = np.asarray(grid, dtype=float)
     k = math.sqrt(alpha / (2.0 * gamma))

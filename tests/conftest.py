@@ -1,6 +1,6 @@
 import pytest
 
-from ikwave import IntegratorConfig, solve_critical, solve_solitary
+from ikwave import solve_critical, solve_solitary
 
 
 @pytest.fixture(scope="session")
@@ -10,12 +10,12 @@ def critical_point():
 
 @pytest.fixture(scope="session")
 def profile_cache():
-    """Memoized default-config profiles; integration dominates test runtime."""
+    """Memoized profiles; integration dominates test runtime."""
     cache = {}
 
     def get(delta):
         if delta not in cache:
-            cache[delta] = solve_solitary(delta, IntegratorConfig())
+            cache[delta] = solve_solitary(delta)
         return cache[delta]
 
     return get

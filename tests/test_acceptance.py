@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from ikwave import (IntegratorConfig, build_params, compare_kdv,
-                    diagnostics_table, fundamental_checks, phase_speed,
-                    q_eval, q_positivity, solve_crest, solve_critical,
-                    solve_solitary, verify_kdv_solution)
+from ikwave import (build_params, compare_kdv, diagnostics_table,
+                    fundamental_checks, phase_speed, q_eval, q_positivity,
+                    solve_crest, solve_critical, solve_solitary,
+                    verify_kdv_solution)
 from ikwave.cli import run
 
 
@@ -101,15 +101,15 @@ def test_criterion_4_constants():
 def test_criterion_5_first_integrals():
     worst = 0.0
     for delta in (0.3, 0.45, 0.6):
-        p = solve_solitary(delta, IntegratorConfig(rel_tol=1e-10))
+        p = solve_solitary(delta)
         worst = max(worst, float(np.max(np.abs(p.I1))),
                     float(np.max(np.abs(p.I2))))
     _line("first-integral conservation", worst <= 1e-8, f"max={worst:.3e}")
 
 
 def test_criterion_6_fourth_order_scaling():
-    e1 = compare_kdv(solve_solitary(0.1, IntegratorConfig()))
-    e2 = compare_kdv(solve_solitary(0.2, IntegratorConfig()))
+    e1 = compare_kdv(solve_solitary(0.1))
+    e2 = compare_kdv(solve_solitary(0.2))
     ratio = e2 / e1
     heights = [solve_crest(d).eta0
                for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.62)]

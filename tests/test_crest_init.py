@@ -30,7 +30,6 @@ def test_crest_values_match_reference():
                         (0.625, 0.670918), (0.626, 0.679938)]:
         crest = solve_crest(delta)
         assert crest.eta0 == pytest.approx(eta0, abs=1e-6)
-        assert crest.phi1_0 == 0.0
 
 
 def test_crest_satisfies_both_identities():
@@ -95,5 +94,5 @@ def test_crest_admissible_across_range(delta):
     crest = solve_crest(delta)
     scale = max(abs(c) for c in quartic_coeffs(crest.c))
     assert abs(np.polyval(quartic_coeffs(crest.c), crest.u0)) <= 1e-9 * scale
-    assert crest.H0 > 0.0
-    assert crest.v0 > 0.0
+    assert 1.0 + crest.eta0 > 0.0
+    assert crest.c + crest.u0 > 0.0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ikwave import (IntegratorConfig, NegativeRadicand, NewtonDiverged,
-                    crest_slope, extreme_profile, included_angle,
-                    solve_critical)
+from ikwave import (NegativeRadicand, NewtonDiverged, crest_slope,
+                    extreme_profile, included_angle, solve_critical)
+from ikwave import extreme_wave
 from ikwave.extreme_wave import CriticalPoint, _residuals
 from ikwave.profile_ode import denominator
 
@@ -36,9 +36,12 @@ def test_newton_is_deterministic(critical_point):
     assert again.u_c0 == critical_point.u_c0
 
 
-def test_newton_diverged_reporting():
+def test_newton_diverged_reporting(monkeypatch):
+    monkeypatch.setattr(extreme_wave, "NEWTON_TOL", 1e-30)
+    monkeypatch.setattr(extreme_wave, "NEWTON_MAX_ITER", 3)
     with pytest.raises(NewtonDiverged) as info:
-        solve_critical(tol=1e-30, max_iter=3)
+        solve_critical()
+    assert "no convergence in 3 iterations" in str(info.value)
     assert info.value.iterate is not None
     assert info.value.residuals is not None
 
@@ -66,8 +69,9 @@ def test_included_angle():
     assert included_angle(0.0) == 180.0
     assert included_angle(math.tan(math.radians(30.0))) == pytest.approx(120.0, abs=1e-12)
     assert included_angle(0.24397) == pytest.approx(152.6, abs=0.05)
-    with pytest.raises(ValueError):
-        included_angle(-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            included_angle(bad)
 
 
 def test_critical_angle(critical_point):
@@ -78,7 +82,7 @@ def test_critical_angle(critical_point):
 
 @pytest.fixture(scope="module")
 def extreme(critical_point):
-    return extreme_profile(critical_point, IntegratorConfig())
+    return extreme_profile(critical_point)
 
 
 def test_extreme_peak_and_corner(critical_point, extreme):

@@ -77,6 +77,25 @@ def test_exponent_set_validation():
     with pytest.raises(ValueError):
         ExponentSet((3, 1))
     assert ExponentSet((1, 4, 5)).N == 3
+    assert ExponentSet((2.0, 4.0)).p == (2, 4)
+
+
+@pytest.mark.parametrize("p", [(2.7,), (2.5,), (1, 2.5), (float("nan"),),
+                               (float("inf"),)], ids=repr)
+def test_non_integer_exponents_rejected(p):
+    with pytest.raises(ValueError):
+        ExponentSet(p)
+    with pytest.raises(ValueError):
+        build_params(p)
+    with pytest.raises(ValueError):
+        exact_params(p)
+
+
+def test_exact_params_validates_exponents():
+    for p in [(), (0, 2), (2, 2), (3, 1)]:
+        with pytest.raises(ValueError):
+            exact_params(p)
+    assert exact_params(ExponentSet((2,))) == exact_params([2])
 
 
 @settings(max_examples=40, deadline=None)

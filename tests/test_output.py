@@ -48,8 +48,6 @@ def test_out_dir_resolution(monkeypatch, tmp_path):
     assert resolve_out_dir() == tmp_path
     assert resolve_out_path("a.csv") == tmp_path / "a.csv"
     assert resolve_out_path(tmp_path / "b.csv") == tmp_path / "b.csv"
-    explicit = tmp_path / "sub"
-    assert resolve_out_path("c.csv", explicit) == explicit / "c.csv"
 
 
 def test_write_text_creates_parents(tmp_path):
@@ -59,10 +57,8 @@ def test_write_text_creates_parents(tmp_path):
 
 
 def test_gnuplot_script_references_columns():
-    script = gnuplot_script("prof.csv", ("eta", "u"))
-    assert "'prof.csv' using 1:2 with lines" in script
-    assert "using 1:3" in script
+    script = gnuplot_script("prof.csv")
+    assert script.splitlines()[-1] == (
+        "plot 'prof.csv' using 1:2 with lines, 'prof.csv' using 1:3 with lines")
     assert "set datafile separator ','" in script
-    with pytest.raises(ValueError):
-        gnuplot_script("prof.csv", ("nope",))
-    assert PROFILE_COLUMNS[0] == "x"
+    assert PROFILE_COLUMNS[:3] == ("x", "eta", "u")

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (DenominatorVanished, IntegratorConfig, crest_curvature,
-                    denominator, extreme_profile, identity_residuals,
-                    integrate_half, reconstruct_potentials, rhs, solve_crest,
-                    solve_solitary)
+from ikwave import (DenominatorVanished, crest_curvature, denominator,
+                    extreme_profile, identity_residuals, integrate_half,
+                    reconstruct_potentials, rhs, solve_crest, solve_solitary)
 from ikwave import profile_ode
 from ikwave.cli import run
 from ikwave.crest_init import CrestState
@@ -15,15 +14,8 @@ from ikwave.solitary_profile import assemble_profile
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(tail_eps=0.0)
-    cfg = IntegratorConfig()
-    assert cfg.rel_tol == 1e-10 and cfg.abs_tol == 1e-12
-    assert cfg.tail_eps == 1e-9
+    assert profile_ode.REL_TOL == 1e-10 and profile_ode.ABS_TOL == 1e-12
+    assert profile_ode.TAIL_EPS == 1e-9
     assert profile_ode.D_MIN == 1e-13 and profile_ode.X_SPAN == 30.0
 
 
@@ -120,9 +112,9 @@ def test_half_trajectory_conserves_identities():
     assert half.eta[-1] < 1e-5
 
 
-def test_achievable_tail_threshold_reached():
-    cfg = IntegratorConfig(tail_eps=2e-6)
-    half = integrate_half(solve_crest(0.3), cfg)
+def test_achievable_tail_threshold_reached(monkeypatch):
+    monkeypatch.setattr(profile_ode, "TAIL_EPS", 2e-6)
+    half = integrate_half(solve_crest(0.3))
     assert half.stop == "tail"
     norm = np.sqrt(half.eta[-1] ** 2 + half.u[-1] ** 2 + half.phi1[-1] ** 2)
     assert norm <= 2e-6 * 1.01

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ikwave import (IntegratorConfig, compare_kdv, diagnostics_table,
-                    dimensionalize, kdv_profile, solve_solitary)
+from ikwave import (compare_kdv, diagnostics_table, dimensionalize,
+                    kdv_profile, solve_solitary)
 from ikwave import solitary_profile
 from ikwave.solitary_profile import DX_MIN
 
@@ -34,14 +34,14 @@ def test_grid_and_peak_shape(profile_cache):
 
 
 def test_uniform_resampling():
-    p = solve_solitary(0.5, IntegratorConfig(), dx=0.05)
+    p = solve_solitary(0.5, dx=0.05)
     steps = np.diff(p.x)
     np.testing.assert_allclose(steps, 0.05, rtol=1e-12)
     # interpolation must not degrade the conserved identities
     assert np.max(np.abs(p.I1)) <= 5e-11
     assert np.max(np.abs(p.I2)) <= 5e-11
     with pytest.raises(ValueError):
-        solve_solitary(0.5, IntegratorConfig(), dx=-0.1)
+        solve_solitary(0.5, dx=-0.1)
 
 
 @pytest.mark.parametrize("delta, dx, name", [

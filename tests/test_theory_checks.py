@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ikwave import (build_params, first_order_family, fundamental_checks,
                     fundamental_pair, kdv_profile, q_eval, q_positivity,
                     verify_kdv_solution)
+from ikwave import theory_checks
 from ikwave.errors import NonPositiveDetected
 
 
@@ -63,8 +64,12 @@ def test_leading_order_profile_equation():
     assert verify_kdv_solution(1.0 / 3.0, GRID) <= 1e-12
     assert verify_kdv_solution(1.0, GRID) <= 1e-12
     assert verify_kdv_solution(2.5, GRID) <= 1e-11  # scale grows with gamma^2
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+def test_verify_kdv_solution_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError):
-        verify_kdv_solution(0.0, GRID)
+        verify_kdv_solution(gamma, GRID)
 
 
 # exact determinant values frozen from an independent rational computation
@@ -96,10 +101,7 @@ def test_q_positivity_minimum():
     assert q_positivity((2,)) == pytest.approx(4.0 / 9.0, abs=1e-14)
     assert q_positivity((1, 2)) > 0.0
     assert q_positivity((2, 4)) > 0.0
-    with pytest.raises(ValueError):
-        q_positivity((2,), samples=10)
-    with pytest.raises(ValueError):
-        q_positivity((2,), xi_max=-1.0)
+    assert theory_checks.Q_XI_MAX == 100.0 and theory_checks.Q_SAMPLES == 1001
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,10 +134,15 @@ def test_first_order_family_shapes_and_limits():
     limit = 2.0 * np.sqrt(2.0 * 0.5 * gamma) * 0.2 ** 2
     assert phi0[-1] == pytest.approx(-limit, abs=1e-12)
     assert phi0[0] == pytest.approx(limit, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta, alpha", [
+    (-0.1, 0.5), (0.0, 0.5), (float("nan"), 0.5), (float("inf"), 0.5),
+    (0.1, 0.0), (0.1, float("nan")), (0.1, float("inf")),
+])
+def test_first_order_family_rejects_bad_arguments(delta, alpha):
     with pytest.raises(ValueError):
-        first_order_family(-0.1, 0.5, grid)
-    with pytest.raises(ValueError):
-        first_order_family(0.1, 0.0, grid)
+        first_order_family(delta, alpha, GRID)
 
 
 def test_family_matches_solver_to_fourth_order(profile_cache):
@@ -149,7 +156,7 @@ def test_family_matches_solver_to_fourth_order(profile_cache):
         assert sup <= 1.0 * delta ** 4
 
 
-def test_nonpositive_guard_trips():
+def test_nonpositive_guard_trips(monkeypatch):
     # for N=1 the determinant gives q = (1 - a0)^2, so a corrupted a0 = 1
     # collapses q to zero and must trip the positivity guard
     class Fake:
@@ -161,5 +168,6 @@ def test_nonpositive_guard_trips():
     fake.A0 = np.array([[0.2]])
     fake.A1 = np.array([[4.0 / 3.0]])
     assert abs(q_eval(fake, 0.0)) <= 1e-300
+    monkeypatch.setattr(theory_checks, "build_params", lambda p: fake)
     with pytest.raises(NonPositiveDetected):
-        q_positivity(fake)
+        q_positivity((2,))
