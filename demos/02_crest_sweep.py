@@ -1,7 +1,8 @@
 """Crest states across the shallowness range, up to where they cease to exist.
 
-The crest values (eta(0), u(0)) solve a quartic in u(0) with exactly one
-admissible root below the critical shallowness and none above it.  As delta
+The crest height eta(0) is the smallest root of the crest polynomial F(t),
+t = eta(0) - (c^2 - 1), below the critical shallowness; there that root
+becomes double, and above it F has no root at all.  As delta
 approaches the critical value the crest curvature blows up and the
 denominator d(0) of the profile equations collapses to zero: the crest is
 sharpening into a corner.
@@ -16,7 +17,7 @@ for row in diagnostics_table([0.3, 0.45, 0.55, 0.6, 0.62, 0.625, 0.626,
           f"{row.d0:.6g}")
 
 print()
-print("Past the critical shallowness the quartic has no real admissible root:")
+print("Past the critical shallowness the crest polynomial has no root:")
 try:
     solve_crest(0.63)
 except NoSolitaryRoot as exc:

@@ -27,7 +27,7 @@ print()
 
 profile = extreme_profile(cp)
 print(f"extreme profile: peak {profile.eta_max:.9g}, "
-      f"{len(profile.x)} samples, stop = {profile.stop}")
+      f"{len(profile.x)} samples")
 print(f"max |I1| = {np.max(np.abs(profile.I1)):.3e}   "
       f"max |I2| = {np.max(np.abs(profile.I2)):.3e}")
 

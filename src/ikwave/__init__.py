@@ -6,11 +6,9 @@ limiting wave of extreme form with its sharp corner crest, and ships
 executable checks of the analytic theory behind the solver.
 """
 
-from .crest_init import CrestState, DELTA_C_APPROX, phase_speed, quartic_coeffs, solve_crest
+from .crest_init import CrestState, DELTA_C_APPROX, phase_speed, solve_crest
 from .errors import (
-    AmbiguousRoot,
     DenominatorVanished,
-    DepthVanished,
     IkwaveError,
     NegativeRadicand,
     NewtonDiverged,
@@ -64,12 +62,10 @@ from .theory_checks import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousRoot",
     "CrestState",
     "CriticalPoint",
     "DELTA_C_APPROX",
     "DenominatorVanished",
-    "DepthVanished",
     "DimensionalProfile",
     "ExponentSet",
     "FundamentalPair",
@@ -103,7 +99,6 @@ __all__ = [
     "phase_speed",
     "q_eval",
     "q_positivity",
-    "quartic_coeffs",
     "reconstruct_potentials",
     "rhs",
     "solve_crest",

@@ -1,32 +1,40 @@
-"""Crest initial data for the solitary-wave shooting problem.
+"""The invariant curve of the two first integrals, and the crest on it.
 
-By symmetry the second potential coefficient vanishes at the crest, and the
-two steady identities evaluated there reduce to
+Every solitary wave lies on the curve I1 = I2 = 0 of the reduced system (see
+profile_ode).  Eliminating phi1 between the two integrals and writing
+w = c*eta + H*u as w = W*eta leaves a quadratic in W,
 
-    c u(0) + eta(0) + u(0)^2/2 = 0,
-    eta(0)^2 - H(0)u(0)^2 + 2u(0)w(0) - (6/(5H(0))) w(0)^2 = 0,
+    (8/5) eta W^2 + 2c W + g = 0,    g = -2 gamma + eta (3 + 2 gamma - eta),
 
-with H(0) = 1 + eta(0), w(0) = c*eta(0) + H(0)u(0) and c = 1 + (2/3)delta^2.
-Eliminating eta(0) collapses the pair to a quartic in u(0),
+with H = 1 + eta, c = 1 + (2/3)delta^2 and gamma = c^2 - 1.  Its root that
+stays bounded as eta -> 0 gives u = eta (W - c)/H as a closed form in eta.
+gamma is always formed as (4/3)eps(1 + eps/3) with eps = delta^2, never as
+c^2 - 1, whose subtraction loses every digit for small delta.
 
-    7u^4 + 42c u^3 + 6(16c^2-3)u^2 + 8c(13c^2-8)u + 8(6c^2-1)(c^2-1) = 0,
+At the crest phi1 = 0 as well, which closes the curve into a polynomial
+condition on the height.  With t = eta(0) - gamma it reads
 
-whose admissible real root determines the crest.  Root selection: the root
-must satisfy u(0) in (-1, 0), eta(0) in (0, 1) and d(0) >= 0, where d is the
-denominator of the reduced system; on the solitary branch exactly one real
-root survives these filters, and the other real root carries d(0) < 0.  If
-rounding next to the critical shallowness lets two roots through, the one
-nearer the small-amplitude value -(4/3)delta^2 is taken.
+    F(t) = P^2 - 20(1 + gamma) t = 0,    P = gamma(1 + gamma) + (3 + 8 gamma) t + 7 t^2,
+
+and the crest is its smallest root.  F > 0 for t <= 0 and F is convex for
+t >= 0, so Newton from t = 0 rises monotonically to that root; reaching
+F' >= 0 while F > 0 means F has no root, which is delta beyond the critical
+shallowness, where the smallest root is double.  Next to that value F in
+floating point fixes the root only to about 1e-14, so a last Newton step
+evaluates F with 40 decimal digits.
 """
 
+import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
-import numpy as np
+from .errors import NoSolitaryRoot
 
-from .errors import AmbiguousRoot, NoSolitaryRoot
-
-# largest shallowness with an admissible root, for error messages
+# largest shallowness with a crest, for error messages
 DELTA_C_APPROX = 0.62633493
+# Newton from t = 0 settles within 30 steps, even next to the double root
+CREST_MAX_ITER = 100
 
 
 def phase_speed(delta):
@@ -34,15 +42,29 @@ def phase_speed(delta):
     return 1.0 + (2.0 / 3.0) * delta * delta
 
 
-def quartic_coeffs(c):
-    """Coefficients of the crest quartic in u(0), descending degree."""
-    return [
-        7.0,
-        42.0 * c,
-        6.0 * (16.0 * c * c - 3.0),
-        8.0 * c * (13.0 * c * c - 8.0),
-        8.0 * (6.0 * c * c - 1.0) * (c * c - 1.0),
-    ]
+def speed_excess(delta):
+    """gamma = c^2 - 1 = (4/9) delta^2 (3 + delta^2), free of cancellation.
+
+    Floats, or Decimals.
+    """
+    eps = delta * delta
+    return 4 * eps * (3 + eps) / 9
+
+
+def curve_w(eta, c, gamma, sqrt=math.sqrt):
+    """W = w/eta on the curve I1 = I2 = 0; floats, or arrays with np.sqrt."""
+    g = -2.0 * gamma + eta * (3.0 + 2.0 * gamma - eta)
+    return -2.0 * g / (2.0 * c + sqrt(4.0 * c * c - 6.4 * eta * g))
+
+
+def crest_polynomial(t, gamma):
+    """(P, dP/dt, F, dF/dt) of the crest polynomial at t = eta(0) - gamma.
+
+    Floats, or Decimals.
+    """
+    P = gamma * (1 + gamma) + (3 + 8 * gamma) * t + 7 * t * t
+    Pt = 3 + 8 * gamma + 14 * t
+    return P, Pt, P * P - 20 * (1 + gamma) * t, 2 * P * Pt - 20 * (1 + gamma)
 
 
 @dataclass(frozen=True)
@@ -55,109 +77,52 @@ class CrestState:
     u0: float
 
 
-def _eta_of_u(c, u):
-    return -c * u - 0.5 * u * u
+def crest_on_curve(delta, eta0):
+    """The crest of height eta0 on the curve of shallowness delta."""
+    c = phase_speed(delta)
+    u0 = eta0 * (curve_w(eta0, c, speed_excess(delta)) - c) / (1.0 + eta0)
+    return CrestState(delta=delta, c=c, eta0=eta0, u0=u0)
 
 
-def _crest_denominator(c, u):
-    # d at the crest (phi1 = 0), in the simplification 3Hv^2 + 3cv - H^2
-    eta = _eta_of_u(c, u)
-    H = 1.0 + eta
-    v = c + u
-    return 3.0 * H * v * v + 3.0 * c * v - H * H
-
-
-def _quartic_value(coeffs, u):
-    acc = 0.0
-    for a in coeffs:
-        acc = acc * u + a
-    return acc
-
-
-def _quartic_slope(coeffs, u):
-    acc = 0.0
-    n = len(coeffs) - 1
-    for k, a in enumerate(coeffs[:-1]):
-        acc = acc * u + (n - k) * a
-    return acc
-
-
-def _polish(coeffs, u):
-    # Newton on the quartic; the companion-matrix root is already close
-    for _ in range(60):
-        f = _quartic_value(coeffs, u)
-        fp = _quartic_slope(coeffs, u)
-        if fp == 0.0:
-            break
-        du = f / fp
-        u -= du
-        if abs(du) <= 1e-17 * max(1.0, abs(u)):
-            break
-    return u
-
-
-def _admissible(c, u):
-    eta = _eta_of_u(c, u)
-    # the rejected branch carries d(0) ~ -1.5; the tolerance only needs to
-    # absorb double-root rounding at the critical shallowness (|d| ~ 1e-7)
-    return (-1.0 < u < 0.0) and (0.0 < eta < 1.0) and _crest_denominator(c, u) >= -1e-6
+def check_delta(delta):
+    """delta as a float; ValueError unless 0 < delta < inf and delta^2 is a
+    normal float, since a subnormal delta^2 would make the crest height 0."""
+    delta = float(delta)
+    if not (0.0 < delta < math.inf and sys.float_info.min <= delta * delta):
+        raise ValueError(
+            f"delta must be positive and finite with delta^2 >= "
+            f"{sys.float_info.min!r}, got {delta!r}")
+    return delta
 
 
 def solve_crest(delta):
     """Crest initial data for a given shallowness delta.
 
-    Raises ValueError unless 0 < delta < inf, NoSolitaryRoot when no quartic
-    root passes the selection filters (delta beyond the critical value) and
-    AmbiguousRoot if several roots pass and sit at exactly the same distance
-    from the small-amplitude value -(4/3)delta^2.
+    Raises ValueError for a delta check_delta rejects and NoSolitaryRoot when
+    the crest polynomial has no root (delta beyond the critical value).
     """
-    delta = float(delta)
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    c = phase_speed(delta)
-    coeffs = quartic_coeffs(c)
-    roots = np.roots(coeffs)
-    # the absolute floor keeps the double root at the critical shallowness,
-    # where rounding splits it into a conjugate pair with |imag| ~ 1e-8
-    real = [float(r.real) for r in roots
-            if abs(r.imag) <= max(1e-10 * (1.0 + abs(r)), 1e-7)]
-    survivors = sorted({_polish(coeffs, r) for r in real if _admissible(c, r)})
-    if not survivors:
-        raise NoSolitaryRoot(
-            f"no admissible real root of the crest quartic at delta={delta!r}; "
-            f"solitary waves exist only for delta <= {DELTA_C_APPROX} "
-            f"(real roots found: {len(real)})"
-        )
-    if len(survivors) == 1:
-        u0 = survivors[0]
+    delta = check_delta(delta)
+    gamma = speed_excess(delta)
+    t = 0.0
+    for _ in range(CREST_MAX_ITER):
+        _, _, F, Ft = crest_polynomial(t, gamma)
+        if F <= 0.0:
+            break
+        if Ft >= 0.0:
+            raise NoSolitaryRoot(
+                f"the crest polynomial has no root at delta={delta!r}; "
+                f"solitary waves exist only for delta <= {DELTA_C_APPROX}")
+        t_next = t - F / Ft
+        if t_next <= t:
+            break
+        t = t_next
     else:
-        reference = -(4.0 / 3.0) * delta * delta
-        dists = [abs(u - reference) for u in survivors]
-        order = np.argsort(dists)
-        if dists[order[0]] == dists[order[1]]:
-            raise AmbiguousRoot(
-                f"{len(survivors)} admissible roots equidistant from "
-                f"{reference!r} at delta={delta!r}: {survivors}"
-            )
-        u0 = survivors[order[0]]
-
-    eta0 = _eta_of_u(c, u0)
-    scale = max(abs(a) for a in coeffs)
-    if abs(_quartic_value(coeffs, u0)) > 1e-10 * scale:
-        # reached when delta sits within rounding of the critical value and
-        # the quartic minimum no longer touches zero
         raise NoSolitaryRoot(
-            f"no admissible real root within numerical resolution at "
-            f"delta={delta!r}: best quartic residual "
-            f"{_quartic_value(coeffs, u0)!r}"
-        )
-    # second steady identity must close as a residual check; imported here
-    # because profile_ode imports CrestState from this module
-    from .profile_ode import identity_residuals
-    _, res2 = identity_residuals((eta0, u0, 0.0), c, delta)
-    if abs(res2) > 1e-9:
-        raise NoSolitaryRoot(
-            f"selected root violates the second steady identity at "
-            f"delta={delta!r}: residual {res2!r}"
-        )
-    return CrestState(delta=delta, c=c, eta0=eta0, u0=u0)
+            f"crest Newton did not settle in {CREST_MAX_ITER} steps at "
+            f"delta={delta!r}")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        fine_gamma, t = speed_excess(Decimal(delta)), Decimal(t)
+        _, _, F, _ = crest_polynomial(t, fine_gamma)
+        eta0 = float(fine_gamma + t - F / Decimal(Ft))
+    return crest_on_curve(delta, eta0)

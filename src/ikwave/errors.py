@@ -10,22 +10,13 @@ class IkwaveError(Exception):
 
 
 class NoSolitaryRoot(IkwaveError):
-    """The crest quartic has no admissible real root (delta exceeds the
-    critical shallowness)."""
-
-
-class AmbiguousRoot(IkwaveError):
-    """More than one quartic root passed every selection filter and the
-    small-amplitude value -(4/3)delta^2 could not break the tie."""
+    """The crest polynomial has no root (delta exceeds the critical
+    shallowness)."""
 
 
 class DenominatorVanished(IkwaveError):
     """The denominator d of the reduced system dropped to the abort
     threshold; the state is at or past the extreme-wave degeneracy."""
-
-
-class DepthVanished(IkwaveError):
-    """Total depth H = 1 + eta reached zero along a trajectory."""
 
 
 class StepSizeUnderflow(IkwaveError):

@@ -1,15 +1,14 @@
 """Critical shallowness, crest-slope geometry, and the extreme profile.
 
-The extreme solitary wave sits where the crest denominator d(0) vanishes.
-Eliminating eta(0) = -(c u(0) + u(0)^2/2) through the first crest identity
-leaves two polynomial conditions in (delta, u(0)),
+The extreme solitary wave sits where the smallest root of the crest
+polynomial F(t; gamma) of crest_init becomes double, t = eta(0) - gamma and
+gamma = c^2 - 1 = (4/3)delta^2(1 + delta^2/3).  The critical point solves
 
-    F1: the admissible-crest quartic
-        7u^4 + 42cu^3 + 6(16c^2-3)u^2 + 8c(13c^2-8)u + 8(6c^2-1)(c^2-1) = 0,
-    F2: d(0)/H = 0 written as  3Hv^2 + 3cv - H^2 = 0,
+    F = 0,    dF/dt = 0
 
-with c = 1 + (2/3)delta^2, H = 1 + eta(0), v = c + u(0).  Both are explicit
-polynomials, so the Newton iteration uses exact analytic derivatives.
+in (delta, t).  F is an explicit polynomial in t and gamma, so the Newton
+iteration uses exact analytic derivatives.  There the crest denominator d(0)
+vanishes.
 
 At the critical point the profile equations are 0/0 at the crest; the
 one-sided crest slope follows from l'Hopital's rule:
@@ -26,16 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crest_init import (_crest_denominator, _eta_of_u, _quartic_slope,
-                         _quartic_value, phase_speed, quartic_coeffs)
+from .crest_init import (crest_on_curve, crest_polynomial, phase_speed,
+                         speed_excess)
 from .errors import NegativeRadicand, NewtonDiverged
 from .profile_ode import integrate_from
 from .solitary_profile import assemble_profile
 
-# length of the one-sided Taylor step off the corner crest
-SEED_STEP = 1e-4
 # Newton stops once both residuals are at most NEWTON_TOL; from its fixed
-# guess it takes 4 steps
+# guess it takes 3 steps
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 30
 
@@ -52,58 +49,57 @@ class CriticalPoint:
     theta_deg: float     # included crest angle in dimensional variables
 
 
-def _residuals(delta, u):
-    c = phase_speed(delta)
-    eta = _eta_of_u(c, u)
-    F1 = _quartic_value(quartic_coeffs(c), u)
-    F2 = _crest_denominator(c, u)
-    return F1, F2, c, eta, 1.0 + eta, c + u
+def _residuals(delta, t):
+    """(F, dF/dt, P, dP/dt, gamma) at shallowness delta and t = eta(0) - gamma."""
+    gamma = speed_excess(delta)
+    P, Pt, F, Ft = crest_polynomial(t, gamma)
+    return F, Ft, P, Pt, gamma
 
 
-def _jacobian(delta, u, c, H, v):
-    c2 = c * c
-    dF1_du = _quartic_slope(quartic_coeffs(c), u)
-    dF1_dc = (42.0 * u ** 3 + 192.0 * c * u * u
-              + 8.0 * (39.0 * c2 - 8.0) * u + 16.0 * c * (12.0 * c2 - 7.0))
-    # eta = -(cu + u^2/2) gives dH/du = -v, dH/dc = -u
-    dF2_du = -3.0 * v ** 3 + 8.0 * H * v + 3.0 * c
-    dF2_dc = 3.0 * (-u * v * v + 2.0 * H * v) + 3.0 * (v + c) + 2.0 * H * u
-    dc = 4.0 / 3.0 * delta
-    return np.array([[dF1_dc * dc, dF1_du], [dF2_dc * dc, dF2_du]])
+def _jacobian(delta, t, P, Pt, gamma):
+    # F and F_t depend on delta only through gamma
+    Pg = 1.0 + 2.0 * gamma + 8.0 * t
+    dgamma = (8.0 / 3.0) * delta * phase_speed(delta)
+    return np.array([
+        [(2.0 * P * Pg - 20.0 * t) * dgamma, 2.0 * P * Pt - 20.0 * (1.0 + gamma)],
+        [(2.0 * (Pg * Pt + 8.0 * P) - 20.0) * dgamma, 2.0 * (Pt * Pt + 14.0 * P)],
+    ])
 
 
 def solve_critical():
-    """Newton solve for the critical point, from the guess (0.62, -0.78)."""
-    delta, u = 0.62, -0.78
+    """Newton solve for the critical point, from the guess (0.62, 0.1)."""
+    delta, t = 0.62, 0.1
     for _ in range(NEWTON_MAX_ITER):
-        F1, F2, c, eta, H, v = _residuals(delta, u)
-        if abs(F1) <= NEWTON_TOL and abs(F2) <= NEWTON_TOL:
+        F, Ft, P, Pt, gamma = _residuals(delta, t)
+        if abs(F) <= NEWTON_TOL and abs(Ft) <= NEWTON_TOL:
             break
-        J = _jacobian(delta, u, c, H, v)
+        J = _jacobian(delta, t, P, Pt, gamma)
         try:
-            step = np.linalg.solve(J, [-F1, -F2])
+            step = np.linalg.solve(J, [-F, -Ft])
         except np.linalg.LinAlgError as exc:
             raise NewtonDiverged(
-                f"singular Jacobian: {exc}", iterate=(delta, u),
-                residuals=(F1, F2),
+                f"singular Jacobian: {exc}", iterate=(delta, t),
+                residuals=(F, Ft),
             )
         delta += float(step[0])
-        u += float(step[1])
-        if not (0.0 < delta < 2.0 and -2.0 < u < 1.0):
+        t += float(step[1])
+        if not (0.0 < delta < 2.0 and 0.0 < t < 1.0):
             raise NewtonDiverged(
                 "iterate left the admissible region",
-                iterate=(delta, u), residuals=(F1, F2),
+                iterate=(delta, t), residuals=(F, Ft),
             )
     else:
         raise NewtonDiverged(
             f"no convergence in {NEWTON_MAX_ITER} iterations",
-            iterate=(delta, u), residuals=(F1, F2),
+            iterate=(delta, t), residuals=(F, Ft),
         )
-    F1, F2, c, eta, H, v = _residuals(delta, u)
+    crest = crest_on_curve(delta, gamma + t)
+    c, eta, u = crest.c, crest.eta0, crest.u0
+    H, v = 1.0 + eta, c + u
     if v <= 0.0:
         raise NewtonDiverged(
             "converged to a stagnation-point root (c + u(0) <= 0)",
-            iterate=(delta, u), residuals=(F1, F2),
+            iterate=(delta, t), residuals=(F, Ft),
         )
     slope = _one_sided_slope(delta, c, H, v)
     slope_dim = delta * abs(slope)
@@ -143,32 +139,13 @@ def included_angle(slope_dim):
 def extreme_profile(cp):
     """Extreme-wave profile with a corner crest at a solved critical point.
 
-    The right side of the profile system is 0/0 at the degenerate crest, so
-    the integrator cannot start there.  The first step is a Taylor step of
-    length SEED_STEP built from the one-sided derivatives
-
-        eta'(0+) = slope_nondim,
-        u'(0+)   = -eta'(0+)/v_c0,
-        phi1'(0) = (3/(2H^3))(Hv - c),
-
-    accurate to O(SEED_STEP^2), after which adaptive integration takes over.
-    The crest sample itself is prepended before mirroring, producing the
-    corner at x = 0.
+    The profile lies on the same invariant curve as the subcritical ones and
+    comes from the same quadrature from the crest (see profile_ode): dx/dz
+    vanishes at z = 0, which makes eta fall linearly in x, a corner, once
+    the half profile is mirrored.
     """
-    H = 1.0 + cp.eta_c0
-    w0 = H * cp.v_c0 - cp.c_c
-    eta_p = cp.slope_nondim
-    u_p = -eta_p / cp.v_c0
-    phi1_p = 1.5 / H ** 3 * w0
-    h = SEED_STEP
-    y_h = (cp.eta_c0 + h * eta_p, cp.u_c0 + h * u_p, h * phi1_p)
-    half = integrate_from(h, y_h, cp.c_c, cp.delta_c)
-    x = np.concatenate([[0.0], half.x])
-    eta = np.concatenate([[cp.eta_c0], half.eta])
-    u = np.concatenate([[cp.u_c0], half.u])
-    phi1 = np.concatenate([[0.0], half.phi1])
+    half = integrate_from(cp.delta_c, cp.eta_c0)
     return assemble_profile(
-        cp.delta_c, cp.c_c, x, eta, u, phi1,
-        kappa0=None, stop=half.stop,
-        interpolant=half.interpolant,
+        cp.delta_c, cp.c_c, half.x, half.eta, half.u, half.phi1,
+        kappa0=None, interpolant=half.interpolant,
     )

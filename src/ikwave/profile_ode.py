@@ -11,41 +11,52 @@ State (eta, u, phi1) with H = 1 + eta, v = c + u, w = c*eta + H*u:
 Two identities hold along every solution and act as exact first integrals:
 
     I1 = cu + eta + u^2/2 + 2 delta^-2 H^2 phi1^2,
-    I2 = eta^2 - Hu^2 + 2uw - (6/(5H)) w^2 + (4/3) delta^-2 H^3 phi1^2,
+    I2 = eta^2 - Hu^2 + 2uw - (6/(5H)) w^2 + (4/3) delta^-2 H^3 phi1^2.
 
-so their residuals monitor integration accuracy for free.  The surface
-potentials are recovered from the 2x2 solve
+The surface potentials are recovered from the 2x2 solve
 
     (phi0', phi1')^T = (1/((2/3)H^3)) (-H^2(c eta + (1/3)Hu), c eta + Hu)^T.
 
-The crest is a regular point for subcritical waves (phi1(0) = 0, d(0) > 0);
-integration therefore starts exactly at x = 0.  The trajectory decays toward
-the rest state until shooting drift, seeded at roughly sqrt(REL_TOL) of the
-initial amplitude, re-amplifies along the unstable manifold; a drift guard
-stops the run at the achievable tail floor (see integrate_half).
+A solitary wave lies on the curve I1 = I2 = 0 (crest_init), where u is a
+closed form in eta and so is phi1: with W = w/eta, W0 its crest value and
+m = cu + eta + u^2/2, both roots of m are factored out,
+
+    -m = (3/(2H^2)) eta^2 (eta0 - eta) K,
+    K  = 1 + (W + W0) A / (5B),
+    A  = (8/5) W0^2 + 3 + 2 gamma - eta - eta0,   B = (8/5) eta (W + W0) + 2c.
+
+Putting eta = eta0 exp(-z^2), E = -expm1(-z^2)/z^2 (E(0) = 1) and
+R = sqrt(0.75 eta0 E K), I1 = 0 gives phi1 = -delta eta z R / H^2, and eta'
+gives the one quantity left to integrate,
+
+    dx/dz = 2 delta H^2 d / ((6Hw + 10H^2 v) R),
+
+smooth and positive on [0, Z_END] for every delta below the critical value.
+At the critical value K and d vanish together at the crest; K is clamped at 0
+and dx/dz is 0 where R = 0, so the corner crest of the extreme wave needs no
+special start.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .crest_init import CrestState
-from .errors import DenominatorVanished, DepthVanished, StepSizeUnderflow
-
-# norm level below which the drift guard arms, and the regrowth factor that fires it
-GUARD_ARM_NORM = 1e-3
-GUARD_FACTOR = 10.0
-
+from .crest_init import CrestState, curve_w, phase_speed, speed_excess
+from .errors import DenominatorVanished, StepSizeUnderflow
 
 # |d| at or below which the reduced system counts as degenerate
 D_MIN = 1e-13
-# end of the integration interval; default solves stop by x ~ 10
-X_SPAN = 30.0
-# RK45 relative and absolute tolerances
+# RK45 relative and absolute tolerances of the x(z) quadrature
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
-# state norm at which the shot counts as having reached the rest state
-TAIL_EPS = 1e-9
+# each half profile ends where eta/eta0 = TAIL_REL, at z = Z_END
+TAIL_REL = 1e-5
+Z_END = math.sqrt(math.log(1.0 / TAIL_REL))
+# Newton sweeps that invert x(z) stop after a step of at most Z_TOL, which
+# leaves an error of order Z_TOL^2 by their quadratic convergence
+Z_TOL = 1e-10
+NEWTON_MAX_SWEEPS = 50
 
 
 def _unpack(state):
@@ -150,9 +161,74 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
+def _ratio(num, den, at_zero):
+    """num/den, and at_zero where den == 0; Python floats or arrays."""
+    if isinstance(den, float):
+        return num / den if den else at_zero
+    return np.divide(num, den, out=np.full_like(den, at_zero),
+                     where=den != 0.0)
+
+
+class _Curve:
+    """The closed forms of the module docstring for one crest (delta, eta0)."""
+
+    def __init__(self, delta, eta0):
+        self.delta, self.eta0 = delta, eta0
+        self.c = phase_speed(delta)
+        self.gamma = speed_excess(delta)
+        self.w0 = curve_w(eta0, self.c, self.gamma)
+
+    def at(self, z, lib):
+        """(eta, u, phi1, dx/dz) at z >= 0; Python floats with lib=math,
+        arrays with lib=np."""
+        delta, c, gamma, eta0, w0 = (self.delta, self.c, self.gamma,
+                                     self.eta0, self.w0)
+        z2 = z * z
+        eta = eta0 * lib.exp(-z2)
+        H = 1.0 + eta
+        W = curve_w(eta, c, gamma, lib.sqrt)
+        u = eta * (W - c) / H
+        A = 1.6 * w0 * w0 + 3.0 + 2.0 * gamma - eta - eta0
+        B = 1.6 * eta * (W + w0) + 2.0 * c
+        K = 1.0 + (W + w0) * A / (5.0 * B)
+        # K < 0 only by rounding, at the corner crest of the extreme wave
+        K = max(K, 0.0) if lib is math else np.maximum(K, 0.0)
+        R = lib.sqrt(0.75 * eta0 * _ratio(-lib.expm1(-z2), z2, 1.0) * K)
+        phi1 = -delta * eta * z * R / (H * H)
+        _, v, w, _, d = _terms(eta, u, phi1, c, delta)
+        slope = _ratio(2.0 * delta * H * H * d,
+                       (6.0 * H * w + 10.0 * H * H * v) * R, 0.0)
+        return eta, u, phi1, slope
+
+
+class CurveInterpolant:
+    """(eta, u, phi1) anywhere on [0, x_end] of a half profile.
+
+    x is inverted to z by Newton sweeps on the dense output of x(z), started
+    from linear interpolation between the accepted steps.
+    """
+
+    def __init__(self, curve, z, x, x_of_z):
+        self._curve, self._z, self._x, self._x_of_z = curve, z, x, x_of_z
+
+    def along_z(self, z):
+        """(x, eta) at the given z, with no inversion."""
+        return self._x_of_z(z)[0], self._curve.at(z, np)[0]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        z = np.interp(x, self._x, self._z)
+        for _ in range(NEWTON_MAX_SWEEPS):
+            step = _ratio(self._x_of_z(z)[0] - x, self._curve.at(z, np)[3], 0.0)
+            z = z - step
+            if np.max(np.abs(step)) <= Z_TOL:
+                break
+        return self._curve.at(z, np)[:3]
+
+
 @dataclass
 class HalfProfile:
-    """Accepted-step samples of a half trajectory on [x0, x_end]."""
+    """Accepted-step samples of a half profile on [0, x_end]."""
 
     delta: float
     c: float
@@ -160,89 +236,36 @@ class HalfProfile:
     eta: np.ndarray
     u: np.ndarray
     phi1: np.ndarray
-    stop: str          # "tail", "floor", or "x_max"
-    interpolant: object  # OdeSolution over the computed range
+    stop: str          # always "tail": eta/eta0 = TAIL_REL at x_end
+    interpolant: CurveInterpolant
 
 
-def integrate_from(x0, y0, c, delta):
-    """Adaptive embedded Runge-Kutta 5(4) shot from (x0, y0) toward the tail.
+def integrate_from(delta, eta0):
+    """Half profile from the crest height eta0 at shallowness delta.
 
-    Stops at the first of: state norm <= TAIL_EPS ("tail"); drift-guard
-    regrowth past GUARD_FACTOR times the running norm minimum, truncated back
-    to the minimum sample ("floor"); x reaching X_SPAN ("x_max", a truncated
-    wave).  A denominator or depth crossing raises instead.
+    One RK45 quadrature of x(z) over [0, Z_END]; eta, u and phi1 are the
+    closed forms at each accepted step.  Raises StepSizeUnderflow when the
+    integrator cannot proceed.
     """
-    def f(x, y):
-        # Python floats: the same IEEE results, at a third of the cost of
-        # numpy scalar arithmetic
-        eta, u, phi1 = y.tolist()
-        return _slopes(phi1, delta, *_terms(eta, u, phi1, c, delta))
+    curve = _Curve(delta, eta0)
 
-    def ev_tail(x, y):
-        return float(np.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])) - TAIL_EPS
-    ev_tail.terminal = True
-    ev_tail.direction = -1
+    def slope(z, x):
+        return (curve.at(float(z), math)[3],)
 
-    def ev_denominator(x, y):
-        return denominator(y, c, delta) - D_MIN
-    ev_denominator.terminal = True
-    ev_denominator.direction = -1
-
-    def ev_depth(x, y):
-        return 1.0 + y[0]
-    ev_depth.terminal = True
-    ev_depth.direction = -1
-
-    running = {"min": np.inf}
-
-    def ev_guard(x, y):
-        n = float(np.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]))
-        if n < running["min"]:
-            running["min"] = n
-        if running["min"] > GUARD_ARM_NORM:
-            return 1.0
-        return GUARD_FACTOR * running["min"] - n
-    ev_guard.terminal = True
-    ev_guard.direction = -1
-
-    sol = solve_ivp(
-        f, (x0, X_SPAN), list(y0), method="RK45",
-        rtol=REL_TOL, atol=ABS_TOL,
-        events=(ev_tail, ev_denominator, ev_depth, ev_guard),
-        dense_output=True,
-    )
+    sol = solve_ivp(slope, (0.0, Z_END), [0.0], method="RK45",
+                    rtol=REL_TOL, atol=ABS_TOL, dense_output=True)
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
-    if sol.status == 1:
-        if len(sol.t_events[1]):
-            raise DenominatorVanished(
-                f"d reached {D_MIN!r} at x = {sol.t_events[1][0]!r} "
-                f"(delta={delta!r})"
-            )
-        if len(sol.t_events[2]):
-            raise DepthVanished(f"H reached 0 at x = {sol.t_events[2][0]!r}")
-
-    x, y = sol.t, sol.y
-    if sol.status == 1 and len(sol.t_events[0]):
-        stop = "tail"
-    elif sol.status == 1:
-        stop = "floor"
-        norms = np.sqrt((y ** 2).sum(axis=0))
-        cut = int(np.argmin(norms))
-        x, y = x[: cut + 1], y[:, : cut + 1]
-    else:
-        stop = "x_max"
-
-    eta, u, phi1 = y
+    z, x = sol.t, sol.y[0]
+    eta, u, phi1, _ = curve.at(z, np)
     return HalfProfile(
-        delta=delta, c=c, x=x, eta=eta, u=u, phi1=phi1,
-        stop=stop, interpolant=sol.sol,
+        delta=delta, c=curve.c, x=x, eta=eta, u=u, phi1=phi1, stop="tail",
+        interpolant=CurveInterpolant(curve, z, x, sol.sol),
     )
 
 
 def integrate_half(crest):
-    """Half profile from a subcritical crest; see integrate_from for stops."""
+    """Half profile from a subcritical crest; see integrate_from."""
     if not isinstance(crest, CrestState):
         raise TypeError("integrate_half expects a CrestState")
-    return integrate_from(0.0, (crest.eta0, crest.u0, 0.0), crest.c,
-                          crest.delta)
+    return integrate_from(crest.delta, crest.eta0)

@@ -18,8 +18,9 @@ import numpy as np
 
 from .crest_init import solve_crest
 from .errors import DenominatorVanished, IkwaveError
-from .profile_ode import (crest_curvature, denominator, identity_residuals,
-                          integrate_half, reconstruct_potentials)
+from .profile_ode import (Z_END, CurveInterpolant, crest_curvature,
+                          denominator, identity_residuals, integrate_half,
+                          reconstruct_potentials)
 
 # smallest resampling step; the finest grid in use is reproduce-paper's 0.002
 DX_MIN = 1e-4
@@ -42,11 +43,10 @@ class WaveProfile:
     I2: np.ndarray
     eta_max: float
     kappa0: Optional[float]  # None for the extreme wave (corner crest)
-    stop: str
-    interpolant: object  # dense right-half solution, for resampling
+    interpolant: CurveInterpolant  # (eta, u, phi1) at any x of the right half
 
 
-def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, interpolant):
+def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, interpolant):
     """Mirror right-half samples (x[0] = 0) into a full WaveProfile."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -71,8 +71,7 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, stop, interpolant):
         x=odd(x), eta=even(eta), u=even(u), phi1=odd(phi1),
         phi0_prime=even(phi0p), phi1_prime=even(phi1p),
         d=even(d), I1=even(I1), I2=even(I2),
-        eta_max=float(eta[0]), kappa0=kappa0, stop=stop,
-        interpolant=interpolant,
+        eta_max=float(eta[0]), kappa0=kappa0, interpolant=interpolant,
     )
 
 
@@ -80,9 +79,9 @@ def solve_solitary(delta, dx=None):
     """Solve the full solitary profile at shallowness delta < delta_c.
 
     With dx given, the accepted-step samples are replaced by a uniform grid
-    of that spacing evaluated through the integrator's 4th-order dense
-    interpolant (the final partial cell is dropped).  Raises ValueError
-    unless 0 < delta < inf and, when given, DX_MIN <= dx < inf.
+    of that spacing evaluated through the profile's interpolant (the final
+    partial cell is dropped).  Raises ValueError for a delta that
+    solve_crest rejects and unless, when given, DX_MIN <= dx < inf.
     """
     if dx is not None and not DX_MIN <= dx < np.inf:
         raise ValueError(
@@ -97,8 +96,7 @@ def solve_solitary(delta, dx=None):
         x = xs
     return assemble_profile(
         delta, crest.c, x, eta, u, phi1,
-        kappa0=crest_curvature(crest), stop=half.stop,
-        interpolant=half.interpolant,
+        kappa0=crest_curvature(crest), interpolant=half.interpolant,
     )
 
 
@@ -113,15 +111,15 @@ def kdv_profile(delta, grid):
 def compare_kdv(profile):
     """sup_x |eta(x) - eta_kdv(x)| for a computed profile.
 
-    Evaluated on the union of the profile's sample grid and a dense uniform
-    auxiliary grid (through the dense interpolant), with the soliton always
-    evaluated analytically, so no resampling of the reference is involved.
+    Evaluated on the union of the profile's sample grid and an auxiliary
+    grid of 4097 points uniform in the curve parameter z over the whole half
+    profile, with the soliton always evaluated analytically, so no
+    resampling of the reference is involved.
     """
     right = profile.x >= 0.0
     xs = profile.x[right]
     err = float(np.max(np.abs(profile.eta[right] - kdv_profile(profile.delta, xs))))
-    aux = np.linspace(xs[0], xs[-1], 4097)
-    eta_aux = profile.interpolant(aux)[0]
+    aux, eta_aux = profile.interpolant.along_z(np.linspace(0.0, Z_END, 4097))
     err_aux = float(np.max(np.abs(eta_aux - kdv_profile(profile.delta, aux))))
     return max(err, err_aux)
 

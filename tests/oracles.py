@@ -1,0 +1,111 @@
+"""Reference computations the tests compare ikwave against.
+
+They are written from the model equations, independently of the solver's
+invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
+eta(0) from the two crest identities, its root in 50-digit decimal
+arithmetic, and a tail-in DOP853 shot of the full three-state system.
+"""
+
+import decimal
+import math
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+
+def quartic_coeffs(c):
+    """Coefficients of the crest quartic in u(0), descending degree:
+
+    7u^4 + 42c u^3 + 6(16c^2-3)u^2 + 8c(13c^2-8)u + 8(6c^2-1)(c^2-1) = 0,
+
+    from c u + eta + u^2/2 = 0 and the second crest identity.
+    """
+    return [
+        7.0,
+        42.0 * c,
+        6.0 * (16.0 * c * c - 3.0),
+        8.0 * c * (13.0 * c * c - 8.0),
+        8.0 * (6.0 * c * c - 1.0) * (c * c - 1.0),
+    ]
+
+
+def decimal_crest_eta0(delta, digits=50):
+    """eta(0) from the admissible quartic root, in `digits`-digit decimals.
+
+    The quartic is positive and rising at u = 0 and, on the whole branch,
+    convex between 0 and the admissible root, its largest negative one; so
+    Newton from u = 0 falls monotonically to that root.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        D = decimal.Decimal
+        delta = D(delta)
+        c = 1 + D(2) / 3 * delta * delta
+        coeffs = [D(7), 42 * c, 6 * (16 * c * c - 3), 8 * c * (13 * c * c - 8),
+                  8 * (6 * c * c - 1) * (c * c - 1)]
+        slope = [4 * coeffs[0], 3 * coeffs[1], 2 * coeffs[2], coeffs[3]]
+        tol = D(10) ** -(digits + 5)
+        u = D(0)
+        for _ in range(1000):
+            f = fp = D(0)
+            for a in coeffs:
+                f = f * u + a
+            for a in slope:
+                fp = fp * u + a
+            step = f / fp
+            u -= step
+            if abs(step) <= tol * max(abs(u), tol):
+                break
+        else:
+            raise RuntimeError(f"decimal Newton did not settle at delta={delta}")
+        return -(c * u + u * u / 2)
+
+
+class TailReference:
+    """eta_ref(x) on [0, x_end] for one subcritical delta, crest at x = 0.
+
+    Shoots inward from the rest state toward the crest: start at 1e-12 along
+    the eigenvector whose mode decays like exp(-lambda x) on x > 0, integrate
+    the reversed three-state system with DOP853 and stop at phi1 = 0.  Errors
+    across the connection decay on this path.
+    """
+
+    def __init__(self, delta):
+        c = 1.0 + (2.0 / 3.0) * delta * delta
+        dd = delta * delta
+
+        def reversed_rhs(s, y):
+            eta, u, phi1 = y
+            H = 1.0 + eta
+            v = c + u
+            w = c * eta + H * u
+            q = 4.0 * H * phi1 * phi1 / dd
+            d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
+            return (-(6.0 * H * w + 10.0 * H * H * v) * phi1 / (dd * d),
+                    (18.0 * w * (2.0 * H * v - w) + 10.0 * H ** 3 * (1.0 + q))
+                    * phi1 / (dd * H * d),
+                    -1.5 / H ** 3 * w)
+
+        # linearised at rest: eta' = a phi1, u' = b phi1, phi1' = 1.5(c eta + u)
+        a = 10.0 * c / (dd * (6.0 * c * c - 1.0))
+        b = -10.0 / (dd * (6.0 * c * c - 1.0))
+        lam = math.sqrt(1.5 * (c * a + b))
+        mode = np.array([a / lam, b / lam, -1.0])
+
+        def crest(s, y):
+            return y[2]
+        crest.terminal = True
+        crest.direction = 1
+
+        sol = solve_ivp(reversed_rhs, (0.0, 200.0),
+                        1e-12 * mode / np.linalg.norm(mode), method="DOP853",
+                        rtol=1e-12, atol=1e-30, events=crest,
+                        dense_output=True)
+        if sol.status != 1:
+            raise RuntimeError(f"tail-in reference missed the crest at "
+                               f"delta={delta!r}: {sol.message}")
+        self.x_end = float(sol.t_events[0][0])
+        self._sol = sol.sol
+
+    def eta(self, x):
+        return self._sol(self.x_end - np.asarray(x, dtype=float))[0]

@@ -20,6 +20,9 @@ def test_usage_errors_exit_2():
     assert run(["solve"]) == 2
     assert run(["solve", "--delta", "-0.5"]) == 2
     assert run(["solve", "--delta", "abc"]) == 2
+    # delta^2 below the smallest normal float would make the crest height 0
+    assert run(["solve", "--delta", "1e-200"]) == 2
+    assert run(["crest", "--delta", "1e-155"]) == 2
     assert run(["dimensional", "--delta", "0.3", "--depth", "0",
                 "--gravity", "9.81"]) == 2
 
@@ -81,7 +84,8 @@ def test_table_matches_reference(capsys):
     assert float(row[3]) == pytest.approx(1.55722, abs=1e-5)
 
 
-@pytest.mark.parametrize("deltas", ["0,0.5", "-0.1", "nan", "inf", "0.6,x"])
+@pytest.mark.parametrize("deltas", ["0,0.5", "-0.1", "nan", "inf", "0.6,x",
+                                    "0.6,1e-200"])
 def test_table_rejects_bad_deltas(deltas, capsys):
     assert run(["table", "--deltas", deltas]) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (DELTA_C_APPROX, NoSolitaryRoot, phase_speed,
-                    quartic_coeffs, solve_crest)
-from ikwave.profile_ode import denominator
+from ikwave import DELTA_C_APPROX, NoSolitaryRoot, phase_speed, solve_crest
+from ikwave.profile_ode import denominator, identity_residuals
+from oracles import decimal_crest_eta0, quartic_coeffs
 
 
 def test_phase_speed():
@@ -38,6 +40,7 @@ def test_crest_satisfies_both_identities():
         c, u, eta = crest.c, crest.u0, crest.eta0
         # first crest identity: eta = -(cu + u^2/2)
         assert eta == pytest.approx(-(c * u + 0.5 * u * u), abs=1e-12)
+        assert abs(identity_residuals((eta, u, 0.0), c, delta)[1]) <= 1e-12
         # the quartic itself
         res = np.polyval(quartic_coeffs(c), u)
         assert abs(res) <= 1e-9
@@ -51,6 +54,37 @@ def test_crest_state_holds_python_floats():
     crest = solve_crest(np.float64(0.6))
     values = (crest.delta, crest.c, crest.eta0, crest.u0)
     assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-3, 0.3, 0.6, 0.6263, 0.6263349])
+def test_crest_matches_decimal_quartic_root(delta):
+    # within one unit in the last place, even where the root is nearly double
+    eta0 = solve_crest(delta).eta0
+    exact = decimal_crest_eta0(delta)
+    assert abs(float(type(exact)(eta0) - exact)) <= np.spacing(eta0)
+
+
+def test_small_delta_height_series():
+    # eta0 = (4/3)eps + (8/15)eps^2 + (16/75)eps^3 + O(eps^4), eps = delta^2
+    for delta in (1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-8):
+        eps = delta * delta
+        series = (4.0 / 3.0) * eps + (8.0 / 15.0) * eps ** 2 + (16.0 / 75.0) * eps ** 3
+        eta0 = solve_crest(delta).eta0
+        assert abs(eta0 - series) <= eps ** 4 + 4.0 * np.spacing(series)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-20, 1e-100, 1.5e-154])
+def test_tiny_delta_has_a_crest(delta):
+    crest = solve_crest(delta)
+    assert crest.eta0 / ((4.0 / 3.0) * delta * delta) == pytest.approx(1.0, rel=1e-15)
+    assert crest.u0 == pytest.approx(-crest.eta0, rel=1e-15)
+
+
+@pytest.mark.parametrize("delta", [1.4e-154, 1e-200, 5e-324])
+def test_delta_with_subnormal_square_raises_value_error(delta):
+    assert delta * delta < sys.float_info.min
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        solve_crest(delta)
 
 
 def test_no_root_beyond_critical_shallowness():

@@ -6,6 +6,7 @@ import pytest
 from ikwave import (NegativeRadicand, NewtonDiverged, crest_slope,
                     extreme_profile, included_angle, solve_critical)
 from ikwave import extreme_wave
+from ikwave.crest_init import speed_excess
 from ikwave.extreme_wave import CriticalPoint, _residuals
 from ikwave.profile_ode import denominator
 
@@ -22,9 +23,10 @@ def test_critical_point_digits(critical_point):
 
 def test_critical_point_residuals(critical_point):
     cp = critical_point
-    F1, F2, *_ = _residuals(cp.delta_c, cp.u_c0)
-    assert abs(F1) <= 1e-12
-    assert abs(F2) <= 1e-12
+    # the smallest root of the crest polynomial is double there
+    F, Ft, *_ = _residuals(cp.delta_c, cp.eta_c0 - speed_excess(cp.delta_c))
+    assert abs(F) <= 1e-12
+    assert abs(Ft) <= 1e-12
     # the critical condition is exactly a vanishing crest denominator
     d0 = denominator((cp.eta_c0, cp.u_c0, 0.0), cp.c_c, cp.delta_c)
     assert abs(d0) <= 1e-10
@@ -111,6 +113,9 @@ def test_one_sided_slope_by_difference_quotient(critical_point, extreme):
     richardson = 2.0 * q2 - q1
     assert q2 == pytest.approx(critical_point.slope_nondim, abs=5e-3)
     assert richardson == pytest.approx(critical_point.slope_nondim, abs=1e-3)
+    # the corner itself: no seed step hides the first 1e-4 of the profile
+    for h in (1e-6, 1e-8):
+        assert quotient(h) == pytest.approx(critical_point.slope_nondim, abs=1e-5)
 
 
 def test_crest_velocity_relation(critical_point):

@@ -7,16 +7,20 @@ from ikwave import (DenominatorVanished, crest_curvature, denominator,
                     extreme_profile, identity_residuals, integrate_half,
                     reconstruct_potentials, rhs, solve_crest, solve_solitary)
 from ikwave import profile_ode
-from ikwave.cli import run
-from ikwave.crest_init import CrestState
+from ikwave.crest_init import CrestState, curve_w
 from ikwave.output import profile_csv_text
 from ikwave.solitary_profile import assemble_profile
+from oracles import TailReference
+
+# the largest float below the critical shallowness 0.62633493072456297...
+DELTA_C = 0.6263349307245629
 
 
 def test_config_validation():
     assert profile_ode.REL_TOL == 1e-10 and profile_ode.ABS_TOL == 1e-12
-    assert profile_ode.TAIL_EPS == 1e-9
-    assert profile_ode.D_MIN == 1e-13 and profile_ode.X_SPAN == 30.0
+    assert profile_ode.D_MIN == 1e-13 and profile_ode.TAIL_REL == 1e-5
+    assert np.exp(-profile_ode.Z_END ** 2) == pytest.approx(1e-5, rel=1e-14)
+    assert profile_ode.Z_TOL == 1e-10 and profile_ode.NEWTON_MAX_SWEEPS == 50
 
 
 def test_rhs_raises_on_vanishing_denominator():
@@ -98,13 +102,12 @@ def test_vector_field_mirror_equivariance(eta, u, phi1, c, delta):
 
 
 def test_half_trajectory_conserves_identities():
+    # I1 and I2 vanish by construction on the curve; the phi1' residual and
+    # the tail-in reference below are the independent checks
     half = integrate_half(solve_crest(0.45))
     p = assemble_profile(half.delta, half.c, half.x, half.eta, half.u,
-                         half.phi1, kappa0=None, stop=half.stop,
-                         interpolant=half.interpolant)
-    assert np.max(np.abs(p.I1)) <= 1e-8
-    assert np.max(np.abs(p.I2)) <= 1e-8
-    assert half.stop in ("tail", "floor")
+                         half.phi1, kappa0=None, interpolant=half.interpolant)
+    assert half.stop == "tail"
     assert np.all(np.diff(half.x) > 0.0)
     assert np.all(p.d > 0.0)
     # surface decays monotonically from the crest on the stored samples
@@ -112,32 +115,81 @@ def test_half_trajectory_conserves_identities():
     assert half.eta[-1] < 1e-5
 
 
-def test_achievable_tail_threshold_reached(monkeypatch):
-    monkeypatch.setattr(profile_ode, "TAIL_EPS", 2e-6)
-    half = integrate_half(solve_crest(0.3))
-    assert half.stop == "tail"
-    norm = np.sqrt(half.eta[-1] ** 2 + half.u[-1] ** 2 + half.phi1[-1] ** 2)
-    assert norm <= 2e-6 * 1.01
+def test_achievable_tail_threshold_reached():
+    for delta in (1e-4, 0.3, 0.6):
+        half = integrate_half(solve_crest(delta))
+        assert half.stop == "tail"
+        assert half.eta[-1] / half.eta[0] == pytest.approx(
+            profile_ode.TAIL_REL, rel=1e-14)
 
 
-def test_x_max_stop_sets_warning(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(profile_ode, "X_SPAN", 2.0)
-    half = integrate_half(solve_crest(0.45))
-    assert half.stop == "x_max"
-    assert half.x[-1] == pytest.approx(2.0)
-    assert run(["solve", "--delta", "0.45",
-                "--out", str(tmp_path / "wave.csv")]) == 0
-    captured = capsys.readouterr()
-    assert "stop = x_max" in captured.out
-    assert "warning: trajectory truncated" in captured.err
+def phi1_prime_residual(delta, eta0, n=400, h=1e-6):
+    """Largest |dphi1/dx - 1.5 w/H^3| along a half profile, over max|phi1'|.
+
+    The curve is built from I1 and I2 only, so the third equation of the
+    system is an independent check.  dphi1/dx is a central difference in z
+    divided by dx/dz, on n points uniform in z over (0, Z_END]; h resolves
+    the crest of the waves next to the critical one.  w is taken as eta*W,
+    since c*eta + H*u loses its digits to cancellation for small delta.
+    """
+    curve = profile_ode._Curve(delta, eta0)
+    z = np.linspace(0.0, profile_ode.Z_END, n + 1)[1:]
+    eta, _, _, slope = curve.at(z, np)
+    dphi1 = (curve.at(z + h, np)[2] - curve.at(z - h, np)[2]) / (2.0 * h)
+    H = 1.0 + eta
+    exact = 1.5 * eta * curve_w(eta, curve.c, curve.gamma, np.sqrt) / H ** 3
+    return float(np.max(np.abs(dphi1 / slope - exact)) / np.max(np.abs(exact)))
 
 
-def test_floor_stop_truncates_at_norm_minimum():
-    half = integrate_half(solve_crest(0.6))
-    if half.stop != "floor":
-        pytest.skip("tail threshold reached directly")
-    norms = np.sqrt(half.eta ** 2 + half.u ** 2 + half.phi1 ** 2)
-    assert np.argmin(norms) == len(norms) - 1
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.1, 0.3, 0.55, 0.62, 0.626,
+                                   DELTA_C - 1e-10])
+def test_third_equation_holds_along_the_curve(delta):
+    assert phi1_prime_residual(delta, solve_crest(delta).eta0) <= 1e-8
+
+
+def test_third_equation_holds_on_the_extreme_wave(critical_point):
+    cp = critical_point
+    assert phi1_prime_residual(cp.delta_c, cp.eta_c0) <= 1e-8
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.55, 0.62, 0.626])
+def test_profile_matches_tail_in_reference(delta):
+    p = solve_solitary(delta, dx=0.01)
+    ref = TailReference(delta)
+    x = p.x[(p.x >= 0.0) & (p.x <= ref.x_end)]
+    eta = p.eta[(p.x >= 0.0) & (p.x <= ref.x_end)]
+    eta_ref = ref.eta(x)
+    assert np.max(np.abs(eta - eta_ref) / eta_ref) <= 1e-8
+
+
+def assert_tail_positive_and_decaying(p):
+    right = p.eta[p.x > 0.0]
+    assert np.all(right > 0.0)
+    assert np.all(np.diff(p.eta[p.x >= 0.0]) < 0.0)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 0.55]
+                         + [DELTA_C - 10.0 ** -k for k in range(3, 16)])
+def test_tail_is_positive_and_strictly_decreasing(delta):
+    for dx in (None, 0.01):
+        assert_tail_positive_and_decaying(solve_solitary(delta, dx=dx))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(np.log(1e-6), np.log(DELTA_C), exclude_max=True))
+def test_profiles_across_the_branch(log_delta):
+    delta = min(float(np.exp(log_delta)), DELTA_C)
+    eta0 = solve_crest(delta).eta0
+    for dx in (None, 0.01):
+        p = solve_solitary(delta, dx=dx)
+        assert np.array_equal(p.x, -p.x[::-1])
+        assert np.array_equal(p.eta, p.eta[::-1])
+        assert np.array_equal(p.u, p.u[::-1])
+        assert np.array_equal(p.phi1, -p.phi1[::-1])
+        assert_tail_positive_and_decaying(p)
+        crest = p.eta[p.x == 0.0]
+        assert len(crest) == 1 and crest[0] == eta0 and p.eta_max == eta0
+    assert phi1_prime_residual(delta, eta0, n=100) <= 1e-8
 
 
 def test_dense_interpolant_matches_samples():

@@ -46,7 +46,7 @@ def test_uniform_resampling():
 
 @pytest.mark.parametrize("delta, dx, name", [
     (float("nan"), None, "delta"), (float("inf"), None, "delta"),
-    (0.0, None, "delta"), (0.3, float("nan"), "dx"),
+    (0.0, None, "delta"), (-0.3, None, "delta"), (0.3, float("nan"), "dx"),
     (0.3, float("inf"), "dx"), (0.3, 0.0, "dx"),
 ])
 def test_bad_delta_or_dx_raises_value_error(delta, dx, name):
@@ -105,8 +105,11 @@ def test_taller_than_soliton_at_large_delta(profile_cache):
 
 
 def test_kdv_error_fourth_order_band(profile_cache):
-    err = compare_kdv(profile_cache(0.1))
-    assert 0.3 <= err / 0.1 ** 4 <= 1.0  # frozen empirical band around 0.54
+    # the small-delta limit of sup|eta - eta_kdv|/delta^4 is the crest
+    # series' 8/15
+    for delta in (1e-1, 1e-2, 1e-3, 1e-4):
+        err = compare_kdv(profile_cache(delta))
+        assert err / delta ** 4 == pytest.approx(8.0 / 15.0, rel=0.01), delta
 
 
 def test_diagnostics_table_reference_rows():
