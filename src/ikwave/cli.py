@@ -26,6 +26,9 @@ from .solitary_profile import (DX_MIN, compare_kdv, diagnostics_table,
 from .theory_checks import (first_order_family, fundamental_checks, q_eval,
                             q_positivity, verify_kdv_solution)
 
+# compare-kdv's sup_error_over_delta4 is resolved down to this delta
+KDV_RESOLVED_DELTA = 1e-4
+
 PROFILE_DELTAS = (0.3, 0.45, 0.55, 0.6, 0.62, 0.62633493)
 ZOOM_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.62633493)
 TABLE_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.6263, 0.62633, 0.626334,
@@ -226,6 +229,11 @@ def cmd_compare_kdv(args):
     _kv("sup_error", err)
     # delta^4 underflows for delta below about 1e-77; delta^2 cannot
     _kv("sup_error_over_delta4", err / args.delta ** 2 / args.delta ** 2)
+    if args.delta < KDV_RESOLVED_DELTA:
+        # sup_error ~ (8/15) delta^4 sinks below the rounding of eta ~ delta^2
+        print(f"note: below delta = {KDV_RESOLVED_DELTA:g}, "
+              "sup_error_over_delta4 is below the quadrature's resolution "
+              "and is rounding noise", file=sys.stderr)
     return 0
 
 

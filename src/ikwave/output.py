@@ -9,6 +9,8 @@ plain text for an external gnuplot; nothing here executes them.
 import os
 from pathlib import Path
 
+import numpy as np
+
 PROFILE_COLUMNS = ("x", "eta", "u", "phi1", "phi0_prime", "phi1_prime",
                    "d", "I1", "I2")
 
@@ -34,13 +36,13 @@ def resolve_out_path(name):
 
 def csv_text(columns, arrays):
     """CSV text for named columns of equal-length arrays."""
-    arrays = [list(a) for a in arrays]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("columns differ in length")
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("columns must be 1-D and of equal length")
+    # tolist() yields Python floats, so no numpy scalar is made per value
+    rows = zip(*(a.tolist() for a in arrays))
     lines = [",".join(columns)]
-    for i in range(n):
-        lines.append(",".join(repr(float(a[i])) for a in arrays))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

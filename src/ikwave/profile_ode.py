@@ -204,26 +204,52 @@ class _Curve:
 class CurveInterpolant:
     """(eta, u, phi1) anywhere on [0, x_end] of a half profile.
 
-    x is inverted to z by Newton sweeps on the dense output of x(z), started
-    from linear interpolation between the accepted steps.
+    x(z) is the RK45 quartic of the accepted step that holds z, read from one
+    table stacked from scipy's dense output: step i starts at z_i with x_i,
+    has length h_i and coefficients q_i0..q_i3, and with s = (z - z_i)/h_i
+
+        x(z) = x_i + h_i s (q_i0 + s (q_i1 + s (q_i2 + s q_i3))).
+
+    x is inverted to z by Newton sweeps on x(z), started from linear
+    interpolation between the accepted steps.  Each point leaves the sweeps
+    after its own last step, so its value does not depend on the other
+    points of the call.
     """
 
-    def __init__(self, curve, z, x, x_of_z):
-        self._curve, self._z, self._x, self._x_of_z = curve, z, x, x_of_z
+    def __init__(self, curve, sol):
+        steps = sol.sol.interpolants
+        self._curve, self._z, self._x = curve, sol.t, sol.y[0]
+        self._z_old = np.array([step.t_old for step in steps])
+        self._h = np.array([step.h for step in steps])
+        self._x_old = np.array([step.y_old[0] for step in steps])
+        self._q = np.array([step.Q[0] for step in steps]).T
+
+    def _x_of_z(self, z):
+        # the step whose [z_i, z_i + h_i] holds z, as scipy's OdeSolution picks it
+        i = np.maximum(np.searchsorted(self._z_old, z) - 1, 0)
+        h = self._h[i]
+        s = (z - self._z_old[i]) / h
+        q0, q1, q2, q3 = self._q[:, i]
+        return self._x_old[i] + h * s * (q0 + s * (q1 + s * (q2 + s * q3)))
 
     def along_z(self, z):
         """(x, eta) at the given z, with no inversion."""
-        return self._x_of_z(z)[0], self._curve.at(z, np)[0]
+        return self._x_of_z(z), self._curve.at(z, np)[0]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        z = np.interp(x, self._x, self._z)
+        flat = x.ravel()
+        z = np.interp(flat, self._x, self._z)
+        todo = np.arange(z.size)
         for _ in range(NEWTON_MAX_SWEEPS):
-            step = _ratio(self._x_of_z(z)[0] - x, self._curve.at(z, np)[3], 0.0)
-            z = z - step
-            if np.max(np.abs(step)) <= Z_TOL:
+            zt = z[todo]
+            step = _ratio(self._x_of_z(zt) - flat[todo],
+                          self._curve.at(zt, np)[3], 0.0)
+            z[todo] = zt - step
+            todo = todo[np.abs(step) > Z_TOL]
+            if not todo.size:
                 break
-        return self._curve.at(z, np)[:3]
+        return tuple(a.reshape(x.shape) for a in self._curve.at(z, np)[:3])
 
 
 @dataclass
@@ -260,7 +286,7 @@ def integrate_from(delta, eta0):
     eta, u, phi1, _ = curve.at(z, np)
     return HalfProfile(
         delta=delta, c=curve.c, x=x, eta=eta, u=u, phi1=phi1, stop="tail",
-        interpolant=CurveInterpolant(curve, z, x, sol.sol),
+        interpolant=CurveInterpolant(curve, sol),
     )
 
 

@@ -128,6 +128,16 @@ def test_compare_kdv_output(capsys):
     assert 0.3 <= float(line.split("=")[1]) <= 1.0
 
 
+@pytest.mark.parametrize("delta, noted", [("1e-5", True), ("1e-3", False)])
+def test_compare_kdv_notes_unresolved_ratio(delta, noted, capsys):
+    assert run(["compare-kdv", "--delta", delta]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == f"delta = {float(delta):.12g}"
+    assert len(out.splitlines()) == 5
+    assert ("sup_error_over_delta4 is below the quadrature's resolution"
+            in err) is noted
+
+
 def test_extreme_writes_csv(out_dir, capsys):
     assert run(["extreme", "--out", "ew.csv"]) == 0
     data = np.genfromtxt(out_dir / "ew.csv", delimiter=",", names=True)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ikwave import (NegativeRadicand, NewtonDiverged, crest_slope,
-                    extreme_profile, included_angle, solve_critical)
+from ikwave import (NegativeRadicand, NewtonDiverged, crest_curvature,
+                    crest_slope, extreme_profile, included_angle,
+                    solve_crest, solve_critical)
 from ikwave import extreme_wave
 from ikwave.crest_init import speed_excess
 from ikwave.extreme_wave import CriticalPoint, _residuals
@@ -139,3 +140,30 @@ def test_denominator_growth_off_the_crest(critical_point, extreme):
     richardson = 2.0 * q2 - q1
     assert richardson == pytest.approx(expected, rel=1e-4)
     assert expected > 0.0  # d increases away from the degenerate crest
+
+
+# the largest float below the critical shallowness 0.62633493072456297...
+DELTA_C = 0.6263349307245629
+
+
+def _local_exponent(f, k):
+    """d log f / d log(delta_c - delta) over the half decade from
+    delta_c - 10^-k to delta_c - 10^-(k + 1/2)."""
+    return math.log(f(k) / f(k + 0.5)) / (0.5 * math.log(10.0))
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9, 10])
+def test_crest_curvature_diverges_like_inverse_square_root(k):
+    def kappa0(k):
+        return abs(crest_curvature(solve_crest(DELTA_C - 10.0 ** -k)))
+
+    assert _local_exponent(kappa0, k) == pytest.approx(-0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_crest_approaches_corner_height_like_square_root(k, critical_point):
+    # at k = 6 the exponent is 0.50149: the next-order term still shows
+    def gap(k):
+        return critical_point.eta_c0 - solve_crest(DELTA_C - 10.0 ** -k).eta0
+
+    assert _local_exponent(gap, k) == pytest.approx(0.5, abs=1e-3)

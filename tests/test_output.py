@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from ikwave import solve_solitary
 from ikwave.output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
-                           profile_csv_text, resolve_out_dir, resolve_out_path,
-                           write_text)
+                           profile_arrays, profile_csv_text, resolve_out_dir,
+                           resolve_out_path, write_text)
 
 
 def test_fmt_has_at_least_nine_significant_digits():
@@ -27,9 +30,36 @@ def test_csv_round_trips_doubles(tmp_path):
         assert float(sy) == y
 
 
+def _per_element_csv(columns, arrays):
+    """csv_text as first written: repr(float(v)) of each element in turn."""
+    arrays = [list(a) for a in arrays]
+    lines = [",".join(columns)]
+    for i in range(len(arrays[0])):
+        lines.append(",".join(repr(float(a[i])) for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_equal_the_per_element_formula():
+    profile = solve_solitary(0.3, dx=0.01)
+    arrays = profile_arrays(profile)
+    text = csv_text(PROFILE_COLUMNS, arrays)
+    assert text == _per_element_csv(PROFILE_COLUMNS, arrays)
+    # phi1 at the crest is -0.0 on the mirrored grid
+    crest = next(line for line in text.splitlines() if line.startswith("0.0,"))
+    assert crest.split(",")[PROFILE_COLUMNS.index("phi1")] == "-0.0"
+    odd = ([math.nan, math.inf, -math.inf, -0.0, 5e-324, 3],
+           np.array([1.0, -2.5e8, 1e-17, 0.1, 1.0 / 3.0, 2.0]),
+           (7, 8, 9, 10, 11, 12))
+    assert csv_text(("a", "b", "c"), odd) == _per_element_csv(("a", "b", "c"), odd)
+
+
 def test_csv_rejects_ragged_columns():
     with pytest.raises(ValueError):
         csv_text(("a", "b"), ([1.0, 2.0], [1.0]))
+    with pytest.raises(ValueError):
+        csv_text(("a", "b"), (np.zeros(3), np.zeros(2)))
+    with pytest.raises(ValueError):
+        csv_text(("a", "b"), (np.zeros((3, 2)), np.zeros((3, 2))))
 
 
 def test_profile_csv_columns(profile_cache):

@@ -199,6 +199,53 @@ def test_dense_interpolant_matches_samples():
     assert half.eta[11] < eta_mid < half.eta[10]
 
 
+def _half_and_solution(monkeypatch, delta, eta0):
+    """integrate_from's half profile and the scipy solution it was built on."""
+    solutions = []
+    original = profile_ode.solve_ivp
+
+    def keep(*args, **kwargs):
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(profile_ode, "solve_ivp", keep)
+    half = profile_ode.integrate_from(delta, eta0)
+    assert len(solutions) == 1
+    return half, solutions[0]
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.55, 0.626, DELTA_C - 1e-10,
+                                   "extreme"])
+def test_step_table_matches_scipy_dense_output(delta, monkeypatch,
+                                               critical_point):
+    # the interpolant stacks t_old, h, y_old and Q of scipy's RK45 steps; a
+    # scipy release that renames or reshapes them fails here
+    if delta == "extreme":
+        delta, eta0 = critical_point.delta_c, critical_point.eta_c0
+    else:
+        eta0 = solve_crest(delta).eta0
+    half, sol = _half_and_solution(monkeypatch, delta, eta0)
+    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097), sol.t])
+    x, _ = half.interpolant.along_z(z)
+    assert np.max(np.abs(x - sol.sol(z)[0])) <= 1e-15 * half.x[-1]
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.626])
+def test_interpolant_value_does_not_depend_on_the_batch(delta):
+    # a point's bits must not depend on the other points of the call
+    profile = solve_solitary(delta, dx=0.01)
+    interpolant, xs = profile.interpolant, profile.x[profile.x >= 0.0]
+    zs = np.linspace(0.0, profile_ode.Z_END, 4097)
+    for call, grid in ((interpolant, xs), (interpolant.along_z, zs)):
+        batch = call(grid)
+        differ = [k for k in range(len(grid))
+                  if not all(np.array_equal(a[k:k + 1], b)
+                             and np.array_equal(a[k], c)
+                             for a, b, c in zip(batch, call(grid[k:k + 1]),
+                                                call(float(grid[k]))))]
+        assert differ == []
+
+
 def test_crest_curvature_against_reference():
     # -kappa(0) column of the crest sweep
     for delta, neg_kappa in [(0.6, 2.34087), (0.62, 4.85676), (0.625, 10.4536)]:
