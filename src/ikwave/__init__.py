@@ -11,7 +11,6 @@ from .errors import (
     DenominatorVanished,
     IkwaveError,
     NegativeRadicand,
-    NewtonDiverged,
     NonPositiveDetected,
     NoSolitaryRoot,
     StepSizeUnderflow,
@@ -37,7 +36,6 @@ from .profile_ode import (
     identity_residuals,
     integrate_half,
     reconstruct_potentials,
-    rhs,
 )
 from .solitary_profile import (
     DimensionalProfile,
@@ -73,7 +71,6 @@ __all__ = [
     "IkwaveError",
     "ModelParams",
     "NegativeRadicand",
-    "NewtonDiverged",
     "NonPositiveDetected",
     "NoSolitaryRoot",
     "StepSizeUnderflow",
@@ -100,7 +97,6 @@ __all__ = [
     "q_eval",
     "q_positivity",
     "reconstruct_potentials",
-    "rhs",
     "solve_crest",
     "solve_critical",
     "solve_solitary",

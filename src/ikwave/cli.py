@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 solver failure (no admissible root, vanishing
-denominator, divergent iteration, ...), 2 usage error.  All numeric output
-carries 12 significant digits.  An absolute --out path is used as given; a
-relative one lands in $IK_OUT_DIR, else the working directory.  Reruns with
-the same flags are byte-identical.
+Exit codes: 0 success, 1 solver failure (no crest root beyond the critical
+shallowness, integrator step underflow, ...), 2 usage error.  All numeric
+output carries 12 significant digits.  An absolute --out path is used as
+given; a relative one lands in $IK_OUT_DIR, else the working directory.
+Reruns with the same flags are byte-identical.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .crest_init import check_delta, solve_crest
-from .errors import DenominatorVanished, IkwaveError
+from .errors import IkwaveError
 from .extreme_wave import extreme_profile, solve_critical
 from .model_params import ExponentSet, build_params, check_positivity, exact_params
 from .output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
@@ -175,10 +175,7 @@ def cmd_crest(args):
     _kv("eta0", crest.eta0)
     _kv("u0", crest.u0)
     _kv("d0", denominator((crest.eta0, crest.u0, 0.0), crest.c, crest.delta))
-    try:
-        _kv("kappa0", crest_curvature(crest))
-    except DenominatorVanished:
-        print("kappa0 = divergent (degenerate crest)")
+    _kv("kappa0", crest_curvature(crest))
     return 0
 
 
@@ -213,8 +210,6 @@ def cmd_table(args):
         if r.error is not None:
             failed += 1
             print(f"{fmt(r.delta)},error,error,error  # {r.error}")
-        elif r.neg_kappa0 is None:
-            print(f"{fmt(r.delta)},{fmt(r.eta0)},divergent,{fmt(r.d0)}")
         else:
             print(f"{fmt(r.delta)},{fmt(r.eta0)},{fmt(r.neg_kappa0)},{fmt(r.d0)}")
     return 1 if failed else 0

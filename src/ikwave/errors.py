@@ -24,18 +24,6 @@ class StepSizeUnderflow(IkwaveError):
     above the minimum step size."""
 
 
-class NewtonDiverged(IkwaveError):
-    """The Newton iteration for the critical point failed to converge.
-
-    Carries the last iterate and residuals for post-mortem inspection.
-    """
-
-    def __init__(self, message, iterate=None, residuals=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residuals = residuals
-
-
 class NegativeRadicand(IkwaveError):
     """The crest-slope radicand came out non-positive, which contradicts a
     consistent critical point."""

@@ -2,13 +2,22 @@
 
 The extreme solitary wave sits where the smallest root of the crest
 polynomial F(t; gamma) of crest_init becomes double, t = eta(0) - gamma and
-gamma = c^2 - 1 = (4/3)delta^2(1 + delta^2/3).  The critical point solves
+gamma = c^2 - 1 = (4/3)delta^2(1 + delta^2/3): F = dF/dt = 0.  Dividing
+P^2 = 20(1 + gamma)t by P P_t = 10(1 + gamma) gives P = 2t P_t, a quadratic
+21t^2 + (3 + 8 gamma)t - gamma(1 + gamma) = 0 in t with the positive root
 
-    F = 0,    dF/dt = 0
+    t(gamma) = 2 gamma(1 + gamma) / (b + sqrt(b^2 + 84 gamma(1 + gamma))),
 
-in (delta, t).  F is an explicit polynomial in t and gamma, so the Newton
-iteration uses exact analytic derivatives.  There the crest denominator d(0)
-vanishes.
+b = 3 + 8 gamma.  dF/dt = 0 then reads
+
+    G(gamma) = t P_t^2 - 5(1 + gamma) = 0,
+
+one scalar equation with G(0.3) < 0 < G(1) and G increasing in between.
+Bisection down to adjacent floats keeps the lower end; eta(0) = gamma + t,
+and c = sqrt(1 + gamma), delta^2 = 1.5 gamma/(1 + c) give delta_c with no
+subtraction.  delta_c is the largest float below the critical value, the
+last shallowness solve_crest still solves.  There the crest denominator
+d(0) vanishes.
 
 At the critical point the profile equations are 0/0 at the crest; the
 one-sided crest slope follows from l'Hopital's rule:
@@ -23,18 +32,13 @@ delta (from x* = (h/delta) x, eta* = h eta), and the included crest angle is
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .crest_init import (crest_on_curve, crest_polynomial, phase_speed,
-                         speed_excess)
-from .errors import NegativeRadicand, NewtonDiverged
+from .crest_init import crest_on_curve
+from .errors import NegativeRadicand
 from .profile_ode import integrate_from
 from .solitary_profile import assemble_profile
 
-# Newton stops once both residuals are at most NEWTON_TOL; from its fixed
-# guess it takes 3 steps
-NEWTON_TOL = 1e-13
-NEWTON_MAX_ITER = 30
+# G(gamma) changes sign once in this bracket of gamma = c^2 - 1
+GAMMA_BRACKET = (0.3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -49,58 +53,31 @@ class CriticalPoint:
     theta_deg: float     # included crest angle in dimensional variables
 
 
-def _residuals(delta, t):
-    """(F, dF/dt, P, dP/dt, gamma) at shallowness delta and t = eta(0) - gamma."""
-    gamma = speed_excess(delta)
-    P, Pt, F, Ft = crest_polynomial(t, gamma)
-    return F, Ft, P, Pt, gamma
-
-
-def _jacobian(delta, t, P, Pt, gamma):
-    # F and F_t depend on delta only through gamma
-    Pg = 1.0 + 2.0 * gamma + 8.0 * t
-    dgamma = (8.0 / 3.0) * delta * phase_speed(delta)
-    return np.array([
-        [(2.0 * P * Pg - 20.0 * t) * dgamma, 2.0 * P * Pt - 20.0 * (1.0 + gamma)],
-        [(2.0 * (Pg * Pt + 8.0 * P) - 20.0) * dgamma, 2.0 * (Pt * Pt + 14.0 * P)],
-    ])
+def _double_root(gamma):
+    """t(gamma) with P = 2t P_t, and G(gamma) = t P_t^2 - 5(1 + gamma)."""
+    b = 3.0 + 8.0 * gamma
+    t = 2.0 * gamma * (1.0 + gamma) / (
+        b + math.sqrt(b * b + 84.0 * gamma * (1.0 + gamma)))
+    Pt = b + 14.0 * t
+    return t, t * Pt * Pt - 5.0 * (1.0 + gamma)
 
 
 def solve_critical():
-    """Newton solve for the critical point, from the guess (0.62, 0.1)."""
-    delta, t = 0.62, 0.1
-    for _ in range(NEWTON_MAX_ITER):
-        F, Ft, P, Pt, gamma = _residuals(delta, t)
-        if abs(F) <= NEWTON_TOL and abs(Ft) <= NEWTON_TOL:
+    """The critical point, by bisection of G over GAMMA_BRACKET."""
+    lo, hi = GAMMA_BRACKET
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        J = _jacobian(delta, t, P, Pt, gamma)
-        try:
-            step = np.linalg.solve(J, [-F, -Ft])
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(
-                f"singular Jacobian: {exc}", iterate=(delta, t),
-                residuals=(F, Ft),
-            )
-        delta += float(step[0])
-        t += float(step[1])
-        if not (0.0 < delta < 2.0 and 0.0 < t < 1.0):
-            raise NewtonDiverged(
-                "iterate left the admissible region",
-                iterate=(delta, t), residuals=(F, Ft),
-            )
-    else:
-        raise NewtonDiverged(
-            f"no convergence in {NEWTON_MAX_ITER} iterations",
-            iterate=(delta, t), residuals=(F, Ft),
-        )
-    crest = crest_on_curve(delta, gamma + t)
+        if _double_root(mid)[1] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = _double_root(lo)[0]
+    delta = math.sqrt(1.5 * lo / (1.0 + math.sqrt(1.0 + lo)))
+    crest = crest_on_curve(delta, lo + t)
     c, eta, u = crest.c, crest.eta0, crest.u0
     H, v = 1.0 + eta, c + u
-    if v <= 0.0:
-        raise NewtonDiverged(
-            "converged to a stagnation-point root (c + u(0) <= 0)",
-            iterate=(delta, t), residuals=(F, Ft),
-        )
     slope = _one_sided_slope(delta, c, H, v)
     slope_dim = delta * abs(slope)
     return CriticalPoint(

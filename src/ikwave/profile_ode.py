@@ -69,22 +69,12 @@ def _unpack(state):
 
 
 def _terms(eta, u, phi1, c, delta):
-    """H, v, w, q = 4 delta^-2 H phi1^2 and the denominator d at a state."""
+    """H, v, w and the denominator d at a state."""
     H = 1.0 + eta
     v = c + u
     w = c * eta + H * u
     q = 4.0 * H * phi1 * phi1 / (delta * delta)
-    return H, v, w, q, 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
-
-
-def _slopes(phi1, delta, H, v, w, q, d):
-    """(eta', u', phi1') from phi1 and the _terms of a state."""
-    dd = delta * delta
-    return (
-        (6.0 * H * w + 10.0 * H * H * v) * phi1 / (dd * d),
-        -(18.0 * w * (2.0 * H * v - w) + 10.0 * H ** 3 * (1.0 + q)) * phi1 / (dd * H * d),
-        1.5 / H ** 3 * w,
-    )
+    return H, v, w, 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
 
 
 def denominator(state, c, delta):
@@ -93,18 +83,6 @@ def denominator(state, c, delta):
     Scalars or arrays.
     """
     return _terms(*_unpack(state), c, delta)[-1]
-
-
-def rhs(state, c, delta):
-    """Right-hand side (eta', u', phi1') at a state; H must be positive."""
-    eta, u, phi1 = _unpack(state)
-    terms = _terms(eta, u, phi1, c, delta)
-    d = terms[-1]
-    if abs(d) <= D_MIN:
-        raise DenominatorVanished(
-            f"denominator d = {d!r} at eta={eta!r}, u={u!r}, phi1={phi1!r}"
-        )
-    return _slopes(phi1, delta, *terms)
 
 
 def identity_residuals(state, c, delta):
@@ -136,19 +114,20 @@ def reconstruct_potentials(state, c):
 def crest_curvature(crest):
     """Curvature kappa(0) = eta''(0) at a subcritical crest, analytically.
 
-    eta' is a smooth prefactor times phi1 and phi1(0) = 0, so eta''(0) is the
-    prefactor at the crest times phi1'(0); no finite differencing involved.
+    eta' is the prefactor (6Hw + 10H^2 v)/(delta^2 d) times phi1 and
+    phi1(0) = 0, so eta''(0) is that prefactor at the crest times
+    phi1'(0) = 1.5w/H^3; no finite differencing involved.  Raises
+    DenominatorVanished for a crest with d(0) <= D_MIN, which solve_crest
+    never returns.
     """
-    terms = _terms(crest.eta0, crest.u0, 0.0, crest.c, crest.delta)
-    d0 = terms[-1]
+    delta = crest.delta
+    H, v, w, d0 = _terms(crest.eta0, crest.u0, 0.0, crest.c, delta)
     if d0 <= D_MIN:
         raise DenominatorVanished(
-            f"curvature diverges: crest denominator {d0!r} at delta={crest.delta!r}"
+            f"curvature diverges: crest denominator {d0!r} at delta={delta!r}"
         )
-    # apart from that factor phi1 enters the slopes only through q, which the
-    # crest terms fix, so a unit phi1 returns the prefactor itself
-    prefactor, _, phi1p0 = _slopes(1.0, crest.delta, *terms)
-    return prefactor * phi1p0
+    prefactor = (6.0 * H * w + 10.0 * H * H * v) / (delta * delta * d0)
+    return prefactor * (1.5 / H ** 3 * w)
 
 
 def solve_ivp(*args, **kwargs):
@@ -195,7 +174,7 @@ class _Curve:
         K = max(K, 0.0) if lib is math else np.maximum(K, 0.0)
         R = lib.sqrt(0.75 * eta0 * _ratio(-lib.expm1(-z2), z2, 1.0) * K)
         phi1 = -delta * eta * z * R / (H * H)
-        _, v, w, _, d = _terms(eta, u, phi1, c, delta)
+        _, v, w, d = _terms(eta, u, phi1, c, delta)
         slope = _ratio(2.0 * delta * H * H * d,
                        (6.0 * H * w + 10.0 * H * H * v) * R, 0.0)
         return eta, u, phi1, slope

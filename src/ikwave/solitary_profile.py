@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .crest_init import solve_crest
-from .errors import DenominatorVanished, IkwaveError
+from .errors import IkwaveError
 from .profile_ode import (Z_END, CurveInterpolant, crest_curvature,
                           denominator, identity_residuals, integrate_half,
                           reconstruct_potentials)
@@ -128,7 +128,7 @@ def compare_kdv(profile):
 class TableRow:
     delta: float
     eta0: Optional[float]
-    neg_kappa0: Optional[float]  # None when the crest curvature diverges
+    neg_kappa0: Optional[float]  # None on an error row
     d0: Optional[float]
     error: Optional[str] = None
 
@@ -136,13 +136,10 @@ class TableRow:
 def _one_row(delta):
     try:
         crest = solve_crest(delta)
+        kappa0 = crest_curvature(crest)
     except IkwaveError as exc:
         return TableRow(delta, None, None, None, error=str(exc))
     d0 = denominator((crest.eta0, crest.u0, 0.0), crest.c, crest.delta)
-    try:
-        kappa0 = crest_curvature(crest)
-    except DenominatorVanished:
-        return TableRow(delta, crest.eta0, None, d0)
     return TableRow(delta, crest.eta0, -kappa0, d0)
 
 

@@ -3,7 +3,8 @@
 They are written from the model equations, independently of the solver's
 invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
 eta(0) from the two crest identities, its root in 50-digit decimal
-arithmetic, and a tail-in DOP853 shot of the full three-state system.
+arithmetic, the critical point in 50-digit decimal arithmetic, and a tail-in
+DOP853 shot of the full three-state system.
 """
 
 import decimal
@@ -29,6 +30,20 @@ def quartic_coeffs(c):
     ]
 
 
+def decimal_quartic(c, u):
+    """The crest quartic of quartic_coeffs and its u-derivative at u, for
+    Decimal c and u."""
+    coeffs = [7, 42 * c, 6 * (16 * c * c - 3), 8 * c * (13 * c * c - 8),
+              8 * (6 * c * c - 1) * (c * c - 1)]
+    slope = [4 * coeffs[0], 3 * coeffs[1], 2 * coeffs[2], coeffs[3]]
+    f = fp = decimal.Decimal(0)
+    for a in coeffs:
+        f = f * u + a
+    for a in slope:
+        fp = fp * u + a
+    return f, fp
+
+
 def decimal_crest_eta0(delta, digits=50):
     """eta(0) from the admissible quartic root, in `digits`-digit decimals.
 
@@ -41,17 +56,10 @@ def decimal_crest_eta0(delta, digits=50):
         D = decimal.Decimal
         delta = D(delta)
         c = 1 + D(2) / 3 * delta * delta
-        coeffs = [D(7), 42 * c, 6 * (16 * c * c - 3), 8 * c * (13 * c * c - 8),
-                  8 * (6 * c * c - 1) * (c * c - 1)]
-        slope = [4 * coeffs[0], 3 * coeffs[1], 2 * coeffs[2], coeffs[3]]
         tol = D(10) ** -(digits + 5)
         u = D(0)
         for _ in range(1000):
-            f = fp = D(0)
-            for a in coeffs:
-                f = f * u + a
-            for a in slope:
-                fp = fp * u + a
+            f, fp = decimal_quartic(c, u)
             step = f / fp
             u -= step
             if abs(step) <= tol * max(abs(u), tol):
@@ -59,6 +67,44 @@ def decimal_crest_eta0(delta, digits=50):
         else:
             raise RuntimeError(f"decimal Newton did not settle at delta={delta}")
         return -(c * u + u * u / 2)
+
+
+def decimal_critical_point(digits=50):
+    """(delta_c, eta_c0, c_c, u_c0) in `digits`-digit decimals.
+
+    2-D Newton from (gamma, t) = (0.59, 0.1) on F = dF/dt = 0, where
+    F = P^2 - 20(1 + gamma)t, P = gamma(1 + gamma) + (3 + 8 gamma)t + 7t^2,
+    gamma = c^2 - 1 and t = eta(0) - gamma, with the exact 2x2 Jacobian.
+    Then c = sqrt(1 + gamma), delta^2 = 1.5(c - 1), and u(0) is the root of
+    cu + eta + u^2/2 = 0 next to 0.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        D = decimal.Decimal
+        gamma, t = D("0.59"), D("0.1")
+        tol = D(10) ** -(digits + 5)
+        for _ in range(100):
+            P = gamma * (1 + gamma) + (3 + 8 * gamma) * t + 7 * t * t
+            Pt = 3 + 8 * gamma + 14 * t
+            Pg = 1 + 2 * gamma + 8 * t
+            F = P * P - 20 * (1 + gamma) * t
+            Ft = 2 * P * Pt - 20 * (1 + gamma)
+            Fg = 2 * P * Pg - 20 * t
+            Ftt = 2 * (Pt * Pt + 14 * P)
+            Ftg = 2 * (Pg * Pt + 8 * P) - 20
+            det = Fg * Ftt - Ft * Ftg
+            dgamma = (Ft * Ft - F * Ftt) / det
+            dt = (F * Ftg - Ft * Fg) / det
+            gamma, t = gamma + dgamma, t + dt
+            if max(abs(dgamma), abs(dt)) <= tol:
+                break
+        else:
+            raise RuntimeError("decimal Newton for the critical point did "
+                               "not settle")
+        c = (1 + gamma).sqrt()
+        eta = gamma + t
+        u = -c + (c * c - 2 * eta).sqrt()
+        return (D(3) / 2 * (c - 1)).sqrt(), eta, c, u
 
 
 class TailReference:

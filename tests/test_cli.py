@@ -74,6 +74,18 @@ def test_crest_prints_block(capsys):
     assert "d0 = 1.55721530971" in out
 
 
+def test_last_crest_of_the_branch_has_finite_curvature(capsys):
+    # 0.6263349307245629 is the largest float below the critical value
+    assert run(["crest", "--delta", "0.6263349307245629"]) == 0
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.splitlines())
+    assert np.isfinite(float(values["kappa0"]))
+    assert run(["table", "--deltas", "0.6263349307245629"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert np.isfinite(float(out[1].split(",")[2]))
+
+
 def test_table_matches_reference(capsys):
     assert run(["table", "--deltas", "0.6,0.62"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,15 +1,16 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
-from ikwave import (NegativeRadicand, NewtonDiverged, crest_curvature,
+from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
                     crest_slope, extreme_profile, included_angle,
                     solve_crest, solve_critical)
-from ikwave import extreme_wave
-from ikwave.crest_init import speed_excess
-from ikwave.extreme_wave import CriticalPoint, _residuals
+from ikwave.crest_init import crest_polynomial, speed_excess
+from ikwave.extreme_wave import CriticalPoint
 from ikwave.profile_ode import denominator
+from oracles import decimal_critical_point, decimal_quartic
 
 
 def test_critical_point_digits(critical_point):
@@ -25,7 +26,8 @@ def test_critical_point_digits(critical_point):
 def test_critical_point_residuals(critical_point):
     cp = critical_point
     # the smallest root of the crest polynomial is double there
-    F, Ft, *_ = _residuals(cp.delta_c, cp.eta_c0 - speed_excess(cp.delta_c))
+    gamma = speed_excess(cp.delta_c)
+    _, _, F, Ft = crest_polynomial(cp.eta_c0 - gamma, gamma)
     assert abs(F) <= 1e-12
     assert abs(Ft) <= 1e-12
     # the critical condition is exactly a vanishing crest denominator
@@ -33,20 +35,38 @@ def test_critical_point_residuals(critical_point):
     assert abs(d0) <= 1e-10
 
 
-def test_newton_is_deterministic(critical_point):
+def test_critical_point_matches_decimal_oracle(critical_point):
+    cp = critical_point
+    delta_c, eta_c0, c_c, u_c0 = decimal_critical_point()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        # F = F_t = 0 is the double root of the independent quartic in u(0)
+        assert all(abs(r) <= decimal.Decimal("1e-45")
+                   for r in decimal_quartic(c_c, u_c0))
+        # delta_c is the largest float below the critical value
+        assert cp.delta_c == 0.6263349307245629
+        assert (decimal.Decimal(cp.delta_c) < delta_c
+                < decimal.Decimal(math.nextafter(cp.delta_c, math.inf)))
+        assert (abs(decimal.Decimal(cp.eta_c0) - eta_c0)
+                <= decimal.Decimal(math.ulp(cp.eta_c0)))
+    # so the branch ends exactly there
+    solve_crest(cp.delta_c)
+    with pytest.raises(NoSolitaryRoot):
+        solve_crest(math.nextafter(cp.delta_c, math.inf))
+
+
+def test_branch_ends_with_a_resolved_crest(critical_point):
+    # the smallest crest denominator solve_crest can return, far above D_MIN
+    crest = solve_crest(critical_point.delta_c)
+    assert denominator((crest.eta0, crest.u0, 0.0), crest.c,
+                       crest.delta) >= 1e-8
+    assert math.isfinite(crest_curvature(crest))
+
+
+def test_solve_critical_is_deterministic(critical_point):
     again = solve_critical()
     assert again.delta_c == critical_point.delta_c
     assert again.u_c0 == critical_point.u_c0
-
-
-def test_newton_diverged_reporting(monkeypatch):
-    monkeypatch.setattr(extreme_wave, "NEWTON_TOL", 1e-30)
-    monkeypatch.setattr(extreme_wave, "NEWTON_MAX_ITER", 3)
-    with pytest.raises(NewtonDiverged) as info:
-        solve_critical()
-    assert "no convergence in 3 iterations" in str(info.value)
-    assert info.value.iterate is not None
-    assert info.value.residuals is not None
 
 
 def test_crest_slope_values(critical_point):
