@@ -17,7 +17,7 @@ from .crest_init import check_delta, solve_crest
 from .errors import IkwaveError
 from .extreme_wave import extreme_profile, solve_critical
 from .model_params import ExponentSet, build_params, check_positivity, exact_params
-from .output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
+from .output import (PROFILE_COLUMNS, fmt, gnuplot_script, mirrored_csv_text,
                      profile_arrays, profile_csv_text, resolve_out_path,
                      write_text)
 from .profile_ode import crest_curvature, denominator
@@ -267,7 +267,8 @@ def cmd_dimensional(args):
     profile = solve_solitary(args.delta)
     dp = dimensionalize(profile, args.depth, args.gravity)
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
-    write_text(path, csv_text(("x", "eta", "u"), (dp.x, dp.eta, dp.u)))
+    # scaling by positive constants keeps the profile's bitwise mirror
+    write_text(path, mirrored_csv_text(("x", "eta", "u"), (dp.x, dp.eta, dp.u)))
     _kv("delta", dp.delta)
     _kv("depth", dp.depth)
     _kv("gravity", dp.gravity)
@@ -320,8 +321,10 @@ def _profile_csv_with_kdv(delta):
 
 def _zoom_csv(delta):
     profile = solve_solitary(delta, dx=0.002)
+    # |x| <= 1 keeps the rows symmetric about the crest, so the mirror too
     mask = np.abs(profile.x) <= 1.0 + 1e-12
-    return csv_text(PROFILE_COLUMNS, [a[mask] for a in profile_arrays(profile)])
+    return mirrored_csv_text(PROFILE_COLUMNS,
+                             [a[mask] for a in profile_arrays(profile)])
 
 
 def reproduce_outputs(out_dir):

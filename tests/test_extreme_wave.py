@@ -6,7 +6,7 @@ import pytest
 
 from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
                     crest_slope, extreme_profile, included_angle,
-                    solve_crest, solve_critical)
+                    solve_crest, solve_critical, solve_solitary)
 from ikwave.crest_init import crest_polynomial, speed_excess
 from ikwave.extreme_wave import CriticalPoint
 from ikwave.profile_ode import denominator
@@ -187,3 +187,20 @@ def test_crest_approaches_corner_height_like_square_root(k, critical_point):
         return critical_point.eta_c0 - solve_crest(DELTA_C - 10.0 ** -k).eta0
 
     assert _local_exponent(gap, k) == pytest.approx(0.5, abs=1e-3)
+
+
+def _sup_distance_to_extreme(k, extreme):
+    """sup |eta - eta_ext| at delta_c - 10^-k on 4,001 points uniform over
+    the x range both right halves cover, from both interpolants."""
+    profile = solve_solitary(DELTA_C - 10.0 ** -k)
+    xs = np.linspace(0.0, min(profile.x[-1], extreme.x[-1]), 4001)
+    eta, eta_ext = profile.interpolant(xs)[0], extreme.interpolant(xs)[0]
+    return float(np.max(np.abs(eta - eta_ext)))
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9, 10, 11])
+def test_profiles_converge_to_the_extreme_wave_like_square_root(k, extreme):
+    # from k = 5 to 6 the exponent is -0.5037: the next-order term still shows
+    ratio = (_sup_distance_to_extreme(k + 1, extreme)
+             / _sup_distance_to_extreme(k, extreme))
+    assert math.log10(ratio) == pytest.approx(-0.5, abs=2e-3)

@@ -1,12 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ikwave import solve_solitary
-from ikwave.output import (PROFILE_COLUMNS, csv_text, fmt, gnuplot_script,
-                           profile_arrays, profile_csv_text, resolve_out_dir,
+from ikwave import dimensionalize, extreme_profile, solve_solitary
+from ikwave.cli import _profile_csv_with_kdv, _zoom_csv
+from ikwave.output import (ODD_COLUMNS, PROFILE_COLUMNS, csv_text, fmt,
+                           gnuplot_script, mirrored_csv_text, profile_arrays,
+                           profile_csv_text, resolve_out_dir,
                            resolve_out_path, write_text)
+from ikwave.solitary_profile import kdv_profile
+
+# delta_c - 1e-10; test_extreme_wave pins delta_c to 0.6263349307245629
+NEAR_CRITICAL = 0.6263349307245629 - 1e-10
 
 
 def test_fmt_has_at_least_nine_significant_digits():
@@ -51,6 +58,79 @@ def test_csv_bytes_equal_the_per_element_formula():
            np.array([1.0, -2.5e8, 1e-17, 0.1, 1.0 / 3.0, 2.0]),
            (7, 8, 9, 10, 11, 12))
     assert csv_text(("a", "b", "c"), odd) == _per_element_csv(("a", "b", "c"), odd)
+
+
+@pytest.mark.parametrize("dx", [None, 0.01])
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, NEAR_CRITICAL])
+def test_profile_csv_bytes_equal_the_per_element_formula(delta, dx):
+    profile = solve_solitary(delta, dx=dx)
+    assert profile_csv_text(profile) == _per_element_csv(
+        PROFILE_COLUMNS, profile_arrays(profile))
+
+
+def test_mirrored_csvs_of_the_cli_equal_the_per_element_formula(
+        critical_point):
+    extreme = extreme_profile(critical_point)
+    assert profile_csv_text(extreme) == _per_element_csv(
+        PROFILE_COLUMNS, profile_arrays(extreme))
+    # reproduce-paper's profiles carry the even eta_kdv column
+    profile = solve_solitary(0.55, dx=0.01)
+    columns = PROFILE_COLUMNS + ("eta_kdv",)
+    arrays = profile_arrays(profile) + [kdv_profile(0.55, profile.x)]
+    assert _profile_csv_with_kdv(0.55) == _per_element_csv(columns, arrays)
+    # its crest zooms keep |x| <= 1, a symmetric mask
+    zoom = solve_solitary(0.626, dx=0.002)
+    mask = np.abs(zoom.x) <= 1.0 + 1e-12
+    assert _zoom_csv(0.626) == _per_element_csv(
+        PROFILE_COLUMNS, [a[mask] for a in profile_arrays(zoom)])
+    # the dimensional CSV scales the mirrored arrays by positive constants
+    dp = dimensionalize(solve_solitary(0.4), 2.0, 9.81)
+    arrays = (dp.x, dp.eta, dp.u)
+    assert mirrored_csv_text(("x", "eta", "u"), arrays) == _per_element_csv(
+        ("x", "eta", "u"), arrays)
+
+
+def _mirror(columns, right_halves):
+    """Full columns from right halves (crest first), as assemble_profile
+    mirrors them."""
+    return [np.concatenate([(-a if name in ODD_COLUMNS else a)[:0:-1], a])
+            for name, a in zip(columns, map(np.asarray, right_halves))]
+
+
+def test_mirrored_csv_negates_special_values_like_repr():
+    nan, inf, tiny = math.nan, math.inf, 5e-324
+    columns = ("x", "phi1", "eta", "u")
+    arrays = _mirror(columns, (
+        [0.0, tiny, 1.0 / 3.0, 2.5e8, inf, nan],
+        [-0.0, 0.0, -tiny, nan, -inf, 1e-17],
+        [nan, inf, -inf, -0.0, 0.0, tiny],
+        [-tiny, -0.0, 0.0, nan, inf, -inf],
+    ))
+    text = mirrored_csv_text(columns, arrays)
+    assert text == _per_element_csv(columns, arrays) == csv_text(columns, arrays)
+    lines = text.splitlines()
+    assert lines[1] == "nan,-1e-17,5e-324,-inf"
+    assert lines[3] == "-250000000.0,nan,-0.0,nan"
+    assert lines[5] == "-5e-324,-0.0,inf,-0.0"
+
+
+def test_mirrored_csv_rejects_what_is_not_a_mirror(profile_cache):
+    profile = profile_cache(0.3)
+    k = len(profile.x) // 4
+    broken = dataclasses.replace(profile, phi1=profile.phi1.copy())
+    broken.phi1[k] = -broken.phi1[k]
+    with pytest.raises(ValueError, match="phi1"):
+        profile_csv_text(broken)
+    arrays = profile_arrays(profile)
+    with pytest.raises(ValueError, match="odd length"):
+        mirrored_csv_text(PROFILE_COLUMNS, [a[:-1] for a in arrays])
+    with pytest.raises(ValueError, match="x = 0"):
+        mirrored_csv_text(PROFILE_COLUMNS, [a[2:] for a in arrays])
+    # 0.0 == -0.0, but the two print differently
+    with pytest.raises(ValueError, match="phi1"):
+        mirrored_csv_text(("x", "phi1"), ([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="x"):
+        mirrored_csv_text(("eta",), ([1.0],))
 
 
 def test_csv_rejects_ragged_columns():
