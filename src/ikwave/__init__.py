@@ -4,101 +4,72 @@ The library computes exact solitary-wave profiles of the model's traveling
 wave equations (single quadratic expansion term), up to and including the
 limiting wave of extreme form with its sharp corner crest, and ships
 executable checks of the analytic theory behind the solver.
+
+Every name in __all__ is resolved on first access from the submodule that
+defines it (PEP 562), so `import ikwave` loads no submodule and code that
+uses only the crest layer (crest_init) never imports numpy.
 """
 
-from .crest_init import CrestState, DELTA_C_APPROX, phase_speed, solve_crest
-from .errors import (
-    DenominatorVanished,
-    IkwaveError,
-    NegativeRadicand,
-    NonPositiveDetected,
-    NoSolitaryRoot,
-    StepSizeUnderflow,
-)
-from .extreme_wave import (
-    CriticalPoint,
-    crest_slope,
-    extreme_profile,
-    included_angle,
-    solve_critical,
-)
-from .model_params import (
-    ExponentSet,
-    ModelParams,
-    build_params,
-    check_positivity,
-    exact_params,
-)
-from .profile_ode import (
-    HalfProfile,
-    crest_curvature,
-    denominator,
-    identity_residuals,
-    integrate_half,
-    reconstruct_potentials,
-)
-from .solitary_profile import (
-    DimensionalProfile,
-    TableRow,
-    WaveProfile,
-    compare_kdv,
-    diagnostics_table,
-    dimensionalize,
-    kdv_profile,
-    solve_solitary,
-)
-from .theory_checks import (
-    FundamentalPair,
-    first_order_family,
-    fundamental_checks,
-    fundamental_pair,
-    q_eval,
-    q_positivity,
-    verify_kdv_solution,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CrestState",
-    "CriticalPoint",
-    "DELTA_C_APPROX",
-    "DenominatorVanished",
-    "DimensionalProfile",
-    "ExponentSet",
-    "FundamentalPair",
-    "HalfProfile",
-    "IkwaveError",
-    "ModelParams",
-    "NegativeRadicand",
-    "NonPositiveDetected",
-    "NoSolitaryRoot",
-    "StepSizeUnderflow",
-    "TableRow",
-    "WaveProfile",
-    "build_params",
-    "check_positivity",
-    "compare_kdv",
-    "crest_curvature",
-    "crest_slope",
-    "denominator",
-    "diagnostics_table",
-    "dimensionalize",
-    "exact_params",
-    "extreme_profile",
-    "first_order_family",
-    "fundamental_checks",
-    "fundamental_pair",
-    "identity_residuals",
-    "included_angle",
-    "integrate_half",
-    "kdv_profile",
-    "phase_speed",
-    "q_eval",
-    "q_positivity",
-    "reconstruct_potentials",
-    "solve_crest",
-    "solve_critical",
-    "solve_solitary",
-    "verify_kdv_solution",
-]
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "CrestState": "crest_init",
+    "CriticalPoint": "crest_init",
+    "DELTA_C_APPROX": "crest_init",
+    "DenominatorVanished": "errors",
+    "DimensionalProfile": "solitary_profile",
+    "ExponentSet": "model_params",
+    "FundamentalPair": "theory_checks",
+    "HalfProfile": "profile_ode",
+    "IkwaveError": "errors",
+    "ModelParams": "model_params",
+    "NegativeRadicand": "errors",
+    "NonPositiveDetected": "errors",
+    "NoSolitaryRoot": "errors",
+    "StepSizeUnderflow": "errors",
+    "TableRow": "crest_init",
+    "WaveProfile": "solitary_profile",
+    "build_params": "model_params",
+    "check_positivity": "model_params",
+    "compare_kdv": "solitary_profile",
+    "crest_curvature": "crest_init",
+    "crest_slope": "crest_init",
+    "denominator": "profile_ode",
+    "diagnostics_table": "crest_init",
+    "dimensionalize": "solitary_profile",
+    "exact_params": "model_params",
+    "extreme_profile": "extreme_wave",
+    "first_order_family": "theory_checks",
+    "fundamental_checks": "theory_checks",
+    "fundamental_pair": "theory_checks",
+    "identity_residuals": "profile_ode",
+    "included_angle": "crest_init",
+    "integrate_half": "profile_ode",
+    "kdv_profile": "solitary_profile",
+    "phase_speed": "crest_init",
+    "q_eval": "theory_checks",
+    "q_positivity": "theory_checks",
+    "reconstruct_potentials": "profile_ode",
+    "solve_crest": "crest_init",
+    "solve_critical": "crest_init",
+    "solve_solitary": "solitary_profile",
+    "verify_kdv_solution": "theory_checks",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,26 +5,24 @@ shallowness, integrator step underflow, ...), 2 usage error.  All numeric
 output carries 12 significant digits.  An absolute --out path is used as
 given; a relative one lands in $IK_OUT_DIR, else the working directory.
 Reruns with the same flags are byte-identical.
+
+critical, crest and table need only crest values, which crest_init computes
+with the standard library.  The array layer (numpy, and scipy on the first
+integration) is imported inside the commands that use it, and by the --p
+and --dx checks, so those three commands and most usage errors never load
+numpy.
 """
 
 import argparse
 import json
+import math
 import sys
 
-import numpy as np
-
-from .crest_init import check_delta, solve_crest
+from .crest_init import (check_delta, crest_curvature, crest_denominator,
+                         diagnostics_table, solve_crest, solve_critical)
 from .errors import IkwaveError
-from .extreme_wave import extreme_profile, solve_critical
-from .model_params import ExponentSet, build_params, check_positivity, exact_params
-from .output import (PROFILE_COLUMNS, fmt, gnuplot_script, mirrored_csv_text,
-                     profile_arrays, profile_csv_text, resolve_out_path,
-                     write_text)
-from .profile_ode import crest_curvature, denominator
-from .solitary_profile import (DX_MIN, compare_kdv, diagnostics_table,
-                               dimensionalize, kdv_profile, solve_solitary)
-from .theory_checks import (first_order_family, fundamental_checks, q_eval,
-                            q_positivity, verify_kdv_solution)
+from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
+                     resolve_out_path, write_text)
 
 # compare-kdv's sup_error_over_delta4 is resolved down to this delta
 KDV_RESOLVED_DELTA = 1e-4
@@ -33,6 +31,9 @@ PROFILE_DELTAS = (0.3, 0.45, 0.55, 0.6, 0.62, 0.62633493)
 ZOOM_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.62633493)
 TABLE_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.6263, 0.62633, 0.626334,
                 0.6263349, 0.62633493)
+# each crest zoom holds x = i * ZOOM_DX, |i| < ZOOM_SAMPLES, so |x| <= 1
+ZOOM_DX = 0.002
+ZOOM_SAMPLES = 501
 
 
 def _positive(text):
@@ -40,7 +41,7 @@ def _positive(text):
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v <= 0.0 or not np.isfinite(v):
+    if v <= 0.0 or not math.isfinite(v):
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return v
 
@@ -54,6 +55,7 @@ def _delta(text):
 
 
 def _step(text):
+    from .solitary_profile import DX_MIN
     v = _positive(text)
     if v < DX_MIN:
         raise argparse.ArgumentTypeError(f"must be at least {DX_MIN!r}: {text!r}")
@@ -74,6 +76,7 @@ def _exponent_list(text):
         raise argparse.ArgumentTypeError(f"bad exponent list: {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("empty exponent list")
+    from .model_params import ExponentSet
     try:
         ExponentSet(vals)
     except ValueError as exc:
@@ -148,6 +151,7 @@ def build_parser():
 
 
 def cmd_params(args):
+    from .model_params import build_params, check_positivity, exact_params
     params = build_params(args.p)
     _vec("p", params.p.p)
     _kv("gamma", params.gamma)
@@ -174,7 +178,7 @@ def cmd_crest(args):
     _kv("c", crest.c)
     _kv("eta0", crest.eta0)
     _kv("u0", crest.u0)
-    _kv("d0", denominator((crest.eta0, crest.u0, 0.0), crest.c, crest.delta))
+    _kv("d0", crest_denominator(crest))
     _kv("kappa0", crest_curvature(crest))
     return 0
 
@@ -184,6 +188,7 @@ def _default_name(stem, delta):
 
 
 def cmd_solve(args):
+    from .solitary_profile import solve_solitary
     profile = solve_solitary(args.delta, dx=args.dx)
     path = resolve_out_path(args.out or _default_name("profile", args.delta))
     write_text(path, profile_csv_text(profile))
@@ -192,8 +197,8 @@ def cmd_solve(args):
     _kv("eta_max", profile.eta_max)
     _kv("kappa0", profile.kappa0)
     _kv("samples", len(profile.x))
-    _kv("max_abs_I1", np.max(np.abs(profile.I1)))
-    _kv("max_abs_I2", np.max(np.abs(profile.I2)))
+    _kv("max_abs_I1", abs(profile.I1).max())
+    _kv("max_abs_I2", abs(profile.I2).max())
     print(f"wrote {path}")
     if args.gnuplot:
         gp = path.with_suffix(".gp")
@@ -216,6 +221,7 @@ def cmd_table(args):
 
 
 def cmd_compare_kdv(args):
+    from .solitary_profile import compare_kdv, solve_solitary
     profile = solve_solitary(args.delta)
     err = compare_kdv(profile)
     _kv("delta", args.delta)
@@ -246,6 +252,7 @@ def cmd_critical(args):
 
 
 def cmd_extreme(args):
+    from .extreme_wave import extreme_profile
     cp = solve_critical()
     profile = extreme_profile(cp)
     path = resolve_out_path(args.out or "extreme_profile.csv")
@@ -264,6 +271,7 @@ def cmd_extreme(args):
 
 
 def cmd_dimensional(args):
+    from .solitary_profile import dimensionalize, solve_solitary
     profile = solve_solitary(args.delta)
     dp = dimensionalize(profile, args.depth, args.gravity)
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
@@ -279,6 +287,12 @@ def cmd_dimensional(args):
 
 
 def cmd_checks(args):
+    import numpy as np
+
+    from .model_params import build_params
+    from .solitary_profile import kdv_profile
+    from .theory_checks import (first_order_family, fundamental_checks,
+                                q_eval, q_positivity, verify_kdv_solution)
     grid = np.linspace(-10.0, 10.0, 2001)
     params = build_params(args.p)
     lines = []
@@ -314,21 +328,26 @@ def cmd_checks(args):
 
 
 def _profile_csv_with_kdv(delta):
+    from .solitary_profile import kdv_profile, solve_solitary
     profile = solve_solitary(delta, dx=0.01)
     eta_kdv = kdv_profile(delta, profile.x)
     return profile_csv_text(profile, extra=(("eta_kdv", eta_kdv),))
 
 
 def _zoom_csv(delta):
-    profile = solve_solitary(delta, dx=0.002)
-    # |x| <= 1 keeps the rows symmetric about the crest, so the mirror too
-    mask = np.abs(profile.x) <= 1.0 + 1e-12
-    return mirrored_csv_text(PROFILE_COLUMNS,
-                             [a[mask] for a in profile_arrays(profile)])
+    """The profile at delta near its crest, resampled on |x| <= 1 only."""
+    from .solitary_profile import assemble_profile, solve_solitary
+    profile = solve_solitary(delta)
+    x = [i * ZOOM_DX for i in range(ZOOM_SAMPLES)]
+    zoom = assemble_profile(delta, profile.c, x, *profile.interpolant(x),
+                            kappa0=profile.kappa0,
+                            interpolant=profile.interpolant)
+    return profile_csv_text(zoom)
 
 
 def reproduce_outputs(out_dir):
     """Write the deterministic reference output set; returns the manifest."""
+    from .extreme_wave import extreme_profile
     entries = []
     for delta in PROFILE_DELTAS:
         name = _default_name("profile", delta)

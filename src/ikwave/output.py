@@ -9,12 +9,13 @@ Profiles are even in x, and assemble_profile mirrors them bitwise, so the
 rows left of the crest repeat the rows right of it with x and phi1 negated.
 mirrored_csv_text formats the right half only and writes each left-half
 row from those strings; the bytes are those of csv_text on the same arrays.
+
+numpy is imported by the functions that take arrays, so that fmt and the
+path helpers serve the commands that never load it.
 """
 
 import os
 from pathlib import Path
-
-import numpy as np
 
 PROFILE_COLUMNS = ("x", "eta", "u", "phi1", "phi0_prime", "phi1_prime",
                    "d", "I1", "I2")
@@ -42,6 +43,7 @@ def resolve_out_path(name):
 
 
 def _float_columns(arrays):
+    import numpy as np
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
         raise ValueError("columns must be 1-D and of equal length")
@@ -89,8 +91,7 @@ def mirrored_csv_text(columns, arrays):
     odd = [name in ODD_COLUMNS for name in columns]
     for name, negate, a in zip(columns, odd, arrays):
         right = -a[n + 1:] if negate else a[n + 1:]
-        if not np.array_equal(a[:n][::-1].view(np.uint64),
-                              right.view(np.uint64)):
+        if a[:n][::-1].tobytes() != right.tobytes():
             raise ValueError(f"column {name!r} is not mirrored about x = 0")
     string_columns = []
     for negate, a in zip(odd, arrays):

@@ -42,11 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crest_init import CrestState, curve_w, phase_speed, speed_excess
-from .errors import DenominatorVanished, StepSizeUnderflow
+from .crest_init import CrestState, _terms, curve_w, phase_speed, speed_excess
+from .errors import StepSizeUnderflow
 
-# |d| at or below which the reduced system counts as degenerate
-D_MIN = 1e-13
 # RK45 relative and absolute tolerances of the x(z) quadrature
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -66,15 +64,6 @@ def _unpack(state):
         return float(eta), float(u), float(phi1)
     return (np.asarray(eta, dtype=float), np.asarray(u, dtype=float),
             np.asarray(phi1, dtype=float))
-
-
-def _terms(eta, u, phi1, c, delta):
-    """H, v, w and the denominator d at a state."""
-    H = 1.0 + eta
-    v = c + u
-    w = c * eta + H * u
-    q = 4.0 * H * phi1 * phi1 / (delta * delta)
-    return H, v, w, 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
 
 
 def denominator(state, c, delta):
@@ -109,25 +98,6 @@ def reconstruct_potentials(state, c):
     H = 1.0 + eta
     inv = 1.5 / (H * H * H)
     return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (c * eta + H * u)
-
-
-def crest_curvature(crest):
-    """Curvature kappa(0) = eta''(0) at a subcritical crest, analytically.
-
-    eta' is the prefactor (6Hw + 10H^2 v)/(delta^2 d) times phi1 and
-    phi1(0) = 0, so eta''(0) is that prefactor at the crest times
-    phi1'(0) = 1.5w/H^3; no finite differencing involved.  Raises
-    DenominatorVanished for a crest with d(0) <= D_MIN, which solve_crest
-    never returns.
-    """
-    delta = crest.delta
-    H, v, w, d0 = _terms(crest.eta0, crest.u0, 0.0, crest.c, delta)
-    if d0 <= D_MIN:
-        raise DenominatorVanished(
-            f"curvature diverges: crest denominator {d0!r} at delta={delta!r}"
-        )
-    prefactor = (6.0 * H * w + 10.0 * H * H * v) / (delta * delta * d0)
-    return prefactor * (1.5 / H ** 3 * w)
 
 
 def solve_ivp(*args, **kwargs):

@@ -9,6 +9,11 @@ holds to the last bit by construction.  The classical long-wave soliton
 
 serves as the small-amplitude reference; its sup-norm distance from the
 computed profile scales like delta^4.
+
+The crest values (solve_crest, crest_curvature) and the crest table
+(diagnostics_table, TableRow) come from crest_init, which needs no numpy.
+They stay module attributes here too, because solve_solitary and the
+benchmark harness (perfbench) look them up here at call time.
 """
 
 from dataclasses import dataclass
@@ -16,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .crest_init import solve_crest
-from .errors import IkwaveError
-from .profile_ode import (Z_END, CurveInterpolant, crest_curvature,
-                          denominator, identity_residuals, integrate_half,
+from .crest_init import (TableRow, crest_curvature,  # noqa: F401 (re-exported)
+                         diagnostics_table, solve_crest)
+from .profile_ode import (Z_END, CurveInterpolant, denominator,
+                          identity_residuals, integrate_half,
                           reconstruct_potentials)
 
 # smallest resampling step; the finest grid in use is reproduce-paper's 0.002
@@ -122,34 +127,6 @@ def compare_kdv(profile):
     aux, eta_aux = profile.interpolant.along_z(np.linspace(0.0, Z_END, 4097))
     err_aux = float(np.max(np.abs(eta_aux - kdv_profile(profile.delta, aux))))
     return max(err, err_aux)
-
-
-@dataclass
-class TableRow:
-    delta: float
-    eta0: Optional[float]
-    neg_kappa0: Optional[float]  # None on an error row
-    d0: Optional[float]
-    error: Optional[str] = None
-
-
-def _one_row(delta):
-    try:
-        crest = solve_crest(delta)
-        kappa0 = crest_curvature(crest)
-    except IkwaveError as exc:
-        return TableRow(delta, None, None, None, error=str(exc))
-    d0 = denominator((crest.eta0, crest.u0, 0.0), crest.c, crest.delta)
-    return TableRow(delta, crest.eta0, -kappa0, d0)
-
-
-def diagnostics_table(deltas):
-    """Crest diagnostics (delta, eta(0), -kappa(0), d(0)), one row per delta.
-
-    Rows are returned in input order; a failing delta yields a row carrying
-    the error message instead of aborting the sweep.
-    """
-    return [_one_row(delta) for delta in deltas]
 
 
 @dataclass

@@ -1,11 +1,16 @@
-"""Commands that do not integrate never load scipy.
+"""What a fresh process loads: numpy only for arrays, scipy only to integrate.
+
+`import ikwave` resolves its exports lazily and loads neither.  The commands
+that need only crest values (critical, crest, table) and usage errors load
+no numpy; the other commands that integrate nothing load no scipy.
 
 Each case runs in a fresh interpreter, since the test process itself has
-long imported scipy.  The command runs through runpy, as `python -m ikwave`
-would, and the script then reports the exit code and whether scipy was
-loaded.
+long imported numpy and scipy.  The command runs through runpy, as
+`python -m ikwave` would, and the script then reports the exit code and
+which of numpy and scipy were loaded.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -13,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import ikwave
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+LOADED = 'print(*sorted({"numpy", "scipy"} & set(sys.modules)))'
 
 SCRIPT = """
 import runpy, sys
@@ -22,8 +31,8 @@ try:
     runpy.run_module("ikwave", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(code, "scipy" in sys.modules)
-"""
+print(code, end=" ")
+""" + LOADED
 
 
 def _fresh(code, args, tmp_path):
@@ -34,12 +43,21 @@ def _fresh(code, args, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _command(args, tmp_path):
+    """(exit code, the set of numpy and scipy loaded) of one command."""
+    code, *loaded = _fresh(SCRIPT, args, tmp_path)
+    return int(code), set(loaded)
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    code = "import sys, ikwave; print('scipy' in sys.modules)"
-    assert _fresh(code, [], tmp_path) == "False"
+    assert "scipy" not in _fresh("import sys, ikwave; " + LOADED, [], tmp_path)
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    assert _fresh("import sys, ikwave; " + LOADED, [], tmp_path) == []
 
 
 NO_INTEGRATION = [
@@ -57,8 +75,39 @@ NO_INTEGRATION = [
                          ids=[" ".join(args) for args, _ in NO_INTEGRATION])
 def test_command_without_integration_does_not_load_scipy(args, exit_code,
                                                          tmp_path):
-    assert _fresh(SCRIPT, args, tmp_path) == f"{exit_code} False"
+    code, loaded = _command(args, tmp_path)
+    assert code == exit_code and "scipy" not in loaded
+
+
+CREST_ONLY = [
+    (["critical"], 0),
+    (["crest", "--delta", "0.3"], 0),
+    (["table"], 0),
+    (["solve", "--delta", "abc"], 2),
+    (["bogus"], 2),
+]
+
+
+@pytest.mark.parametrize("args, exit_code", CREST_ONLY,
+                         ids=[" ".join(args) for args, _ in CREST_ONLY])
+def test_crest_only_command_does_not_load_numpy(args, exit_code, tmp_path):
+    assert _command(args, tmp_path) == (exit_code, set())
 
 
 def test_solve_loads_scipy(tmp_path):
-    assert _fresh(SCRIPT, ["solve", "--delta", "0.3"], tmp_path) == "0 True"
+    assert _command(["solve", "--delta", "0.3"], tmp_path) == (
+        0, {"numpy", "scipy"})
+
+
+@pytest.mark.parametrize("name", ikwave.__all__)
+def test_export_resolves_to_its_defining_module(name):
+    module = importlib.import_module(f"ikwave.{ikwave._EXPORTS[name]}")
+    value = getattr(ikwave, name)
+    assert value is getattr(module, name)
+    # the table names the module that defines the name, not a re-export
+    assert getattr(value, "__module__", module.__name__) == module.__name__
+    assert name in dir(ikwave)
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(ikwave, "no_such_name")

@@ -6,9 +6,10 @@ import pytest
 
 from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
                     crest_slope, extreme_profile, included_angle,
-                    solve_crest, solve_critical, solve_solitary)
-from ikwave.crest_init import crest_polynomial, speed_excess
-from ikwave.extreme_wave import CriticalPoint
+                    integrate_half, solve_crest, solve_critical,
+                    solve_solitary)
+from ikwave import profile_ode
+from ikwave.crest_init import CriticalPoint, crest_polynomial, speed_excess
 from ikwave.profile_ode import denominator
 from oracles import decimal_critical_point, decimal_quartic
 
@@ -204,3 +205,18 @@ def test_profiles_converge_to_the_extreme_wave_like_square_root(k, extreme):
     ratio = (_sup_distance_to_extreme(k + 1, extreme)
              / _sup_distance_to_extreme(k, extreme))
     assert math.log10(ratio) == pytest.approx(-0.5, abs=2e-3)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_near_critical_profile_is_resolved_by_step_control(k, monkeypatch):
+    # tightening both RK45 tolerances 100-fold moves eta by at most 1e-9 on
+    # 4,001 points uniform over the x range both right halves cover
+    crest = solve_crest(DELTA_C - 10.0 ** -k)
+    half = integrate_half(crest)
+    monkeypatch.setattr(profile_ode, "REL_TOL", profile_ode.REL_TOL / 100.0)
+    monkeypatch.setattr(profile_ode, "ABS_TOL", profile_ode.ABS_TOL / 100.0)
+    fine = integrate_half(crest)
+    assert len(fine.x) > 1.5 * len(half.x)
+    xs = np.linspace(0.0, min(half.x[-1], fine.x[-1]), 4001)
+    eta, eta_fine = half.interpolant(xs)[0], fine.interpolant(xs)[0]
+    assert float(np.max(np.abs(eta - eta_fine))) <= 1e-9

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ikwave import (DenominatorVanished, crest_curvature, denominator,
                     extreme_profile, identity_residuals, integrate_half,
                     reconstruct_potentials, solve_crest, solve_solitary)
-from ikwave import profile_ode
+from ikwave import crest_init, profile_ode
 from ikwave.crest_init import CrestState, curve_w
 from ikwave.output import profile_csv_text
 from ikwave.solitary_profile import assemble_profile
@@ -18,7 +18,7 @@ DELTA_C = 0.6263349307245629
 
 def test_config_validation():
     assert profile_ode.REL_TOL == 1e-10 and profile_ode.ABS_TOL == 1e-12
-    assert profile_ode.D_MIN == 1e-13 and profile_ode.TAIL_REL == 1e-5
+    assert crest_init.D_MIN == 1e-13 and profile_ode.TAIL_REL == 1e-5
     assert np.exp(-profile_ode.Z_END ** 2) == pytest.approx(1e-5, rel=1e-14)
     assert profile_ode.Z_TOL == 1e-10 and profile_ode.NEWTON_MAX_SWEEPS == 50
 
