@@ -7,10 +7,9 @@ given; a relative one lands in $IK_OUT_DIR, else the working directory.
 Reruns with the same flags are byte-identical.
 
 critical, crest and table need only crest values, which crest_init computes
-with the standard library.  The array layer (numpy, and scipy on the first
-integration) is imported inside the commands that use it, and by the --p
-and --dx checks, so those three commands and most usage errors never load
-numpy.
+with the standard library.  The array layer (numpy) is imported inside the
+commands that use it, and by the --p check, so those three commands and
+most usage errors never load numpy.  No command loads scipy.
 """
 
 import argparse
@@ -18,8 +17,9 @@ import json
 import math
 import sys
 
-from .crest_init import (check_delta, crest_curvature, crest_denominator,
-                         diagnostics_table, solve_crest, solve_critical)
+from .crest_init import (DX_MIN, check_delta, crest_curvature,
+                         crest_denominator, diagnostics_table, solve_crest,
+                         solve_critical)
 from .errors import IkwaveError
 from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
                      resolve_out_path, write_text)
@@ -55,7 +55,6 @@ def _delta(text):
 
 
 def _step(text):
-    from .solitary_profile import DX_MIN
     v = _positive(text)
     if v < DX_MIN:
         raise argparse.ArgumentTypeError(f"must be at least {DX_MIN!r}: {text!r}")

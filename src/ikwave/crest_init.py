@@ -80,6 +80,10 @@ CREST_MAX_ITER = 100
 D_MIN = 1e-13
 # G(gamma) changes sign once in this bracket of gamma = c^2 - 1
 GAMMA_BRACKET = (0.3, 1.0)
+# smallest resampling step of solve_solitary; the finest grid in use is
+# reproduce-paper's 0.002.  It lives here so that the CLI checks --dx
+# without numpy
+DX_MIN = 1e-4
 
 
 def phase_speed(delta):

@@ -20,8 +20,8 @@ class DenominatorVanished(IkwaveError):
 
 
 class StepSizeUnderflow(IkwaveError):
-    """The adaptive integrator could not take a step of acceptable error
-    above the minimum step size."""
+    """The panel quadrature of x(z) did not reach its tolerance on panels
+    wider than the narrowest it allows, or met a non-finite dx/dz."""
 
 
 class NegativeRadicand(IkwaveError):

@@ -35,22 +35,33 @@ smooth and positive on [0, Z_END] for every delta below the critical value.
 At the critical value K and d vanish together at the crest; K is clamped at 0
 and dx/dz is 0 where R = 0, so the corner crest of the extreme wave needs no
 special start.
+
+x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp): on each
+accepted panel it is the antiderivative of the Legendre interpolant of dx/dz
+through the panel's nodes, accurate to rounding.  The samples of a half
+profile are z = 0, every panel node and Z_END.  Only numpy is needed.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .crest_init import CrestState, _terms, curve_w, phase_speed, speed_excess
 from .errors import StepSizeUnderflow
 
-# RK45 relative and absolute tolerances of the x(z) quadrature
-REL_TOL = 1e-10
-ABS_TOL = 1e-12
 # each half profile ends where eta/eta0 = TAIL_REL, at z = Z_END
 TAIL_REL = 1e-5
 Z_END = math.sqrt(math.log(1.0 / TAIL_REL))
+# x(z) is integrated on Gauss-Legendre panels of PANEL_NODES nodes.  A panel
+# of width h is accepted once h times its last two Legendre coefficients is
+# at most PANEL_TOL times the one-panel integral over [0, Z_END], and halved
+# otherwise; a panel PANEL_MAX_DEPTH halvings below [0, Z_END] that still
+# fails raises StepSizeUnderflow
+PANEL_NODES = 16
+PANEL_TOL = 1e-14
+PANEL_MAX_DEPTH = 30
 # Newton sweeps that invert x(z) stop after a step of at most Z_TOL, which
 # leaves an error of order Z_TOL^2 by their quadratic convergence
 Z_TOL = 1e-10
@@ -100,20 +111,88 @@ def reconstruct_potentials(state, c):
     return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (c * eta + H * u)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call.
+@dataclass
+class Panels:
+    """The accepted panels of solve_ivp, sorted by z, as one table.
 
-    Loading scipy.integrate costs about half a second, so only the commands
-    that integrate pay it.  integrate_from looks this name up on every call.
+    Panel i covers [a_i, a_i + h_i].  With s = 2(z - a_i)/h_i - 1 and G_i the
+    antiderivative, in the Legendre basis, of the interpolant of dx/dz
+    through the panel's nodes,
+
+        x(z) = x_i + (h_i/2) (G_i(s) - G_i(-1)),
+
+    which is x_i exactly at z = a_i.
     """
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+
+    t: np.ndarray        # z at 0, at every node and at the end
+    nfev: int            # evaluations of dx/dz
+    start: np.ndarray    # a_i
+    width: np.ndarray    # h_i
+    x_start: np.ndarray  # x_i = x(a_i)
+    coef: np.ndarray     # G_i as column i, lowest degree first
+
+
+# the nodes on [-1, 1], and the map from the values of dx/dz at them to the
+# Legendre coefficients of its interpolant, by Gauss quadrature
+_NODES, _WEIGHTS = legendre.leggauss(PANEL_NODES)
+_TO_COEF = legendre.legvander(_NODES, PANEL_NODES - 1) * (
+    _WEIGHTS[:, None] * (np.arange(PANEL_NODES) + 0.5))
+
+
+def solve_ivp(fun, z_end):
+    """x(z) = integral of fun from 0 to z on [0, z_end], as Panels.
+
+    fun maps an array of z to dx/dz.  Panels are halved level by level, with
+    one call of fun on the nodes of every open panel per level, until each
+    passes the PANEL_TOL test of the module constants.  Raises
+    StepSizeUnderflow when dx/dz is not finite, or when a panel
+    PANEL_MAX_DEPTH halvings deep still fails.
+
+    The name and the t and nfev fields are those of the scipy routine this
+    replaced, because the benchmark harness wraps this name and reads those
+    fields; ROADMAP item 1 moves that seam to integrate_from and renames
+    them.
+    """
+    open_start, width = np.zeros(1), z_end
+    done_start, done_width, done_coef = [], [], []
+    nfev = 0
+    for depth in range(PANEL_MAX_DEPTH + 1):
+        z = open_start[:, None] + (0.5 * width) * (_NODES + 1.0)
+        coef = fun(z) @ _TO_COEF
+        nfev += z.size
+        if not np.isfinite(coef).all():
+            raise StepSizeUnderflow(
+                f"dx/dz is not finite on a panel of width {width!r}")
+        if depth == 0:
+            # each panel's integral is its width times its coefficient c_0
+            tol = PANEL_TOL * width * abs(coef[0, 0])
+        ok = width * (abs(coef[:, -2]) + abs(coef[:, -1])) <= tol
+        done_start.append(open_start[ok])
+        done_width.append(np.full(ok.sum(), width))
+        done_coef.append(coef[ok])
+        open_start = open_start[~ok]
+        if not open_start.size:
+            break
+        if depth == PANEL_MAX_DEPTH:
+            raise StepSizeUnderflow(
+                f"x(z) unresolved on a panel of width {width!r} at "
+                f"z = {open_start.min()!r}")
+        width *= 0.5
+        open_start = np.concatenate([open_start, open_start + width])
+    order = np.argsort(np.concatenate(done_start))
+    start = np.concatenate(done_start)[order]
+    width = np.concatenate(done_width)[order]
+    coef = np.concatenate(done_coef)[order]
+    nodes = start[:, None] + (0.5 * width[:, None]) * (_NODES + 1.0)
+    return Panels(
+        t=np.concatenate([[0.0], nodes.ravel(), [z_end]]), nfev=nfev,
+        start=start, width=width,
+        x_start=np.concatenate([[0.0], np.cumsum(width * coef[:, 0])[:-1]]),
+        coef=legendre.legint(coef, lbnd=-1.0, axis=1).T)
 
 
 def _ratio(num, den, at_zero):
-    """num/den, and at_zero where den == 0; Python floats or arrays."""
-    if isinstance(den, float):
-        return num / den if den else at_zero
+    """num/den for arrays, and at_zero where den == 0."""
     return np.divide(num, den, out=np.full_like(den, at_zero),
                      where=den != 0.0)
 
@@ -127,22 +206,20 @@ class _Curve:
         self.gamma = speed_excess(delta)
         self.w0 = curve_w(eta0, self.c, self.gamma)
 
-    def at(self, z, lib):
-        """(eta, u, phi1, dx/dz) at z >= 0; Python floats with lib=math,
-        arrays with lib=np."""
+    def at(self, z):
+        """(eta, u, phi1, dx/dz) at an array of z >= 0."""
         delta, c, gamma, eta0, w0 = (self.delta, self.c, self.gamma,
                                      self.eta0, self.w0)
         z2 = z * z
-        eta = eta0 * lib.exp(-z2)
+        eta = eta0 * np.exp(-z2)
         H = 1.0 + eta
-        W = curve_w(eta, c, gamma, lib.sqrt)
+        W = curve_w(eta, c, gamma, np.sqrt)
         u = eta * (W - c) / H
         A = 1.6 * w0 * w0 + 3.0 + 2.0 * gamma - eta - eta0
         B = 1.6 * eta * (W + w0) + 2.0 * c
-        K = 1.0 + (W + w0) * A / (5.0 * B)
         # K < 0 only by rounding, at the corner crest of the extreme wave
-        K = max(K, 0.0) if lib is math else np.maximum(K, 0.0)
-        R = lib.sqrt(0.75 * eta0 * _ratio(-lib.expm1(-z2), z2, 1.0) * K)
+        K = np.maximum(1.0 + (W + w0) * A / (5.0 * B), 0.0)
+        R = np.sqrt(0.75 * eta0 * _ratio(-np.expm1(-z2), z2, 1.0) * K)
         phi1 = -delta * eta * z * R / (H * H)
         _, v, w, d = _terms(eta, u, phi1, c, delta)
         slope = _ratio(2.0 * delta * H * H * d,
@@ -153,37 +230,32 @@ class _Curve:
 class CurveInterpolant:
     """(eta, u, phi1) anywhere on [0, x_end] of a half profile.
 
-    x(z) is the RK45 quartic of the accepted step that holds z, read from one
-    table stacked from scipy's dense output: step i starts at z_i with x_i,
-    has length h_i and coefficients q_i0..q_i3, and with s = (z - z_i)/h_i
-
-        x(z) = x_i + h_i s (q_i0 + s (q_i1 + s (q_i2 + s q_i3))).
-
+    x(z) is read from the Panels table: the panel that holds z, then one
+    Legendre series of its antiderivative, summed by Clenshaw's recurrence.
     x is inverted to z by Newton sweeps on x(z), started from linear
-    interpolation between the accepted steps.  Each point leaves the sweeps
-    after its own last step, so its value does not depend on the other
-    points of the call.
+    interpolation between the samples.  Each point leaves the sweeps after
+    its own last step, so its value does not depend on the other points of
+    the call.
     """
 
-    def __init__(self, curve, sol):
-        steps = sol.sol.interpolants
-        self._curve, self._z, self._x = curve, sol.t, sol.y[0]
-        self._z_old = np.array([step.t_old for step in steps])
-        self._h = np.array([step.h for step in steps])
-        self._x_old = np.array([step.y_old[0] for step in steps])
-        self._q = np.array([step.Q[0] for step in steps]).T
+    def __init__(self, curve, panels):
+        self._curve, self._z = curve, panels.t
+        self._start, self._half = panels.start, 0.5 * panels.width
+        self._x_start, self._coef = panels.x_start, panels.coef
+        self._g_start = legendre.legval(-np.ones(len(self._start)),
+                                        self._coef, tensor=False)
+        self._x = self._x_of_z(self._z)
 
     def _x_of_z(self, z):
-        # the step whose [z_i, z_i + h_i] holds z, as scipy's OdeSolution picks it
-        i = np.maximum(np.searchsorted(self._z_old, z) - 1, 0)
-        h = self._h[i]
-        s = (z - self._z_old[i]) / h
-        q0, q1, q2, q3 = self._q[:, i]
-        return self._x_old[i] + h * s * (q0 + s * (q1 + s * (q2 + s * q3)))
+        i = np.maximum(np.searchsorted(self._start, z, side="right") - 1, 0)
+        s = (z - self._start[i]) / self._half[i] - 1.0
+        return self._x_start[i] + self._half[i] * (
+            legendre.legval(s, self._coef[:, i], tensor=False)
+            - self._g_start[i])
 
     def along_z(self, z):
         """(x, eta) at the given z, with no inversion."""
-        return self._x_of_z(z), self._curve.at(z, np)[0]
+        return self._x_of_z(z), self._curve.at(z)[0]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -193,17 +265,18 @@ class CurveInterpolant:
         for _ in range(NEWTON_MAX_SWEEPS):
             zt = z[todo]
             step = _ratio(self._x_of_z(zt) - flat[todo],
-                          self._curve.at(zt, np)[3], 0.0)
+                          self._curve.at(zt)[3], 0.0)
             z[todo] = zt - step
             todo = todo[np.abs(step) > Z_TOL]
             if not todo.size:
                 break
-        return tuple(a.reshape(x.shape) for a in self._curve.at(z, np)[:3])
+        return tuple(a.reshape(x.shape) for a in self._curve.at(z)[:3])
 
 
 @dataclass
 class HalfProfile:
-    """Accepted-step samples of a half profile on [0, x_end]."""
+    """Samples of a half profile on [0, x_end]: z = 0, the panel nodes of
+    x(z) and the end z = Z_END."""
 
     delta: float
     c: float
@@ -211,31 +284,26 @@ class HalfProfile:
     eta: np.ndarray
     u: np.ndarray
     phi1: np.ndarray
-    stop: str          # always "tail": eta/eta0 = TAIL_REL at x_end
+    # always "tail": eta/eta0 = TAIL_REL at x_end.  The benchmark harness
+    # reads it; ROADMAP item 1 drops it
+    stop: str
     interpolant: CurveInterpolant
 
 
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
-    One RK45 quadrature of x(z) over [0, Z_END]; eta, u and phi1 are the
-    closed forms at each accepted step.  Raises StepSizeUnderflow when the
-    integrator cannot proceed.
+    One panel quadrature of x(z) over [0, Z_END] (solve_ivp); eta, u and
+    phi1 are the closed forms at z = 0, at every panel node and at Z_END.
+    Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)
-
-    def slope(z, x):
-        return (curve.at(float(z), math)[3],)
-
-    sol = solve_ivp(slope, (0.0, Z_END), [0.0], method="RK45",
-                    rtol=REL_TOL, atol=ABS_TOL, dense_output=True)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    z, x = sol.t, sol.y[0]
-    eta, u, phi1, _ = curve.at(z, np)
+    panels = solve_ivp(lambda z: curve.at(z)[3], Z_END)
+    interpolant = CurveInterpolant(curve, panels)
+    eta, u, phi1, _ = curve.at(panels.t)
     return HalfProfile(
-        delta=delta, c=curve.c, x=x, eta=eta, u=u, phi1=phi1, stop="tail",
-        interpolant=CurveInterpolant(curve, sol),
+        delta=delta, c=curve.c, x=interpolant._x, eta=eta, u=u, phi1=phi1,
+        stop="tail", interpolant=interpolant,
     )
 
 

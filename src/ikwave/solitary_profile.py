@@ -21,14 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .crest_init import (TableRow, crest_curvature,  # noqa: F401 (re-exported)
-                         diagnostics_table, solve_crest)
+from .crest_init import (DX_MIN, TableRow,  # noqa: F401 (re-exported)
+                         crest_curvature, diagnostics_table, solve_crest)
 from .profile_ode import (Z_END, CurveInterpolant, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
-
-# smallest resampling step; the finest grid in use is reproduce-paper's 0.002
-DX_MIN = 1e-4
 
 
 @dataclass
@@ -83,10 +80,12 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, interpolant):
 def solve_solitary(delta, dx=None):
     """Solve the full solitary profile at shallowness delta < delta_c.
 
-    With dx given, the accepted-step samples are replaced by a uniform grid
-    of that spacing evaluated through the profile's interpolant (the final
-    partial cell is dropped).  Raises ValueError for a delta that
-    solve_crest rejects and unless, when given, DX_MIN <= dx < inf.
+    Without dx the samples are those of the half profile, mirrored: the
+    crest, the panel nodes of x(z) and the end of the tail.  With dx given,
+    they are replaced by a uniform grid of that spacing evaluated through
+    the profile's interpolant (the final partial cell is dropped).  Raises
+    ValueError for a delta that solve_crest rejects and unless, when given,
+    DX_MIN <= dx < inf.
     """
     if dx is not None and not DX_MIN <= dx < np.inf:
         raise ValueError(

@@ -1,8 +1,9 @@
-"""What a fresh process loads: numpy only for arrays, scipy only to integrate.
+"""What a fresh process loads: numpy only for arrays, and never scipy.
 
 `import ikwave` resolves its exports lazily and loads neither.  The commands
 that need only crest values (critical, crest, table) and usage errors load
-no numpy; the other commands that integrate nothing load no scipy.
+no numpy; no command loads scipy, and the commands that integrate run with
+scipy made unimportable.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported numpy and scipy.  The command runs through runpy, as
@@ -85,6 +86,7 @@ CREST_ONLY = [
     (["table"], 0),
     (["solve", "--delta", "abc"], 2),
     (["bogus"], 2),
+    (["solve", "--dx", "0.01"], 2),
 ]
 
 
@@ -94,9 +96,22 @@ def test_crest_only_command_does_not_load_numpy(args, exit_code, tmp_path):
     assert _command(args, tmp_path) == (exit_code, set())
 
 
-def test_solve_loads_scipy(tmp_path):
-    assert _command(["solve", "--delta", "0.3"], tmp_path) == (
-        0, {"numpy", "scipy"})
+INTEGRATING = [
+    ["solve", "--delta", "0.3"],
+    ["compare-kdv", "--delta", "0.3"],
+    ["extreme"],
+    ["dimensional", "--delta", "0.3", "--depth", "2", "--gravity", "9.81"],
+    ["reproduce-paper"],
+]
+
+
+@pytest.mark.parametrize("args", INTEGRATING,
+                         ids=[" ".join(args) for args in INTEGRATING])
+def test_integrating_command_needs_no_scipy(args, tmp_path):
+    assert _command(args, tmp_path) == (0, {"numpy"})
+    # a None entry makes every import of scipy raise ImportError
+    blocked = 'import sys\nsys.modules["scipy"] = None\n' + SCRIPT
+    assert _fresh(blocked, args, tmp_path)[0] == "0"
 
 
 @pytest.mark.parametrize("name", ikwave.__all__)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (DenominatorVanished, crest_curvature, denominator,
-                    extreme_profile, identity_residuals, integrate_half,
-                    reconstruct_potentials, solve_crest, solve_solitary)
-from ikwave import crest_init, profile_ode
+from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
+                    denominator, extreme_profile, identity_residuals,
+                    integrate_half, reconstruct_potentials, solve_crest,
+                    solve_solitary)
+from ikwave import cli, crest_init, profile_ode
 from ikwave.crest_init import CrestState, curve_w
 from ikwave.output import profile_csv_text
 from ikwave.solitary_profile import assemble_profile
@@ -17,7 +20,8 @@ DELTA_C = 0.6263349307245629
 
 
 def test_config_validation():
-    assert profile_ode.REL_TOL == 1e-10 and profile_ode.ABS_TOL == 1e-12
+    assert profile_ode.PANEL_NODES == 16 and profile_ode.PANEL_TOL == 1e-14
+    assert profile_ode.PANEL_MAX_DEPTH == 30
     assert crest_init.D_MIN == 1e-13 and profile_ode.TAIL_REL == 1e-5
     assert np.exp(-profile_ode.Z_END ** 2) == pytest.approx(1e-5, rel=1e-14)
     assert profile_ode.Z_TOL == 1e-10 and profile_ode.NEWTON_MAX_SWEEPS == 50
@@ -107,8 +111,8 @@ def phi1_prime_residual(delta, eta0, n=400, h=1e-6):
     """
     curve = profile_ode._Curve(delta, eta0)
     z = np.linspace(0.0, profile_ode.Z_END, n + 1)[1:]
-    eta, _, _, slope = curve.at(z, np)
-    dphi1 = (curve.at(z + h, np)[2] - curve.at(z - h, np)[2]) / (2.0 * h)
+    eta, _, _, slope = curve.at(z)
+    dphi1 = (curve.at(z + h)[2] - curve.at(z - h)[2]) / (2.0 * h)
     H = 1.0 + eta
     exact = 1.5 * eta * curve_w(eta, curve.c, curve.gamma, np.sqrt) / H ** 3
     return float(np.max(np.abs(dphi1 / slope - exact)) / np.max(np.abs(exact)))
@@ -172,35 +176,71 @@ def test_dense_interpolant_matches_samples():
     assert half.eta[11] < eta_mid < half.eta[10]
 
 
-def _half_and_solution(monkeypatch, delta, eta0):
-    """integrate_from's half profile and the scipy solution it was built on."""
-    solutions = []
-    original = profile_ode.solve_ivp
+def composite_x(curve, z, nodes=20, panels=400):
+    """x(z) by a composite Gauss-Legendre rule of its own: `nodes` nodes on
+    each of `panels` panels, [0, 1e-10 Z_END] and then geometrically growing
+    ones up to Z_END, which resolve the crest of the waves next to the
+    critical one."""
+    edges = np.concatenate(
+        [[0.0], profile_ode.Z_END * np.geomspace(1e-10, 1.0, panels)])
+    t, w = np.polynomial.legendre.leggauss(nodes)
 
-    def keep(*args, **kwargs):
-        solutions.append(original(*args, **kwargs))
-        return solutions[-1]
+    def rule(a, b):
+        return 0.5 * (b - a) * (curve.at(
+            a[:, None] + 0.5 * (b - a)[:, None] * (t + 1.0))[3] @ w)
 
-    monkeypatch.setattr(profile_ode, "solve_ivp", keep)
-    half = profile_ode.integrate_from(delta, eta0)
-    assert len(solutions) == 1
-    return half, solutions[0]
+    whole = np.concatenate([[0.0], np.cumsum(rule(edges[:-1], edges[1:]))])
+    i = np.minimum(np.searchsorted(edges, z, side="right") - 1, panels - 1)
+    return whole[i] + rule(edges[i], z)
+
+
+def _half(delta, critical_point):
+    if delta == "extreme":
+        return profile_ode.integrate_from(critical_point.delta_c,
+                                          critical_point.eta_c0)
+    return integrate_half(solve_crest(delta))
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.55, 0.626, DELTA_C - 1e-10,
                                    "extreme"])
-def test_step_table_matches_scipy_dense_output(delta, monkeypatch,
-                                               critical_point):
-    # the interpolant stacks t_old, h, y_old and Q of scipy's RK45 steps; a
-    # scipy release that renames or reshapes them fails here
-    if delta == "extreme":
-        delta, eta0 = critical_point.delta_c, critical_point.eta_c0
-    else:
-        eta0 = solve_crest(delta).eta0
-    half, sol = _half_and_solution(monkeypatch, delta, eta0)
-    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097), sol.t])
-    x, _ = half.interpolant.along_z(z)
-    assert np.max(np.abs(x - sol.sol(z)[0])) <= 1e-15 * half.x[-1]
+def test_panel_table_matches_composite_quadrature(delta, critical_point):
+    half = _half(delta, critical_point)
+    interpolant = half.interpolant
+    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
+                        interpolant._z])
+    x, _ = interpolant.along_z(z)
+    assert np.max(np.abs(x - composite_x(interpolant._curve, z))) <= (
+        1e-14 * half.x[-1])
+    # the samples are the table at z = 0, every node and Z_END, and
+    # assemble_profile needs x exactly 0.0 at the crest
+    assert np.array_equal(half.x, x[4097:])
+    assert half.x[0] == 0.0 and x[0] == 0.0
+
+
+def _depth(half):
+    """Halvings from [0, Z_END] down to the narrowest panel of a half."""
+    return round(math.log2(profile_ode.Z_END
+                           / (2.0 * half.interpolant._half.min())))
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.6]
+                         + [DELTA_C - 10.0 ** -k for k in range(1, 17)]
+                         + [DELTA_C, "extreme"])
+def test_panel_refinement_stays_well_below_its_cap(delta, critical_point):
+    # measured: depth 2 for small delta, 14 at delta_c
+    assert _depth(_half(delta, critical_point)) <= 16
+
+
+def test_panel_cap_is_a_step_size_underflow(monkeypatch):
+    monkeypatch.setattr(profile_ode, "PANEL_MAX_DEPTH", 3)
+    with pytest.raises(StepSizeUnderflow, match="unresolved"):
+        integrate_half(solve_crest(0.6))
+    assert cli.run(["compare-kdv", "--delta", "0.6"]) == 1
+
+
+def test_non_finite_slope_is_a_step_size_underflow():
+    with pytest.raises(StepSizeUnderflow, match="not finite"):
+        profile_ode.solve_ivp(lambda z: np.where(z > 1.0, np.nan, 1.0), 2.0)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.626])
