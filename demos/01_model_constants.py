@@ -2,8 +2,10 @@
 
 The solver works with the single quadratic expansion term p = [2], whose
 constant gamma = 1/3 matches the classical long-wave dispersion.  Other
-exponent sets give other (provably positive) constants; the exact rational
-path cross-checks the floating-point one.
+exponent sets give other (provably positive) constants.  Every constant is
+computed once, exactly, in rationals; the floats are those values correctly
+rounded, and the smallest eigenvalues are proved positive in exact
+arithmetic.
 """
 
 from ikwave import build_params, check_positivity, exact_params

@@ -6,14 +6,17 @@ output carries 12 significant digits.  An absolute --out path is used as
 given; a relative one lands in $IK_OUT_DIR, else the working directory.
 Reruns with the same flags are byte-identical.
 
+numpy is loaded only by the commands that compute a profile or an array:
+solve, compare-kdv, extreme, dimensional, checks and reproduce-paper.
 critical, crest and table need only crest values, which crest_init computes
-with the standard library.  The array layer (numpy) is imported inside the
-commands that use it, and by the --p check, so those three commands and
-most usage errors never load numpy.  No command loads scipy.
+with the standard library, and params prints the exact constants of
+model_params, so neither they nor a usage error load numpy.  solve,
+compare-kdv and dimensional solve the crest first, so a delta beyond the
+critical shallowness fails with NoSolitaryRoot before numpy is imported.
+No command loads scipy.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -150,19 +153,19 @@ def build_parser():
 
 
 def cmd_params(args):
-    from .model_params import build_params, check_positivity, exact_params
-    params = build_params(args.p)
-    _vec("p", params.p.p)
-    _kv("gamma", params.gamma)
-    _vec("gamma_vec", params.gamma_vec)
-    _kv("kappa1", params.kappa1)
-    _kv("kappa2", params.kappa2)
-    _kv("kappa3", params.kappa3)
-    report = check_positivity(params)
+    from .model_params import check_positivity, exact_params
+    # fmt rounds each Fraction to the nearest double, as build_params does
+    gamma, gamma_vec, k1, k2, k3 = exact_params(args.p)
+    _vec("p", args.p)
+    _kv("gamma", gamma)
+    _vec("gamma_vec", gamma_vec)
+    _kv("kappa1", k1)
+    _kv("kappa2", k2)
+    _kv("kappa3", k3)
+    report = check_positivity(args.p)
     _kv("min_eig_A1", report["min_eig_A1"])
     _kv("min_eig_A0_centered", report["min_eig_A0_centered"])
     if args.exact:
-        gamma, gamma_vec, k1, k2, k3 = exact_params(args.p)
         print(f"exact gamma = {gamma}")
         print("exact gamma_vec = [" + ", ".join(str(g) for g in gamma_vec) + "]")
         print(f"exact kappa1 = {k1}")
@@ -186,9 +189,16 @@ def _default_name(stem, delta):
     return f"{stem}_delta{delta!r}.csv"
 
 
-def cmd_solve(args):
+def _solitary(delta, dx=None):
+    """solve_solitary(delta, dx), after a standard-library crest solve, so
+    that a delta beyond the critical value fails before numpy is imported."""
+    solve_crest(delta)
     from .solitary_profile import solve_solitary
-    profile = solve_solitary(args.delta, dx=args.dx)
+    return solve_solitary(delta, dx=dx)
+
+
+def cmd_solve(args):
+    profile = _solitary(args.delta, dx=args.dx)
     path = resolve_out_path(args.out or _default_name("profile", args.delta))
     write_text(path, profile_csv_text(profile))
     _kv("delta", profile.delta)
@@ -220,8 +230,8 @@ def cmd_table(args):
 
 
 def cmd_compare_kdv(args):
-    from .solitary_profile import compare_kdv, solve_solitary
-    profile = solve_solitary(args.delta)
+    profile = _solitary(args.delta)
+    from .solitary_profile import compare_kdv
     err = compare_kdv(profile)
     _kv("delta", args.delta)
     _kv("eta_max", profile.eta_max)
@@ -270,8 +280,8 @@ def cmd_extreme(args):
 
 
 def cmd_dimensional(args):
-    from .solitary_profile import dimensionalize, solve_solitary
-    profile = solve_solitary(args.delta)
+    profile = _solitary(args.delta)
+    from .solitary_profile import dimensionalize
     dp = dimensionalize(profile, args.depth, args.gravity)
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
     # scaling by positive constants keeps the profile's bitwise mirror
@@ -346,6 +356,8 @@ def _zoom_csv(delta):
 
 def reproduce_outputs(out_dir):
     """Write the deterministic reference output set; returns the manifest."""
+    import json
+
     from .extreme_wave import extreme_profile
     entries = []
     for delta in PROFILE_DELTAS:

@@ -2,7 +2,9 @@
 denominator, the critical point, and the crest table.
 
 This module uses only the standard library, so the commands that need
-nothing beyond the crest (critical, crest, table) never import numpy.
+nothing beyond the crest (critical, crest, table) never import numpy.  Its
+records are NamedTuples, so they do not load dataclasses either, and decimal
+is imported only by solve_crest's last step, which critical does not run.
 
 Every solitary wave lies on the curve I1 = I2 = 0 of the reduced system (see
 profile_ode).  Eliminating phi1 between the two integrals and writing
@@ -65,9 +67,7 @@ delta (from x* = (h/delta) x, eta* = h eta), and the included crest angle is
 
 import math
 import sys
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (DenominatorVanished, IkwaveError, NegativeRadicand,
                      NoSolitaryRoot)
@@ -116,8 +116,7 @@ def crest_polynomial(t, gamma):
     return P, Pt, P * P - 20 * (1 + gamma) * t, 2 * P * Pt - 20 * (1 + gamma)
 
 
-@dataclass(frozen=True)
-class CrestState:
+class CrestState(NamedTuple):
     """Crest values (eta(0), u(0), phi1(0) = 0) with the phase speed and delta."""
 
     delta: float
@@ -169,6 +168,7 @@ def solve_crest(delta):
         raise NoSolitaryRoot(
             f"crest Newton did not settle in {CREST_MAX_ITER} steps at "
             f"delta={delta!r}")
+    from decimal import Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = 40
         fine_gamma, t = speed_excess(Decimal(delta)), Decimal(t)
@@ -208,8 +208,7 @@ def crest_curvature(crest):
     return prefactor * (1.5 / H ** 3 * w)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     delta_c: float
     eta_c0: float
     u_c0: float
@@ -280,8 +279,7 @@ def included_angle(slope_dim):
     return 180.0 - 2.0 * math.degrees(math.atan(slope_dim))
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     delta: float
     eta0: Optional[float]
     neg_kappa0: Optional[float]  # None on an error row

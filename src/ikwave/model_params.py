@@ -12,14 +12,21 @@ so a0_j = 1/(p_j+1) and A0_ij = 1/(p_i+p_j+1).  The derived constants are
     kappa1 = a0 . gamma_vec,   kappa2 = 1 . gamma_vec,   kappa3 = sum p_j gamma_j.
 
 For p = [2] these give gamma = 1/3, the value used by the solitary-wave solver.
-Entries are small rationals; they are built in double precision here and an
-exact fractions.Fraction path is provided for display and cross-checking.
+Every entry is a small rational, so each constant is built once, exactly, in
+fractions.Fraction arithmetic (exact_params).  build_params rounds those
+values to doubles (float(Fraction) is correctly rounded) and wraps them in
+numpy arrays, which is the only use of numpy here; it is imported there, so
+the params command runs on the standard library.
+
+A1 and A0 - a0 (x) a0 are positive definite.  check_positivity proves it
+with exact LDL^T pivots and reports, for each, the largest double below its
+smallest eigenvalue, found by bisection over doubles on Sylvester's law of
+inertia: the number of negative pivots of A - lambda I is the number of
+eigenvalues of A below lambda.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import NonPositiveDetected
 
@@ -50,70 +57,125 @@ class ExponentSet:
 @dataclass(frozen=True)
 class ModelParams:
     p: ExponentSet
-    A1: np.ndarray
-    A0: np.ndarray
-    a0: np.ndarray
+    A1: "np.ndarray"
+    A0: "np.ndarray"
+    a0: "np.ndarray"
     gamma: float
-    gamma_vec: np.ndarray
+    gamma_vec: "np.ndarray"
     kappa1: float
     kappa2: float
     kappa3: float
 
 
-def build_params(p):
-    """Build all matrices and constants for an exponent set.
+def _exponent_set(p):
+    """p as an ExponentSet; p may be one, a ModelParams or a bare sequence."""
+    if isinstance(p, ModelParams):
+        return p.p
+    return p if isinstance(p, ExponentSet) else ExponentSet(tuple(p))
 
-    Accepts an ExponentSet or a bare sequence of integers.  The linear solve
-    for gamma_vec uses a dense direct method.
+
+def _matrices(pv):
+    """Exact A1, A0 and a0 of the exponents pv, as lists of Fractions."""
+    A1 = [[Fraction(pi * pj, pi + pj - 1) for pj in pv] for pi in pv]
+    A0 = [[Fraction(1, pi + pj + 1) for pj in pv] for pi in pv]
+    a0 = [Fraction(1, pj + 1) for pj in pv]
+    return A1, A0, a0
+
+
+def build_params(p):
+    """All matrices and constants of an exponent set, in double precision.
+
+    Accepts an ExponentSet or a bare sequence of integers.  Every value is
+    the exact one of exact_params, correctly rounded.
     """
-    if not isinstance(p, ExponentSet):
-        p = ExponentSet(tuple(p))
-    pv = p.p
-    N = p.N
-    A1 = np.array([[pi * pj / (pi + pj - 1) for pj in pv] for pi in pv])
-    A0 = np.array([[1.0 / (pi + pj + 1) for pj in pv] for pi in pv])
-    a0 = np.array([1.0 / (pj + 1) for pj in pv])
-    one_minus_a0 = 1.0 - a0
-    try:
-        gamma_vec = np.linalg.solve(A1, one_minus_a0)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDetected(f"A1 singular for p={pv}") from exc
-    gamma = float(one_minus_a0 @ gamma_vec)
-    if gamma <= 0.0:
-        raise NonPositiveDetected(f"gamma = {gamma} is not positive for p={pv}")
+    import numpy as np
+
+    p = _exponent_set(p)
+    A1, A0, a0 = _matrices(p.p)
+    gamma, gamma_vec, kappa1, kappa2, kappa3 = exact_params(p)
     return ModelParams(
         p=p,
-        A1=A1,
-        A0=A0,
-        a0=a0,
-        gamma=gamma,
-        gamma_vec=gamma_vec,
-        kappa1=float(a0 @ gamma_vec),
-        kappa2=float(np.sum(gamma_vec)),
-        kappa3=float(np.array(pv) @ gamma_vec),
+        A1=np.array(A1, dtype=float),
+        A0=np.array(A0, dtype=float),
+        a0=np.array(a0, dtype=float),
+        gamma=float(gamma),
+        gamma_vec=np.array(gamma_vec, dtype=float),
+        kappa1=float(kappa1),
+        kappa2=float(kappa2),
+        kappa3=float(kappa3),
     )
 
 
-def check_positivity(params):
-    """Report the smallest eigenvalues of A1 and A0 - a0 (x) a0.
+def check_positivity(p):
+    """Smallest eigenvalues of A1 and A0 - a0 (x) a0, proved positive.
 
-    Both are provably positive definite; this is a runtime guard against a
-    mis-built matrix.  Returns {"min_eig_A1": ..., "min_eig_A0_centered": ...}.
+    p is what exact_params takes, or a ModelParams.  Both matrices are
+    rebuilt in Fractions and are provably positive definite; a pivot <= 0
+    of their exact LDL^T factorisation, the sign of a mis-built matrix,
+    raises NonPositiveDetected.  Each reported value is the largest double
+    lambda for which A - lambda I is still positive definite: the largest
+    double below the smallest eigenvalue, so it is > 0 and within one ulp
+    of it.  Returns {"min_eig_A1": ..., "min_eig_A0_centered": ...}.
     """
-    ev1 = float(np.linalg.eigvalsh(params.A1).min())
-    centered = params.A0 - np.outer(params.a0, params.a0)
-    ev0 = float(np.linalg.eigvalsh(centered).min())
-    report = {"min_eig_A1": ev1, "min_eig_A0_centered": ev0}
-    if ev1 <= 0.0 or ev0 <= 0.0:
-        raise NonPositiveDetected(f"positivity violated: {report} for p={params.p.p}")
+    p = _exponent_set(p)
+    A1, A0, a0 = _matrices(p.p)
+    centered = [[x - ai * aj for x, aj in zip(row, a0)]
+                for row, ai in zip(A0, a0)]
+    report = {}
+    for name, A in (("A1", A1), ("A0_centered", centered)):
+        if not _positive_definite(A, 0.0):
+            raise NonPositiveDetected(
+                f"{name} is not positive definite for p={p.p}")
+        report["min_eig_" + name] = _smallest_eigenvalue(A)
     return report
 
 
 # ---------------------------------------------------------------------------
-# exact-rational path: same constructions in fractions.Fraction arithmetic
+# exact-rational linear algebra; matrices here are tiny (N <= 6 or so)
+
+def _positive_definite(A, shift):
+    """Whether the symmetric Fraction matrix A - shift I is positive definite.
+
+    shift is a float, taken exactly.  By Sylvester's law of inertia the
+    pivots of the LDL^T factorisation have the signs of the eigenvalues, so
+    A - shift I is positive definite exactly when every pivot is > 0; the
+    elimination stops at the first that is not.
+    """
+    shift = Fraction(shift)
+    n = len(A)
+    M = [[x - shift if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(A)]
+    for k in range(n):
+        pivot = M[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = M[i][k] / pivot
+            for j in range(k + 1, n):
+                M[i][j] -= f * M[k][j]
+    return True
+
+
+def _smallest_eigenvalue(A):
+    """The largest double lambda with A - lambda I positive definite.
+
+    A must be positive definite.  Bisection keeps A - lo I positive definite
+    and A - hi I not, and halves down to adjacent doubles; hi starts at twice
+    the largest diagonal entry, which exceeds every eigenvalue.
+    """
+    lo, hi = 0.0, 2.0 * float(max(row[i] for i, row in enumerate(A)))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if _positive_definite(A, mid):
+            lo = mid
+        else:
+            hi = mid
+
 
 def _solve_exact(A, b):
-    # Gauss-Jordan with exact pivots; matrices here are tiny (N <= 6 or so)
+    # Gauss-Jordan with exact pivots
     n = len(b)
     M = [row[:] + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
@@ -133,17 +195,21 @@ def _solve_exact(A, b):
 def exact_params(p):
     """Exact Fraction-valued constants: (gamma, gamma_vec, kappa1, kappa2, kappa3).
 
-    Independent of the floating-point path; used for display and as a test
-    oracle.
+    The one place the constants are computed; build_params rounds these.
+    Raises NonPositiveDetected if A1 is singular or gamma is not positive,
+    which a correctly built A1 rules out.
     """
-    if not isinstance(p, ExponentSet):
-        p = ExponentSet(tuple(p))
+    p = _exponent_set(p)
     pv = p.p
-    A1 = [[Fraction(pi * pj, pi + pj - 1) for pj in pv] for pi in pv]
-    a0 = [Fraction(1, pj + 1) for pj in pv]
+    A1, _, a0 = _matrices(pv)
     one_minus_a0 = [1 - a for a in a0]
-    gamma_vec = _solve_exact(A1, one_minus_a0)
+    try:
+        gamma_vec = _solve_exact(A1, one_minus_a0)
+    except ZeroDivisionError as exc:
+        raise NonPositiveDetected(f"A1 singular for p={pv}") from exc
     gamma = sum(x * y for x, y in zip(one_minus_a0, gamma_vec))
+    if gamma <= 0:
+        raise NonPositiveDetected(f"gamma = {gamma} is not positive for p={pv}")
     kappa1 = sum(x * y for x, y in zip(a0, gamma_vec))
     kappa2 = sum(gamma_vec)
     kappa3 = sum(pj * gj for pj, gj in zip(pv, gamma_vec))

@@ -146,15 +146,21 @@ def fundamental_checks(grid):
     }
 
 
+def _bordered(params, xi2):
+    """The bordered matrices of q at each xi^2 of the 1-D array xi2, stacked
+    into one (len(xi2), N+1, N+1) array."""
+    N = params.p.N
+    border = 1.0 - params.a0
+    M = np.zeros((len(xi2), N + 1, N + 1))
+    M[:, 0, 1:] = border
+    M[:, 1:, 0] = border
+    M[:, 1:, 1:] = xi2[:, None, None] * (params.A0 - params.a0) + params.A1
+    return M
+
+
 def q_eval(params, xi2):
     """The bordered determinant q at a single value of xi^2."""
-    N = params.p.N
-    M = np.empty((N + 1, N + 1))
-    M[0, 0] = 0.0
-    M[0, 1:] = 1.0 - params.a0
-    M[1:, 0] = 1.0 - params.a0
-    M[1:, 1:] = xi2 * (params.A0 - np.outer(np.ones(N), params.a0)) + params.A1
-    return -float(np.linalg.det(M))
+    return -float(np.linalg.det(_bordered(params, np.array([xi2]))[0]))
 
 
 def q_positivity(p):
@@ -162,11 +168,12 @@ def q_positivity(p):
 
     q is a degree N-1 polynomial in xi^2 and provably bounded below by a
     positive constant; a nonpositive sample would mean the matrices are
-    built wrong, hence the hard error.
+    built wrong, hence the hard error.  All samples share one determinant
+    call on the stacked matrices.
     """
     params = build_params(p)
     xs = np.linspace(0.0, Q_XI_MAX, Q_SAMPLES)
-    qs = np.array([q_eval(params, xi * xi) for xi in xs])
+    qs = -np.linalg.det(_bordered(params, xs * xs))
     qmin = float(qs.min())
     if qmin <= 0.0:
         raise NonPositiveDetected(

@@ -41,10 +41,13 @@ def test_help_exits_0(capsys):
 
 
 def test_solver_failure_exits_1(capsys):
-    assert run(["solve", "--delta", "0.7"]) == 1
-    err = capsys.readouterr().err
-    assert "NoSolitaryRoot" in err
-    assert "0.62633493" in err
+    for args in (["solve"], ["compare-kdv"],
+                 ["dimensional", "--depth", "2", "--gravity", "9.81"]):
+        assert run([*args, "--delta", "0.7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: NoSolitaryRoot" in err
+        assert "0.62633493" in err
 
 
 def test_critical_output(capsys):
@@ -55,11 +58,31 @@ def test_critical_output(capsys):
     assert "slope_dim = 0.243971566685" in out
 
 
+# params --p 2 --exact as printed from numpy's float solve and eigvalsh;
+# rounding the exact values must not change a byte of it
+PARAMS_2_EXACT = """\
+p = [2]
+gamma = 0.333333333333
+gamma_vec = [0.5]
+kappa1 = 0.166666666667
+kappa2 = 0.5
+kappa3 = 1
+min_eig_A1 = 1.33333333333
+min_eig_A0_centered = 0.0888888888889
+exact gamma = 1/3
+exact gamma_vec = [1/2]
+exact kappa1 = 1/6
+exact kappa2 = 1/2
+exact kappa3 = 1
+"""
+
+
 def test_params_exact(capsys):
     assert run(["params", "--p", "2", "--exact"]) == 0
-    out = capsys.readouterr().out
-    assert "exact gamma = 1/3" in out
-    assert "kappa3 = 1" in out
+    assert capsys.readouterr().out == PARAMS_2_EXACT
+    # exact zeros print as 0, not as the rounding noise of a float solve
+    assert run(["params", "--p", "1,2,3"]) == 0
+    assert "gamma_vec = [0, 0.5, 0]\n" in capsys.readouterr().out
 
 
 def test_params_usage_error():

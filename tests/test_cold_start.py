@@ -2,13 +2,14 @@
 
 `import ikwave` resolves its exports lazily and loads neither.  The commands
 that need only crest values (critical, crest, table) and usage errors load
-no numpy; no command loads scipy, and the commands that integrate run with
-scipy made unimportable.
+no numpy, nor dataclasses or json; params and a delta beyond the critical
+value load no numpy either.  No command loads scipy, and the commands that
+integrate run with scipy made unimportable.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported numpy and scipy.  The command runs through runpy, as
 `python -m ikwave` would, and the script then reports the exit code and
-which of numpy and scipy were loaded.
+which of numpy, scipy, dataclasses and json were loaded.
 """
 
 import importlib
@@ -23,7 +24,9 @@ import ikwave
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LOADED = 'print(*sorted({"numpy", "scipy"} & set(sys.modules)))'
+LOADED = ('print(*sorted({"numpy", "scipy", "dataclasses", "json"}'
+          ' & set(sys.modules)))')
+ARRAY = {"numpy", "scipy"}
 
 SCRIPT = """
 import runpy, sys
@@ -48,7 +51,7 @@ def _fresh(code, args, tmp_path):
 
 
 def _command(args, tmp_path):
-    """(exit code, the set of numpy and scipy loaded) of one command."""
+    """(exit code, the set of LOADED's modules loaded) of one command."""
     code, *loaded = _fresh(SCRIPT, args, tmp_path)
     return int(code), set(loaded)
 
@@ -80,7 +83,8 @@ def test_command_without_integration_does_not_load_scipy(args, exit_code,
     assert code == exit_code and "scipy" not in loaded
 
 
-CREST_ONLY = [
+# the crest layer's commands and usage errors
+CREST_LAYER = [
     (["critical"], 0),
     (["crest", "--delta", "0.3"], 0),
     (["table"], 0),
@@ -88,12 +92,25 @@ CREST_ONLY = [
     (["bogus"], 2),
     (["solve", "--dx", "0.01"], 2),
 ]
+# params prints exact constants; beyond delta_c the crest solve fails first
+CREST_ONLY = CREST_LAYER + [
+    (["params"], 0),
+    (["params", "--p", "2", "--exact"], 0),
+    (["params", "--p", "1,2,3"], 0),
+    (["solve", "--delta", "0.7"], 1),
+    (["compare-kdv", "--delta", "0.7"], 1),
+    (["dimensional", "--delta", "0.7", "--depth", "2", "--gravity", "9.81"],
+     1),
+]
 
 
 @pytest.mark.parametrize("args, exit_code", CREST_ONLY,
                          ids=[" ".join(args) for args, _ in CREST_ONLY])
 def test_crest_only_command_does_not_load_numpy(args, exit_code, tmp_path):
-    assert _command(args, tmp_path) == (exit_code, set())
+    code, loaded = _command(args, tmp_path)
+    assert (code, loaded & ARRAY) == (exit_code, set())
+    if (args, exit_code) in CREST_LAYER:
+        assert loaded == set()
 
 
 INTEGRATING = [
@@ -108,7 +125,8 @@ INTEGRATING = [
 @pytest.mark.parametrize("args", INTEGRATING,
                          ids=[" ".join(args) for args in INTEGRATING])
 def test_integrating_command_needs_no_scipy(args, tmp_path):
-    assert _command(args, tmp_path) == (0, {"numpy"})
+    code, loaded = _command(args, tmp_path)
+    assert (code, loaded & ARRAY) == (0, {"numpy"})
     # a None entry makes every import of scipy raise ImportError
     blocked = 'import sys\nsys.modules["scipy"] = None\n' + SCRIPT
     assert _fresh(blocked, args, tmp_path)[0] == "0"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import ExponentSet, NonPositiveDetected, build_params, check_positivity, exact_params
+from ikwave import model_params
 
 
 def test_single_quadratic_term_constants():
@@ -41,15 +43,16 @@ def test_exact_constants_two_terms():
 
 
 def test_float_path_matches_exact_path():
+    # every float is the exact value correctly rounded
     for p in [(2,), (1, 2), (2, 4), (1, 2, 3)]:
         params = build_params(p)
         gamma, gamma_vec, k1, k2, k3 = exact_params(p)
-        assert abs(params.gamma - float(gamma)) <= 1e-14
-        np.testing.assert_allclose(
-            params.gamma_vec, [float(g) for g in gamma_vec], atol=1e-14)
-        assert abs(params.kappa1 - float(k1)) <= 1e-14
-        assert abs(params.kappa2 - float(k2)) <= 1e-14
-        assert abs(params.kappa3 - float(k3)) <= 1e-14
+        assert params.gamma == float(gamma)
+        assert params.gamma_vec.tolist() == [float(g) for g in gamma_vec]
+        assert params.kappa1 == float(k1)
+        assert params.kappa2 == float(k2)
+        assert params.kappa3 == float(k3)
+    assert build_params([2]).gamma == 1.0 / 3.0
 
 
 def test_matrix_entries_single_term():
@@ -65,6 +68,74 @@ def test_positivity_report():
         report = check_positivity(build_params(p))
         assert report["min_eig_A1"] > 0.0
         assert report["min_eig_A0_centered"] > 0.0
+        assert check_positivity(p) == check_positivity(ExponentSet(p)) == report
+
+
+EXPONENT_SETS = [(2,), (1,), (1, 2), (2, 4), (2, 4, 6), (1, 2, 3),
+                 (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
+
+
+def _exact_matrices(p):
+    """A1 and A0 - a0 (x) a0 in Fractions, written out from their entries."""
+    A1 = [[Fraction(i * j, i + j - 1) for j in p] for i in p]
+    centered = [[Fraction(1, i + j + 1) - Fraction(1, (i + 1) * (j + 1))
+                 for j in p] for i in p]
+    return {"min_eig_A1": A1, "min_eig_A0_centered": centered}
+
+
+def _det(M):
+    # Laplace expansion along the first row
+    if not M:
+        return Fraction(1)
+    return sum((-1) ** k * M[0][k] * _det([row[:k] + row[k + 1:]
+                                           for row in M[1:]])
+               for k in range(len(M)))
+
+
+def _positive_definite(A, lam):
+    """Sylvester's criterion: every leading principal minor of A - lam I > 0."""
+    S = [[x - Fraction(lam) if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(A)]
+    return all(_det([row[:k] for row in S[:k]]) > 0
+               for k in range(1, len(S) + 1))
+
+
+@pytest.mark.parametrize("p", EXPONENT_SETS, ids=repr)
+def test_min_eig_is_the_last_double_below_the_spectrum(p):
+    report = check_positivity(p)
+    for name, A in _exact_matrices(p).items():
+        lam = report[name]
+        assert lam > 0.0
+        assert _positive_definite(A, lam)
+        assert not _positive_definite(A, math.nextafter(lam, math.inf))
+
+
+@pytest.mark.parametrize("p", EXPONENT_SETS, ids=repr)
+def test_min_eig_agrees_with_eigvalsh(p):
+    params = build_params(p)
+    report = check_positivity(p)
+    eps = np.finfo(float).eps
+    for name, A in (("min_eig_A1", params.A1),
+                    ("min_eig_A0_centered",
+                     params.A0 - np.outer(params.a0, params.a0))):
+        ev = np.linalg.eigvalsh(A)
+        # rounding A and eigvalsh's backward error move each eigenvalue by
+        # O(n eps |A|): a relative error of n eps cond(A) at the smallest
+        assert abs(report[name] - ev[0]) <= 4 * len(ev) * eps * ev[-1]
+
+
+@pytest.mark.parametrize("name", ["A1", "A0_centered"])
+def test_misbuilt_indefinite_matrix_raises(name, monkeypatch):
+    A1, A0, a0 = model_params._matrices((1, 2))
+    if name == "A1":
+        # the (2, 2) entry as 1/(p_i + p_j + 1): det = 1/5 - 1 < 0
+        A1 = [A1[0], [A1[1][0], Fraction(1, 5)]]
+    else:
+        # a0 = 1/p_j: the (1, 1) entry of A0 - a0 (x) a0 is 1/3 - 1 < 0
+        a0 = [Fraction(1, 1), Fraction(1, 2)]
+    monkeypatch.setattr(model_params, "_matrices", lambda pv: (A1, A0, a0))
+    with pytest.raises(NonPositiveDetected, match=name):
+        check_positivity((1, 2))
 
 
 def test_exponent_set_validation():

@@ -104,6 +104,26 @@ def test_q_positivity_minimum():
     assert theory_checks.Q_XI_MAX == 100.0 and theory_checks.Q_SAMPLES == 1001
 
 
+def _q_loop(params, xi2):
+    # one bordered matrix and one det call per sample, built entry by entry
+    N = params.p.N
+    M = np.empty((N + 1, N + 1))
+    M[0, 0] = 0.0
+    M[0, 1:] = 1.0 - params.a0
+    M[1:, 0] = 1.0 - params.a0
+    M[1:, 1:] = xi2 * (params.A0 - np.outer(np.ones(N), params.a0)) + params.A1
+    return -float(np.linalg.det(M))
+
+
+@pytest.mark.parametrize("p", [(2,), (1, 2), (2, 4, 6)], ids=repr)
+def test_stacked_q_matches_per_sample_loop(p):
+    params = build_params(p)
+    xs = np.linspace(0.0, theory_checks.Q_XI_MAX, theory_checks.Q_SAMPLES)
+    qs = [_q_loop(params, xi * xi) for xi in xs]
+    assert q_positivity(p) == min(qs)
+    assert [q_eval(params, xi * xi) for xi in xs] == qs
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4,
                 unique=True),
