@@ -197,6 +197,16 @@ def _solitary(delta, dx=None):
     return solve_solitary(delta, dx=dx)
 
 
+def _wrote_profile(path, gnuplot):
+    """Report the profile CSV at path and, with --gnuplot, write and report
+    a plot script for it next to it."""
+    print(f"wrote {path}")
+    if gnuplot:
+        gp = path.with_suffix(".gp")
+        write_text(gp, gnuplot_script(path.name))
+        print(f"wrote {gp}")
+
+
 def cmd_solve(args):
     profile = _solitary(args.delta, dx=args.dx)
     path = resolve_out_path(args.out or _default_name("profile", args.delta))
@@ -208,11 +218,7 @@ def cmd_solve(args):
     _kv("samples", len(profile.x))
     _kv("max_abs_I1", abs(profile.I1).max())
     _kv("max_abs_I2", abs(profile.I2).max())
-    print(f"wrote {path}")
-    if args.gnuplot:
-        gp = path.with_suffix(".gp")
-        write_text(gp, gnuplot_script(path.name))
-        print(f"wrote {gp}")
+    _wrote_profile(path, args.gnuplot)
     return 0
 
 
@@ -271,11 +277,7 @@ def cmd_extreme(args):
     _kv("slope_dim", cp.slope_dim)
     _kv("theta_deg", cp.theta_deg)
     _kv("samples", len(profile.x))
-    print(f"wrote {path}")
-    if args.gnuplot:
-        gp = path.with_suffix(".gp")
-        write_text(gp, gnuplot_script(path.name))
-        print(f"wrote {gp}")
+    _wrote_profile(path, args.gnuplot)
     return 0
 
 

@@ -18,11 +18,13 @@ values to doubles (float(Fraction) is correctly rounded) and wraps them in
 numpy arrays, which is the only use of numpy here; it is imported there, so
 the params command runs on the standard library.
 
-A1 and A0 - a0 (x) a0 are positive definite.  check_positivity proves it
-with exact LDL^T pivots and reports, for each, the largest double below its
-smallest eigenvalue, found by bisection over doubles on Sylvester's law of
-inertia: the number of negative pivots of A - lambda I is the number of
-eigenvalues of A below lambda.
+A1 and A0 - a0 (x) a0 are positive definite.  One exact elimination
+without row exchanges does all the linear algebra: its pivots are those of
+the LDL^T factorisation, so by Sylvester's law of inertia A - lambda I is
+positive definite exactly when every pivot is > 0.  Run on [A1 | 1 - a0]
+it proves A1 positive definite and leaves gamma_vec to back-substitution.
+check_positivity runs it on both matrices and reports, for each, the
+largest double below its smallest eigenvalue, found by bisection.
 """
 
 from dataclasses import dataclass
@@ -111,8 +113,8 @@ def check_positivity(p):
 
     p is what exact_params takes, or a ModelParams.  Both matrices are
     rebuilt in Fractions and are provably positive definite; a pivot <= 0
-    of their exact LDL^T factorisation, the sign of a mis-built matrix,
-    raises NonPositiveDetected.  Each reported value is the largest double
+    of their exact elimination, the sign of a mis-built matrix, raises
+    NonPositiveDetected.  Each reported value is the largest double
     lambda for which A - lambda I is still positive definite: the largest
     double below the smallest eigenvalue, so it is > 0 and within one ulp
     of it.  Returns {"min_eig_A1": ..., "min_eig_A0_centered": ...}.
@@ -123,7 +125,7 @@ def check_positivity(p):
                 for row, ai in zip(A0, a0)]
     report = {}
     for name, A in (("A1", A1), ("A0_centered", centered)):
-        if not _positive_definite(A, 0.0):
+        if _eliminate(A) is None:
             raise NonPositiveDetected(
                 f"{name} is not positive definite for p={p.p}")
         report["min_eig_" + name] = _smallest_eigenvalue(A)
@@ -133,80 +135,69 @@ def check_positivity(p):
 # ---------------------------------------------------------------------------
 # exact-rational linear algebra; matrices here are tiny (N <= 6 or so)
 
-def _positive_definite(A, shift):
-    """Whether the symmetric Fraction matrix A - shift I is positive definite.
+def _eliminate(A, shift=0):
+    """Forward elimination of A - shift I, or None at the first pivot <= 0.
 
-    shift is a float, taken exactly.  By Sylvester's law of inertia the
-    pivots of the LDL^T factorisation have the signs of the eigenvalues, so
-    A - shift I is positive definite exactly when every pivot is > 0; the
-    elimination stops at the first that is not.
+    A holds Fraction rows: a symmetric n x n matrix, with any right-hand
+    sides appended as further columns, which the elimination carries along.
+    shift is a float, taken exactly, and comes off the n diagonal entries.
+    The pivots are those of the LDL^T factorisation, so by Sylvester's law
+    of inertia A - shift I is positive definite exactly when every pivot is
+    > 0.  Returns the eliminated rows: from the diagonal rightwards they
+    hold the upper-triangular system (entries left of it are not cleared).
     """
     shift = Fraction(shift)
-    n = len(A)
     M = [[x - shift if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(A)]
-    for k in range(n):
-        pivot = M[k][k]
+    for k, row in enumerate(M):
+        pivot = row[k]
         if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = M[i][k] / pivot
-            for j in range(k + 1, n):
-                M[i][j] -= f * M[k][j]
-    return True
+            return None
+        for lower in M[k + 1:]:
+            f = lower[k] / pivot
+            for j in range(k + 1, len(row)):
+                lower[j] -= f * row[j]
+    return M
 
 
 def _smallest_eigenvalue(A):
     """The largest double lambda with A - lambda I positive definite.
 
     A must be positive definite.  Bisection keeps A - lo I positive definite
-    and A - hi I not, and halves down to adjacent doubles; hi starts at twice
-    the largest diagonal entry, which exceeds every eigenvalue.
+    and A - hi I not, and halves down to adjacent doubles.  hi starts at
+    twice the largest diagonal entry: no diagonal entry is below the
+    smallest eigenvalue, so hi exceeds it (though not always the largest).
     """
     lo, hi = 0.0, 2.0 * float(max(row[i] for i, row in enumerate(A)))
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
-        if _positive_definite(A, mid):
+        if _eliminate(A, mid) is not None:
             lo = mid
         else:
             hi = mid
-
-
-def _solve_exact(A, b):
-    # Gauss-Jordan with exact pivots
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular exact system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
 
 
 def exact_params(p):
     """Exact Fraction-valued constants: (gamma, gamma_vec, kappa1, kappa2, kappa3).
 
     The one place the constants are computed; build_params rounds these.
-    Raises NonPositiveDetected if A1 is singular or gamma is not positive,
-    which a correctly built A1 rules out.
+    Raises NonPositiveDetected if A1 is not positive definite or gamma is
+    not positive, which correctly built matrices rule out.
     """
     p = _exponent_set(p)
     pv = p.p
     A1, _, a0 = _matrices(pv)
     one_minus_a0 = [1 - a for a in a0]
-    try:
-        gamma_vec = _solve_exact(A1, one_minus_a0)
-    except ZeroDivisionError as exc:
-        raise NonPositiveDetected(f"A1 singular for p={pv}") from exc
+    U = _eliminate([row + [b] for row, b in zip(A1, one_minus_a0)])
+    if U is None:
+        raise NonPositiveDetected(f"A1 is not positive definite for p={pv}")
+    n = len(pv)
+    gamma_vec = [None] * n
+    for k in reversed(range(n)):
+        tail = sum(U[k][j] * gamma_vec[j] for j in range(k + 1, n))
+        gamma_vec[k] = (U[k][n] - tail) / U[k][k]
     gamma = sum(x * y for x, y in zip(one_minus_a0, gamma_vec))
     if gamma <= 0:
         raise NonPositiveDetected(f"gamma = {gamma} is not positive for p={pv}")

@@ -227,6 +227,15 @@ class _Curve:
         return eta, u, phi1, slope
 
 
+def _check_range(name, values, end):
+    """Raise ValueError unless every one of values lies in [0, end]."""
+    values = np.ravel(np.asarray(values, dtype=float))
+    outside = ~((values >= 0.0) & (values <= end))
+    if outside.any():
+        raise ValueError(f"{name} must lie in [0, {float(end)!r}]; "
+                         f"got {float(values[outside][0])!r}")
+
+
 class CurveInterpolant:
     """(eta, u, phi1) anywhere on [0, x_end] of a half profile.
 
@@ -235,7 +244,8 @@ class CurveInterpolant:
     x is inverted to z by Newton sweeps on x(z), started from linear
     interpolation between the samples.  Each point leaves the sweeps after
     its own last step, so its value does not depend on the other points of
-    the call.
+    the call.  An x outside [0, x_end], a z outside [0, Z_END] or a NaN
+    raises ValueError: the panel table covers that range only.
     """
 
     def __init__(self, curve, panels):
@@ -255,11 +265,13 @@ class CurveInterpolant:
 
     def along_z(self, z):
         """(x, eta) at the given z, with no inversion."""
+        _check_range("z", z, self._z[-1])
         return self._x_of_z(z), self._curve.at(z)[0]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
+        _check_range("x", flat, self._x[-1])
         z = np.interp(flat, self._x, self._z)
         todo = np.arange(z.size)
         for _ in range(NEWTON_MAX_SWEEPS):

@@ -45,7 +45,7 @@ class WaveProfile:
     I2: np.ndarray
     eta_max: float
     kappa0: Optional[float]  # None for the extreme wave (corner crest)
-    interpolant: CurveInterpolant  # (eta, u, phi1) at any x of the right half
+    interpolant: CurveInterpolant  # (eta, u, phi1) at any x in [0, x_end]
 
 
 def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, interpolant):
@@ -94,8 +94,10 @@ def solve_solitary(delta, dx=None):
     half = integrate_half(crest)
     x, eta, u, phi1 = half.x, half.eta, half.u, half.phi1
     if dx is not None:
-        n = int(np.floor(x[-1] / dx + 1e-9))
+        n = int(np.floor(x[-1] / dx))
+        # n dx can round past x_end by an ulp, as 35 * 0.01 > 0.35 does
         xs = np.arange(n + 1) * dx
+        xs = xs[xs <= x[-1]]
         eta, u, phi1 = half.interpolant(xs)
         x = xs
     return assemble_profile(

@@ -85,9 +85,11 @@ def test_params_exact(capsys):
     assert "gamma_vec = [0, 0.5, 0]\n" in capsys.readouterr().out
 
 
-def test_params_usage_error():
-    assert run(["params", "--p", "2,x"]) == 2
-    assert run(["params", "--p", ""]) == 2
+def test_params_usage_error(capsys):
+    # unparsable, empty, and parsable but rejected by ExponentSet
+    for p in ["2,x", "", "2,1", "2,2", "0"]:
+        assert run(["params", "--p", p]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_crest_prints_block(capsys):
@@ -120,7 +122,7 @@ def test_table_matches_reference(capsys):
 
 
 @pytest.mark.parametrize("deltas", ["0,0.5", "-0.1", "nan", "inf", "0.6,x",
-                                    "0.6,1e-200"])
+                                    "0.6,1e-200", ","])
 def test_table_rejects_bad_deltas(deltas, capsys):
     assert run(["table", "--deltas", deltas]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -143,10 +145,15 @@ def test_solve_writes_csv(out_dir, capsys):
 
 
 def test_solve_gnuplot_flag(out_dir, capsys):
-    assert run(["solve", "--delta", "0.3", "--out", "p.csv", "--gnuplot"]) == 0
-    assert (out_dir / "p.csv").exists()
-    script = (out_dir / "p.gp").read_text()
-    assert "'p.csv'" in script
+    # solve and extreme share the plot-script tail
+    for command in (["solve", "--delta", "0.3"], ["extreme"]):
+        name = command[0]
+        assert run(command + ["--out", f"{name}.csv", "--gnuplot"]) == 0
+        assert (out_dir / f"{name}.csv").exists()
+        script = (out_dir / f"{name}.gp").read_text()
+        assert f"'{name}.csv'" in script
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"wrote {out_dir / name}.csv", f"wrote {out_dir / name}.gp"]
 
 
 def test_solve_rerun_is_byte_identical(out_dir):

@@ -136,6 +136,10 @@ def test_misbuilt_indefinite_matrix_raises(name, monkeypatch):
     monkeypatch.setattr(model_params, "_matrices", lambda pv: (A1, A0, a0))
     with pytest.raises(NonPositiveDetected, match=name):
         check_positivity((1, 2))
+    if name == "A1":
+        # nonsingular, so only the pivot test stops the solve for gamma_vec
+        with pytest.raises(NonPositiveDetected, match="A1 is not positive"):
+            exact_params((1, 2))
 
 
 def test_exponent_set_validation():

@@ -259,6 +259,24 @@ def test_interpolant_value_does_not_depend_on_the_batch(delta):
         assert differ == []
 
 
+@pytest.mark.parametrize("delta", [0.3, "extreme"])
+def test_interpolant_rejects_points_off_the_half_profile(delta, critical_point):
+    half = _half(delta, critical_point)
+    interpolant, x_end = half.interpolant, half.x[-1]
+    for x in (-0.1, -3.0, np.nextafter(x_end, np.inf), x_end + 1.0, np.nan,
+              [0.0, np.nan]):
+        with pytest.raises(ValueError, match="x must lie in") as raised:
+            interpolant(x)
+        assert f"[0, {float(x_end)!r}]" in str(raised.value)
+    for z in (-1e-3, np.nextafter(profile_ode.Z_END, np.inf), 10.0, np.nan):
+        with pytest.raises(ValueError, match="z must lie in"):
+            interpolant.along_z(z)
+    # the ends of the range are the first and last samples, bit for bit
+    for k in (0, -1):
+        assert [float(a) for a in interpolant(half.x[k])] == [
+            half.eta[k], half.u[k], half.phi1[k]]
+
+
 def test_crest_curvature_against_reference():
     # -kappa(0) column of the crest sweep
     for delta, neg_kappa in [(0.6, 2.34087), (0.62, 4.85676), (0.625, 10.4536)]:

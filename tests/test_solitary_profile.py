@@ -69,6 +69,19 @@ def test_dx_minimum_is_accepted():
     np.testing.assert_allclose(np.diff(p.x), DX_MIN, rtol=1e-9)
 
 
+def test_dx_grid_stays_inside_the_half_profile():
+    # for some cell counts n, dx = x_end / n has x_end / dx == n but
+    # n * dx > x_end by an ulp: that point is dropped rather than sent to
+    # the interpolant, which rejects it
+    x_end = solve_solitary(0.3).x[-1]
+    cells = [n for n in range(1, 200)
+             if np.floor(x_end / (x_end / n)) * (x_end / n) > x_end]
+    assert cells
+    for n in cells[:3]:
+        p = solve_solitary(0.3, dx=x_end / n)
+        assert p.x[-1] < x_end and len(p.x) == 2 * n - 1
+
+
 BAD_POSITIVE = [float("nan"), float("inf"), 0.0]
 
 
