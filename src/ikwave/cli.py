@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 solver failure (no crest root beyond the critical
-shallowness, integrator step underflow, ...), 2 usage error.  All numeric
-output carries 12 significant digits.  An absolute --out path is used as
-given; a relative one lands in $IK_OUT_DIR, else the working directory.
-Reruns with the same flags are byte-identical.
+shallowness, integrator step underflow, ...) or a stdout closed early, 2
+usage error.  Arguments are checked by the library's own checks
+(check_delta, check_dx, ExponentSet), whose message a usage error carries.
+All numeric output carries 12 significant digits.  An absolute --out path
+is used as given; a relative one lands in $IK_OUT_DIR, else the working
+directory.  Reruns with the same flags are byte-identical.
 
 numpy is loaded only by the commands that compute a profile or an array:
 solve, compare-kdv, extreme, dimensional, checks and reproduce-paper.
@@ -18,9 +20,10 @@ No command loads scipy.
 
 import argparse
 import math
+import os
 import sys
 
-from .crest_init import (DX_MIN, check_delta, crest_curvature,
+from .crest_init import (TableRow, check_delta, check_dx, crest_curvature,
                          crest_denominator, diagnostics_table, solve_crest,
                          solve_critical)
 from .errors import IkwaveError
@@ -49,49 +52,39 @@ def _positive(text):
     return v
 
 
-def _delta(text):
-    v = _positive(text)
-    try:
-        return check_delta(v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked(check):
+    """check as an argparse type: its ValueError becomes a usage error."""
+    def parse(text):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
-def _step(text):
-    v = _positive(text)
-    if v < DX_MIN:
-        raise argparse.ArgumentTypeError(f"must be at least {DX_MIN!r}: {text!r}")
-    return v
+def _listed(check):
+    """check on each item of a comma-separated list; ValueError if none."""
+    def parse(text):
+        vals = tuple(check(t) for t in text.split(",") if t)
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+    return parse
 
 
-def _delta_list(text):
-    vals = tuple(_delta(t) for t in text.split(",") if t)
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
-
-
-def _exponent_list(text):
-    try:
-        vals = tuple(int(t) for t in text.split(",") if t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad exponent list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty exponent list")
+def _exponents(text):
+    """The exponents of a comma-separated list, checked by ExponentSet."""
+    p = _listed(int)(text)
     from .model_params import ExponentSet
-    try:
-        ExponentSet(vals)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return vals
+    return ExponentSet(p).p
 
 
-def _kv(name, value):
-    print(f"{name} = {fmt(value)}")
-
-
-def _vec(name, values):
-    print(f"{name} = [" + ", ".join(fmt(v) for v in values) + "]")
+def _kv(name, value, number=fmt):
+    """Print name = value, a list or tuple as [v1, v2, ...]."""
+    if isinstance(value, (list, tuple)):
+        print(f"{name} = [" + ", ".join(map(number, value)) + "]")
+    else:
+        print(f"{name} = {number(value)}")
 
 
 def build_parser():
@@ -102,51 +95,56 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="model matrices and scalar constants")
-    p.add_argument("--p", type=_exponent_list, default=(2,),
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("params", cmd_params, "model matrices and scalar constants")
+    p.add_argument("--p", type=_checked(_exponents), default=(2,),
                    help="comma-separated expansion exponents (default 2)")
     p.add_argument("--exact", action="store_true",
                    help="print exact rational values")
 
-    p = sub.add_parser("crest", help="crest state at a given shallowness")
-    p.add_argument("--delta", type=_delta, required=True)
+    p = command("crest", cmd_crest, "crest state at a given shallowness")
+    p.add_argument("--delta", type=_checked(check_delta), required=True)
 
-    p = sub.add_parser("solve", help="solve a full solitary profile to CSV")
-    p.add_argument("--delta", type=_delta, required=True)
+    p = command("solve", cmd_solve, "solve a full solitary profile to CSV")
+    p.add_argument("--delta", type=_checked(check_delta), required=True)
     p.add_argument("--out", default=None, help="CSV path")
-    p.add_argument("--dx", type=_step, default=None,
+    p.add_argument("--dx", type=_checked(check_dx), default=None,
                    help="uniform resampling step")
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a plot script next to the CSV")
 
-    p = sub.add_parser("table", help="crest diagnostics over a delta sweep")
-    p.add_argument("--deltas", type=_delta_list,
+    p = command("table", cmd_table, "crest diagnostics over a delta sweep")
+    p.add_argument("--deltas", type=_checked(_listed(check_delta)),
                    default=TABLE_DELTAS,
                    help="comma-separated shallowness values")
 
-    p = sub.add_parser("compare-kdv",
-                       help="sup-norm distance from the classical soliton")
-    p.add_argument("--delta", type=_delta, required=True)
+    p = command("compare-kdv", cmd_compare_kdv,
+                "sup-norm distance from the classical soliton")
+    p.add_argument("--delta", type=_checked(check_delta), required=True)
 
-    sub.add_parser("critical", help="critical point of extreme form")
+    command("critical", cmd_critical, "critical point of extreme form")
 
-    p = sub.add_parser("extreme", help="extreme-wave profile to CSV")
+    p = command("extreme", cmd_extreme, "extreme-wave profile to CSV")
     p.add_argument("--out", default=None, help="CSV path")
     p.add_argument("--gnuplot", action="store_true")
 
-    p = sub.add_parser("dimensional",
-                       help="profile in laboratory variables")
-    p.add_argument("--delta", type=_delta, required=True)
+    p = command("dimensional", cmd_dimensional,
+                "profile in laboratory variables")
+    p.add_argument("--delta", type=_checked(check_delta), required=True)
     p.add_argument("--depth", type=_positive, required=True)
     p.add_argument("--gravity", type=_positive, required=True)
     p.add_argument("--out", default=None, help="CSV path")
 
-    p = sub.add_parser("checks", help="analytic verification suite")
-    p.add_argument("--p", type=_exponent_list, default=(2,))
+    p = command("checks", cmd_checks, "analytic verification suite")
+    p.add_argument("--p", type=_checked(_exponents), default=(2,))
 
-    p = sub.add_parser("reproduce-paper",
-                       help="write the full reference output set "
-                            "(profiles, extreme wave, crest table, manifest)")
+    p = command("reproduce-paper", cmd_reproduce,
+                "write the full reference output set "
+                "(profiles, extreme wave, crest table, manifest)")
     p.add_argument("--out", default=None, help="output directory")
 
     return ap
@@ -154,32 +152,22 @@ def build_parser():
 
 def cmd_params(args):
     from .model_params import check_positivity, exact_params
+    exact = dict(zip(("gamma", "gamma_vec", "kappa1", "kappa2", "kappa3"),
+                     exact_params(args.p)))
+    _kv("p", args.p)
     # fmt rounds each Fraction to the nearest double, as build_params does
-    gamma, gamma_vec, k1, k2, k3 = exact_params(args.p)
-    _vec("p", args.p)
-    _kv("gamma", gamma)
-    _vec("gamma_vec", gamma_vec)
-    _kv("kappa1", k1)
-    _kv("kappa2", k2)
-    _kv("kappa3", k3)
-    report = check_positivity(args.p)
-    _kv("min_eig_A1", report["min_eig_A1"])
-    _kv("min_eig_A0_centered", report["min_eig_A0_centered"])
+    for name, value in (*exact.items(), *check_positivity(args.p).items()):
+        _kv(name, value)
     if args.exact:
-        print(f"exact gamma = {gamma}")
-        print("exact gamma_vec = [" + ", ".join(str(g) for g in gamma_vec) + "]")
-        print(f"exact kappa1 = {k1}")
-        print(f"exact kappa2 = {k2}")
-        print(f"exact kappa3 = {k3}")
+        for name, value in exact.items():
+            _kv(f"exact {name}", value, str)
     return 0
 
 
 def cmd_crest(args):
     crest = solve_crest(args.delta)
-    _kv("delta", crest.delta)
-    _kv("c", crest.c)
-    _kv("eta0", crest.eta0)
-    _kv("u0", crest.u0)
+    for name, value in crest._asdict().items():
+        _kv(name, value)
     _kv("d0", crest_denominator(crest))
     _kv("kappa0", crest_curvature(crest))
     return 0
@@ -222,26 +210,32 @@ def cmd_solve(args):
     return 0
 
 
+def _table_lines(rows, number):
+    """The crest table as CSV lines, headed by TableRow's value fields."""
+    *columns, _ = TableRow._fields
+    lines = [",".join(columns)]
+    for r in rows:
+        if r.error is None:
+            lines.append(",".join(map(number, r[:-1])))
+        else:
+            lines.append(number(r.delta) + ",error" * (len(columns) - 1)
+                         + f"  # {r.error}")
+    return lines
+
+
 def cmd_table(args):
     rows = diagnostics_table(args.deltas)
-    print("delta,eta0,neg_kappa0,d0")
-    failed = 0
-    for r in rows:
-        if r.error is not None:
-            failed += 1
-            print(f"{fmt(r.delta)},error,error,error  # {r.error}")
-        else:
-            print(f"{fmt(r.delta)},{fmt(r.eta0)},{fmt(r.neg_kappa0)},{fmt(r.d0)}")
-    return 1 if failed else 0
+    print(*_table_lines(rows, fmt), sep="\n")
+    return 1 if any(r.error is not None for r in rows) else 0
 
 
 def cmd_compare_kdv(args):
     profile = _solitary(args.delta)
-    from .solitary_profile import compare_kdv
+    from .solitary_profile import compare_kdv, kdv_profile
     err = compare_kdv(profile)
     _kv("delta", args.delta)
     _kv("eta_max", profile.eta_max)
-    _kv("kdv_max", (4.0 / 3.0) * args.delta ** 2)
+    _kv("kdv_max", kdv_profile(args.delta, 0.0))
     _kv("sup_error", err)
     # delta^4 underflows for delta below about 1e-77; delta^2 cannot
     _kv("sup_error_over_delta4", err / args.delta ** 2 / args.delta ** 2)
@@ -254,15 +248,8 @@ def cmd_compare_kdv(args):
 
 
 def cmd_critical(args):
-    cp = solve_critical()
-    _kv("delta_c", cp.delta_c)
-    _kv("eta_c0", cp.eta_c0)
-    _kv("u_c0", cp.u_c0)
-    _kv("c_c", cp.c_c)
-    _kv("v_c0", cp.v_c0)
-    _kv("slope_nondim", cp.slope_nondim)
-    _kv("slope_dim", cp.slope_dim)
-    _kv("theta_deg", cp.theta_deg)
+    for name, value in solve_critical()._asdict().items():
+        _kv(name, value)
     return 0
 
 
@@ -309,7 +296,7 @@ def cmd_checks(args):
     lines = []
 
     def check(name, value, ok):
-        lines.append((name, value, ok))
+        lines.append((name, value, ok(value)))
 
     check("kdv_residual", verify_kdv_solution(params.gamma, grid),
           lambda v: v <= 1e-12)
@@ -321,8 +308,7 @@ def cmd_checks(args):
           lambda v: abs(v + 2.0) <= 0.04)
     check("growth_exponent_u2", fc["growth_exponent_u2"],
           lambda v: abs(v - 2.0) <= 0.04)
-    qmin = q_positivity(args.p)
-    check("q_min", qmin, lambda v: v > 0.0)
+    check("q_min", q_positivity(args.p), lambda v: v > 0.0)
     if params.p.p == (2,):
         check("q_constant_dev", abs(q_eval(params, 0.0) - 4.0 / 9.0),
               lambda v: v <= 1e-14)
@@ -330,12 +316,9 @@ def cmd_checks(args):
         check("family_kdv_dev",
               float(np.max(np.abs(eta - kdv_profile(0.1, grid)))),
               lambda v: v <= 1e-15)
-    failed = 0
-    for name, value, ok in lines:
-        good = ok(value)
-        failed += 0 if good else 1
+    for name, value, good in lines:
         print(f"{'PASS' if good else 'FAIL'} {name} = {fmt(value)}")
-    return 1 if failed else 0
+    return 0 if all(good for *_, good in lines) else 1
 
 
 def _profile_csv_with_kdv(delta):
@@ -362,40 +345,28 @@ def reproduce_outputs(out_dir):
 
     from .extreme_wave import extreme_profile
     entries = []
+
+    def write(name, text, description):
+        write_text(out_dir / name, text)
+        entries.append({"file": name, "description": description})
+
     for delta in PROFILE_DELTAS:
-        name = _default_name("profile", delta)
-        write_text(out_dir / name, _profile_csv_with_kdv(delta))
-        entries.append({
-            "file": name,
-            "description": "surface elevation, velocity, and diagnostics at "
-                           f"delta={delta!r} on a uniform grid, with the "
-                           "classical-soliton reference column eta_kdv",
-        })
+        write(_default_name("profile", delta), _profile_csv_with_kdv(delta),
+              "surface elevation, velocity, and diagnostics at "
+              f"delta={delta!r} on a uniform grid, with the "
+              "classical-soliton reference column eta_kdv")
     for delta in ZOOM_DELTAS:
-        name = _default_name("crest_zoom", delta)
-        write_text(out_dir / name, _zoom_csv(delta))
-        entries.append({
-            "file": name,
-            "description": "near-crest samples (|x| <= 1) at "
-                           f"delta={delta!r} resolving the sharpening crest",
-        })
-    profile = extreme_profile(solve_critical())
-    write_text(out_dir / "extreme_profile.csv", profile_csv_text(profile))
-    entries.append({
-        "file": "extreme_profile.csv",
-        "description": "surface elevation and velocity of the extreme wave "
-                       "with its corner crest at x=0",
-    })
-    rows = diagnostics_table(TABLE_DELTAS)
-    table = ["delta,eta0,neg_kappa0,d0"]
-    for r in rows:
-        table.append(f"{r.delta!r},{r.eta0!r},{r.neg_kappa0!r},{r.d0!r}")
-    write_text(out_dir / "crest_table.csv", "\n".join(table) + "\n")
-    entries.append({
-        "file": "crest_table.csv",
-        "description": "wave height, crest curvature, and crest denominator "
-                       "over the shallowness sweep up to the critical value",
-    })
+        write(_default_name("crest_zoom", delta), _zoom_csv(delta),
+              "near-crest samples (|x| <= 1) at "
+              f"delta={delta!r} resolving the sharpening crest")
+    write("extreme_profile.csv",
+          profile_csv_text(extreme_profile(solve_critical())),
+          "surface elevation and velocity of the extreme wave "
+          "with its corner crest at x=0")
+    table = _table_lines(diagnostics_table(TABLE_DELTAS), repr)
+    write("crest_table.csv", "\n".join(table) + "\n",
+          "wave height, crest curvature, and crest denominator "
+          "over the shallowness sweep up to the critical value")
     manifest = {"files": entries}
     write_text(out_dir / "manifest.json",
                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -411,35 +382,27 @@ def cmd_reproduce(args):
     return 0
 
 
-_DISPATCH = {
-    "params": cmd_params,
-    "crest": cmd_crest,
-    "solve": cmd_solve,
-    "table": cmd_table,
-    "compare-kdv": cmd_compare_kdv,
-    "critical": cmd_critical,
-    "extreme": cmd_extreme,
-    "dimensional": cmd_dimensional,
-    "checks": cmd_checks,
-    "reproduce-paper": cmd_reproduce,
-}
-
-
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except IkwaveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
 def main():
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the flush at exit goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -81,8 +81,8 @@ D_MIN = 1e-13
 # G(gamma) changes sign once in this bracket of gamma = c^2 - 1
 GAMMA_BRACKET = (0.3, 1.0)
 # smallest resampling step of solve_solitary; the finest grid in use is
-# reproduce-paper's 0.002.  It lives here so that the CLI checks --dx
-# without numpy
+# reproduce-paper's 0.002.  It and check_dx live here so that the CLI
+# checks --dx without numpy
 DX_MIN = 1e-4
 
 
@@ -141,6 +141,15 @@ def check_delta(delta):
             f"delta must be positive and finite with delta^2 >= "
             f"{sys.float_info.min!r}, got {delta!r}")
     return delta
+
+
+def check_dx(dx):
+    """dx as a float; ValueError unless DX_MIN <= dx < inf."""
+    dx = float(dx)
+    if not DX_MIN <= dx < math.inf:
+        raise ValueError(f"must be at least {DX_MIN!r} (dx must be positive "
+                         f"and finite), got {dx!r}")
+    return dx
 
 
 def solve_crest(delta):

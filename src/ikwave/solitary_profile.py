@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .crest_init import (DX_MIN, TableRow,  # noqa: F401 (re-exported)
-                         crest_curvature, diagnostics_table, solve_crest)
+                         check_dx, crest_curvature, diagnostics_table,
+                         solve_crest)
 from .profile_ode import (Z_END, CurveInterpolant, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
@@ -84,12 +85,10 @@ def solve_solitary(delta, dx=None):
     crest, the panel nodes of x(z) and the end of the tail.  With dx given,
     they are replaced by a uniform grid of that spacing evaluated through
     the profile's interpolant (the final partial cell is dropped).  Raises
-    ValueError for a delta that solve_crest rejects and unless, when given,
-    DX_MIN <= dx < inf.
+    ValueError for a delta that solve_crest rejects and for a dx that
+    check_dx rejects.
     """
-    if dx is not None and not DX_MIN <= dx < np.inf:
-        raise ValueError(
-            f"dx must be positive and finite, at least {DX_MIN!r}; got {dx!r}")
+    dx = None if dx is None else check_dx(dx)
     crest = solve_crest(delta)
     half = integrate_half(crest)
     x, eta, u, phi1 = half.x, half.eta, half.u, half.phi1

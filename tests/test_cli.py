@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -6,6 +8,8 @@ import numpy as np
 import pytest
 
 from ikwave.cli import run
+from ikwave.crest_init import DX_MIN
+from ikwave.solitary_profile import solve_solitary
 
 
 @pytest.fixture
@@ -25,6 +29,35 @@ def test_usage_errors_exit_2():
     assert run(["crest", "--delta", "1e-155"]) == 2
     assert run(["dimensional", "--delta", "0.3", "--depth", "0",
                 "--gravity", "9.81"]) == 2
+
+
+@pytest.mark.parametrize("argv, argument", [
+    ([], "required: command"),
+    (["no-such-command"], "argument command:"),
+    (["solve"], "required: --delta"),
+    (["solve", "--delta", "-0.5"], "argument --delta:"),
+    (["solve", "--delta", "abc"], "argument --delta:"),
+    (["solve", "--delta", "1e-200"], "argument --delta:"),
+    (["crest", "--delta", "1e-155"], "argument --delta:"),
+    (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
+     "argument --depth:"),
+])
+def test_usage_errors_name_their_argument(argv, argument, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert argument in err
+    assert "Traceback" not in err
+
+
+# solve_solitary and --dx check dx with the one function, check_dx
+@pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf, 5e-5,
+                                math.nextafter(DX_MIN, 0.0)])
+def test_library_and_cli_reject_the_same_dx(dx, out_dir, capsys):
+    with pytest.raises(ValueError):
+        solve_solitary(0.3, dx=dx)
+    assert run(["solve", "--delta", "0.3", "--dx", repr(dx)]) == 2
+    assert "argument --dx: " in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("dx", ["1e-320", "1e-9", "5e-5"])
@@ -236,3 +269,19 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "delta_c = 0.626334930725" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["critical"], ["table"],
+                                  ["params", "--p", "2", "--exact"],
+                                  ["crest", "--delta", "0.3"]])
+def test_closed_stdout_exits_1_without_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ikwave", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import DELTA_C_APPROX, NoSolitaryRoot, phase_speed, solve_crest
+from ikwave.crest_init import DX_MIN, check_dx
 from ikwave.profile_ode import denominator, identity_residuals
 from oracles import decimal_crest_eta0, quartic_coeffs
 
@@ -73,7 +74,8 @@ def test_small_delta_height_series():
         assert abs(eta0 - series) <= eps ** 4 + 4.0 * np.spacing(series)
 
 
-@pytest.mark.parametrize("delta", [1e-8, 1e-20, 1e-100, 1.5e-154])
+# at 1e-79 the crest Newton ends on its t_next <= t exit
+@pytest.mark.parametrize("delta", [1e-8, 1e-20, 1e-79, 1e-100, 1.5e-154])
 def test_tiny_delta_has_a_crest(delta):
     crest = solve_crest(delta)
     assert crest.eta0 / ((4.0 / 3.0) * delta * delta) == pytest.approx(1.0, rel=1e-15)
@@ -85,6 +87,10 @@ def test_delta_with_subnormal_square_raises_value_error(delta):
     assert delta * delta < sys.float_info.min
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         solve_crest(delta)
+
+
+def test_check_dx_accepts_its_minimum():
+    assert check_dx(DX_MIN) == DX_MIN
 
 
 def test_no_root_beyond_critical_shallowness():

@@ -92,6 +92,11 @@ def test_half_trajectory_conserves_identities():
     assert half.eta[-1] < 1e-5
 
 
+def test_integrate_half_takes_only_a_crest_state():
+    with pytest.raises(TypeError, match="CrestState"):
+        integrate_half(tuple(solve_crest(0.45)))
+
+
 def test_achievable_tail_threshold_reached():
     for delta in (1e-4, 0.3, 0.6):
         half = integrate_half(solve_crest(delta))

@@ -4,7 +4,7 @@ import pytest
 from ikwave import (compare_kdv, diagnostics_table, dimensionalize,
                     kdv_profile, solve_solitary)
 from ikwave import solitary_profile
-from ikwave.solitary_profile import DX_MIN
+from ikwave.solitary_profile import DX_MIN, assemble_profile
 
 
 def test_reference_wave_heights(profile_cache):
@@ -61,6 +61,15 @@ def test_dx_below_minimum_raises_before_solving(dx, monkeypatch):
     monkeypatch.setattr(solitary_profile, "solve_crest", no_solve)
     with pytest.raises(ValueError, match=f"at least {DX_MIN!r}"):
         solve_solitary(0.3, dx=dx)
+
+
+def test_assembly_needs_a_half_grid_from_the_crest(profile_cache):
+    p = profile_cache(0.3)
+    right = p.x >= 0.0
+    with pytest.raises(ValueError, match="x = 0"):
+        assemble_profile(p.delta, p.c, p.x[right][1:], p.eta[right][1:],
+                         p.u[right][1:], p.phi1[right][1:], kappa0=p.kappa0,
+                         interpolant=p.interpolant)
 
 
 def test_dx_minimum_is_accepted():
