@@ -50,6 +50,7 @@ _EXPORTS = {
     "integrate_half": "profile_ode",
     "kdv_profile": "solitary_profile",
     "phase_speed": "crest_init",
+    "q_coefficients": "theory_checks",
     "q_eval": "theory_checks",
     "q_positivity": "theory_checks",
     "reconstruct_potentials": "profile_ode",

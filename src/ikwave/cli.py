@@ -1,31 +1,35 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 solver failure (no crest root beyond the critical
-shallowness, integrator step underflow, ...) or a stdout closed early, 2
-usage error.  Arguments are checked by the library's own checks
-(check_delta, check_dx, ExponentSet), whose message a usage error carries.
-All numeric output carries 12 significant digits.  An absolute --out path
-is used as given; a relative one lands in $IK_OUT_DIR, else the working
-directory.  Reruns with the same flags are byte-identical.
+shallowness, integrator step underflow, ...) or an OSError such as a stdout
+that was closed early or is full, 2 usage error.  An error other than a
+closed pipe is one line on stderr.  Arguments are checked by the library's
+own checks (check_delta, check_dx, check_positive, ExponentSet), whose
+message a usage error carries.  All numeric output carries 12 significant
+digits.  An absolute --out path is used as given; a relative one lands in
+$IK_OUT_DIR, else the working directory.  Reruns with the same flags are
+byte-identical.
 
-numpy is loaded only by the commands that compute a profile or an array:
-solve, compare-kdv, extreme, dimensional, checks and reproduce-paper.
-critical, crest and table need only crest values, which crest_init computes
-with the standard library, and params prints the exact constants of
-model_params, so neither they nor a usage error load numpy.  solve,
-compare-kdv and dimensional solve the crest first, so a delta beyond the
-critical shallowness fails with NoSolitaryRoot before numpy is imported.
-No command loads scipy.
+numpy is loaded only by the commands that compute a profile: solve,
+compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
+table need only crest values, which crest_init computes with the standard
+library; params prints the exact constants of model_params, and checks runs
+theory_checks, which needs only math and fractions, so neither they nor a
+usage error load numpy.  solve, compare-kdv and dimensional solve the crest
+first, so a delta beyond the critical shallowness fails with NoSolitaryRoot
+before numpy is imported.  No command loads scipy.  main() sets
+OPENBLAS_NUM_THREADS=1 unless it is already set, since no BLAS call here is
+large enough to use a thread pool; set it in the environment to override.
 """
 
 import argparse
-import math
 import os
 import sys
+from functools import partial
 
-from .crest_init import (TableRow, check_delta, check_dx, crest_curvature,
-                         crest_denominator, diagnostics_table, solve_crest,
-                         solve_critical)
+from .crest_init import (TableRow, check_delta, check_dx, check_positive,
+                         crest_curvature, crest_denominator,
+                         diagnostics_table, solve_crest, solve_critical)
 from .errors import IkwaveError
 from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
                      resolve_out_path, write_text)
@@ -40,16 +44,6 @@ TABLE_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.6263, 0.62633, 0.626334,
 # each crest zoom holds x = i * ZOOM_DX, |i| < ZOOM_SAMPLES, so |x| <= 1
 ZOOM_DX = 0.002
 ZOOM_SAMPLES = 501
-
-
-def _positive(text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v <= 0.0 or not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return v
 
 
 def _checked(check):
@@ -135,8 +129,9 @@ def build_parser():
     p = command("dimensional", cmd_dimensional,
                 "profile in laboratory variables")
     p.add_argument("--delta", type=_checked(check_delta), required=True)
-    p.add_argument("--depth", type=_positive, required=True)
-    p.add_argument("--gravity", type=_positive, required=True)
+    for name in ("depth", "gravity"):
+        p.add_argument(f"--{name}", required=True,
+                       type=_checked(partial(check_positive, name=name)))
     p.add_argument("--out", default=None, help="CSV path")
 
     p = command("checks", cmd_checks, "analytic verification suite")
@@ -285,20 +280,18 @@ def cmd_dimensional(args):
 
 
 def cmd_checks(args):
-    import numpy as np
-
-    from .model_params import build_params
-    from .solitary_profile import kdv_profile
-    from .theory_checks import (first_order_family, fundamental_checks,
-                                q_eval, q_positivity, verify_kdv_solution)
-    grid = np.linspace(-10.0, 10.0, 2001)
-    params = build_params(args.p)
+    from .model_params import exact_params
+    from .theory_checks import (family_deviation, fundamental_checks, q_eval,
+                                q_positivity, uniform_grid,
+                                verify_kdv_solution)
+    grid = uniform_grid(-10.0, 10.0, 2001)
     lines = []
 
     def check(name, value, ok):
         lines.append((name, value, ok(value)))
 
-    check("kdv_residual", verify_kdv_solution(params.gamma, grid),
+    check("kdv_residual",
+          verify_kdv_solution(float(exact_params(args.p)[0]), grid),
           lambda v: v <= 1e-12)
     fc = fundamental_checks(grid)
     check("ode_residual_u1", fc["ode_residual_u1"], lambda v: v <= 1e-10)
@@ -309,12 +302,10 @@ def cmd_checks(args):
     check("growth_exponent_u2", fc["growth_exponent_u2"],
           lambda v: abs(v - 2.0) <= 0.04)
     check("q_min", q_positivity(args.p), lambda v: v > 0.0)
-    if params.p.p == (2,):
-        check("q_constant_dev", abs(q_eval(params, 0.0) - 4.0 / 9.0),
+    if args.p == (2,):
+        check("q_constant_dev", abs(q_eval(args.p, 0.0) - 4.0 / 9.0),
               lambda v: v <= 1e-14)
-        c, eta, _, _ = first_order_family(0.1, 2.0 * params.gamma, grid)
-        check("family_kdv_dev",
-              float(np.max(np.abs(eta - kdv_profile(0.1, grid)))),
+        check("family_kdv_dev", family_deviation(0.1, grid),
               lambda v: v <= 1e-15)
     for name, value, good in lines:
         print(f"{'PASS' if good else 'FAIL'} {name} = {fmt(value)}")
@@ -395,12 +386,20 @@ def run(argv):
 
 
 def main():
+    # the largest BLAS call here is a 16 x 16 product, so OpenBLAS's worker
+    # threads only cost start-up time; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # Python's SIGPIPE recipe: the flush at exit goes to devnull instead
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stdout.flush()  # so that a failing stdout fails here, not at exit
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Python's SIGPIPE recipe: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
 

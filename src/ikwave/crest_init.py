@@ -152,6 +152,14 @@ def check_dx(dx):
     return dx
 
 
+def check_positive(value, name):
+    """value as a float; ValueError, naming it, unless 0 < value < inf."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def solve_crest(delta):
     """Crest initial data for a given shallowness delta.
 

@@ -84,6 +84,11 @@ def _matrices(pv):
     return A1, A0, a0
 
 
+def _centered(A0, a0):
+    """A0 - a0 (x) a0, exactly, from _matrices' A0 and a0."""
+    return [[x - ai * aj for x, aj in zip(row, a0)] for row, ai in zip(A0, a0)]
+
+
 def build_params(p):
     """All matrices and constants of an exponent set, in double precision.
 
@@ -121,10 +126,8 @@ def check_positivity(p):
     """
     p = _exponent_set(p)
     A1, A0, a0 = _matrices(p.p)
-    centered = [[x - ai * aj for x, aj in zip(row, a0)]
-                for row, ai in zip(A0, a0)]
     report = {}
-    for name, A in (("A1", A1), ("A0_centered", centered)):
+    for name, A in (("A1", A1), ("A0_centered", _centered(A0, a0))):
         if _eliminate(A) is None:
             raise NonPositiveDetected(
                 f"{name} is not positive definite for p={p.p}")

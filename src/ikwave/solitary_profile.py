@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .crest_init import (DX_MIN, TableRow,  # noqa: F401 (re-exported)
-                         check_dx, crest_curvature, diagnostics_table,
-                         solve_crest)
+                         check_dx, check_positive, crest_curvature,
+                         diagnostics_table, solve_crest)
 from .profile_ode import (Z_END, CurveInterpolant, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
@@ -150,9 +150,8 @@ def dimensionalize(profile, depth, gravity):
     is why the dimensional crest slope of the extreme wave carries a factor
     delta_c.
     """
-    if not (0.0 < depth < np.inf and 0.0 < gravity < np.inf):
-        raise ValueError(f"depth and gravity must be positive and finite, "
-                         f"got {depth!r} and {gravity!r}")
+    depth = check_positive(depth, "depth")
+    gravity = check_positive(gravity, "gravity")
     speed = float(np.sqrt(gravity * depth))
     return DimensionalProfile(
         depth=depth, gravity=gravity, delta=profile.delta,

@@ -1,6 +1,6 @@
 """Executable checks of the analytic ingredients behind the solver.
 
-Four independent pieces of theory admit direct numerical verification:
+Four independent pieces of theory admit direct verification:
 
 * the leading-order profile equation 2 c1 eta0 - (3/2) eta0^2 - gamma eta0''
   with c1 = 2 gamma, eta0 = 4 gamma sech^2 x, which vanishes identically;
@@ -18,69 +18,90 @@ Four independent pieces of theory admit direct numerical verification:
       q(xi^2) = -det( 0,      (1 - a0)^T            )
                     ( 1 - a0, xi^2 (A0 - 1 (x) a0) + A1 ),
 
-  a polynomial of degree N-1 in xi^2, which for p = [2] is the constant 4/9;
+  a polynomial of degree N-1 in s = xi^2, which for p = [2] is the constant
+  4/9;
 * the first-order small-amplitude family (c, eta, phi0, phi_vec) that every
   solitary solution approaches as delta -> 0.
 
-All derivatives here are hand-differentiated closed forms; no finite
-differencing or symbolic algebra is involved.
+q is proved positive for every xi, not sampled.  Adding multiples of the
+border row and column to the others turns A0 - 1 (x) a0 into the symmetric
+A0 - a0 (x) a0, so q(s) = det(S) b^T S^-1 b with S = A1 + s (A0 - a0 (x) a0)
+and b = 1 - a0.  model_params' exact elimination of [S | b] yields both: the
+pivots D_k multiply to det(S), and with y the eliminated b,
+b^T S^-1 b = sum y_k^2 / D_k.  q_coefficients does this in Fractions at
+s = 0, ..., N-1 and interpolates.  Positive coefficients prove
+q(s) >= q(0) > 0 for every s >= 0; otherwise Sturm's theorem counts the
+roots of q on s > 0 exactly.
+
+Everything here runs on the standard library.  Each closed form is written
+once, for one float, with math, and a grid is any sequence of floats.  All
+derivatives are hand-differentiated closed forms; no finite differencing or
+symbolic algebra is involved.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .errors import NonPositiveDetected
-from .model_params import build_params
-
-# q_positivity samples xi uniformly on [0, Q_XI_MAX]
-Q_XI_MAX = 100.0
-Q_SAMPLES = 1001
+from .model_params import (_centered, _eliminate, _exponent_set, _matrices,
+                           exact_params)
 
 
-def _sech(x):
-    return 1.0 / np.cosh(x)
+def uniform_grid(start, stop, num):
+    """num evenly spaced floats from start to stop, as numpy.linspace
+    spaces them: i * step + start, with stop itself last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _sech2(x):
+    """sech^2 x; 0 where cosh x overflows."""
+    try:
+        s = 1.0 / math.cosh(x)
+    except OverflowError:
+        return 0.0
+    return s * s
 
 
 def _u1(x):
-    s = _sech(x)
-    return s * s * np.tanh(x)
+    return _sech2(x) * math.tanh(x)
 
 
 def _u1_prime(x):
-    s2 = _sech(x) ** 2
+    s2 = _sech2(x)
     return s2 * (3.0 * s2 - 2.0)
 
 
 def _u1_second(x):
-    s2 = _sech(x) ** 2
-    return -4.0 * s2 * np.tanh(x) * (3.0 * s2 - 1.0)
+    s2 = _sech2(x)
+    return -4.0 * s2 * math.tanh(x) * (3.0 * s2 - 1.0)
 
 
 def _u2(x):
-    s2 = _sech(x) ** 2
-    t = np.tanh(x)
-    return 0.125 * (-6.0 - np.cosh(2.0 * x) + 15.0 * s2 - 15.0 * x * s2 * t)
+    s2 = _sech2(x)
+    t = math.tanh(x)
+    return 0.125 * (-6.0 - math.cosh(2.0 * x) + 15.0 * s2 - 15.0 * x * s2 * t)
 
 
 def _u2_prime(x):
-    s2 = _sech(x) ** 2
-    t = np.tanh(x)
-    return 0.125 * (-2.0 * np.sinh(2.0 * x) - 45.0 * s2 * t
+    s2 = _sech2(x)
+    t = math.tanh(x)
+    return 0.125 * (-2.0 * math.sinh(2.0 * x) - 45.0 * s2 * t
                     - 15.0 * x * s2 * (3.0 * s2 - 2.0))
 
 
 def _u2_second(x):
-    s2 = _sech(x) ** 2
-    t = np.tanh(x)
-    return 0.125 * (-4.0 * np.cosh(2.0 * x) - 60.0 * s2 * (3.0 * s2 - 2.0)
+    s2 = _sech2(x)
+    t = math.tanh(x)
+    return 0.125 * (-4.0 * math.cosh(2.0 * x) - 60.0 * s2 * (3.0 * s2 - 2.0)
                     + 60.0 * x * s2 * t * (3.0 * s2 - 1.0))
 
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Closed-form fundamental system of -u'' + (4 - 12 sech^2 x) u = 0."""
+    """Closed-form fundamental system of -u'' + (4 - 12 sech^2 x) u = 0,
+    each function of one float."""
 
     u1: callable
     u1_prime: callable
@@ -95,6 +116,11 @@ def fundamental_pair():
                            _u2, _u2_prime, _u2_second)
 
 
+def _eta0(gamma, x):
+    """The leading-order profile 4 gamma sech^2 x."""
+    return 4.0 * gamma * _sech2(x)
+
+
 def verify_kdv_solution(gamma, grid):
     """Max residual of 2 c1 eta0 - (3/2) eta0^2 - gamma eta0'' on the grid.
 
@@ -103,18 +129,30 @@ def verify_kdv_solution(gamma, grid):
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    grid = np.asarray(grid, dtype=float)
-    s2 = _sech(grid) ** 2
-    eta0 = 4.0 * gamma * s2
-    # (sech^2)'' = 4 sech^2 - 6 sech^4
-    eta0_second = 4.0 * gamma * (4.0 * s2 - 6.0 * s2 * s2)
-    res = 2.0 * (2.0 * gamma) * eta0 - 1.5 * eta0 ** 2 - gamma * eta0_second
-    return float(np.max(np.abs(res)))
+
+    def residual(x):
+        eta0 = _eta0(gamma, x)
+        s2 = _sech2(x)
+        # (sech^2)'' = 4 sech^2 - 6 sech^4
+        eta0_second = 4.0 * gamma * (4.0 * s2 - 6.0 * s2 * s2)
+        return (2.0 * (2.0 * gamma) * eta0 - 1.5 * eta0 * eta0
+                - gamma * eta0_second)
+
+    return max(abs(residual(x)) for x in grid)
 
 
-def _fit_exponent(x, y):
-    # slope of log|y| over x; y must be nonzero on the window
-    return float(np.polyfit(x, np.log(np.abs(y)), 1)[0])
+def _fit_exponent(xs, ys):
+    """Least-squares slope of log|y| over x; y must be nonzero there."""
+    logs = [math.log(abs(y)) for y in ys]
+    mx, ml = sum(xs) / len(xs), sum(logs) / len(logs)
+    return (sum((x - mx) * (v - ml) for x, v in zip(xs, logs))
+            / sum((x - mx) * (x - mx) for x in xs))
+
+
+def _ode_residual(u, u_second, x):
+    """|-u'' + (4 - 12 sech^2 x) u| at x, relative to max(1, |u|)."""
+    v = u(x)
+    return abs(-u_second(x) + (4.0 - 12.0 * _sech2(x)) * v) / max(1.0, abs(v))
 
 
 def fundamental_checks(grid):
@@ -127,59 +165,139 @@ def fundamental_checks(grid):
     the meaningful measure.  Tail exponents are least-squares slopes of
     log|u| on x in [3, 10].
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = [float(x) for x in grid]
     pair = fundamental_pair()
-    pot = 4.0 - 12.0 * _sech(grid) ** 2
-    u1v, u2v = pair.u1(grid), pair.u2(grid)
-    r1 = np.abs(-pair.u1_second(grid) + pot * u1v) / np.maximum(1.0, np.abs(u1v))
-    r2 = np.abs(-pair.u2_second(grid) + pot * u2v) / np.maximum(1.0, np.abs(u2v))
-    W = pair.u1_prime(grid) * pair.u2(grid) - pair.u1(grid) * pair.u2_prime(grid)
-    tail = grid[(grid >= 3.0) & (grid <= 10.0)]
-    if tail.size < 8:
-        tail = np.linspace(3.0, 10.0, 101)
+    tail = [x for x in grid if 3.0 <= x <= 10.0]
+    if len(tail) < 8:
+        tail = uniform_grid(3.0, 10.0, 101)
     return {
-        "ode_residual_u1": float(np.max(r1)),
-        "ode_residual_u2": float(np.max(r2)),
-        "wronskian_dev": float(np.max(np.abs(W - 1.0))),
-        "decay_exponent_u1": _fit_exponent(tail, pair.u1(tail)),
-        "growth_exponent_u2": _fit_exponent(tail, pair.u2(tail)),
+        "ode_residual_u1": max(_ode_residual(pair.u1, pair.u1_second, x)
+                               for x in grid),
+        "ode_residual_u2": max(_ode_residual(pair.u2, pair.u2_second, x)
+                               for x in grid),
+        "wronskian_dev": max(abs(pair.u1_prime(x) * pair.u2(x)
+                                 - pair.u1(x) * pair.u2_prime(x) - 1.0)
+                             for x in grid),
+        "decay_exponent_u1": _fit_exponent(tail, map(pair.u1, tail)),
+        "growth_exponent_u2": _fit_exponent(tail, map(pair.u2, tail)),
     }
 
 
-def _bordered(params, xi2):
-    """The bordered matrices of q at each xi^2 of the 1-D array xi2, stacked
-    into one (len(xi2), N+1, N+1) array."""
-    N = params.p.N
-    border = 1.0 - params.a0
-    M = np.zeros((len(xi2), N + 1, N + 1))
-    M[:, 0, 1:] = border
-    M[:, 1:, 0] = border
-    M[:, 1:, 1:] = xi2[:, None, None] * (params.A0 - params.a0) + params.A1
-    return M
+def _interpolate(values):
+    """Coefficients, lowest degree first, of the polynomial through
+    (s, values[s]) for s = 0, ..., len(values) - 1."""
+    n = len(values)
+    # Newton's divided differences on the unit-spaced nodes 0, ..., n - 1
+    d = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / k
+    # Horner in the Newton basis: c <- c (s - k) + d[k]
+    c = [d[-1]]
+    for k in range(n - 2, -1, -1):
+        c = ([d[k] - k * c[0]]
+             + [c[i - 1] - k * c[i] for i in range(1, len(c))] + [c[-1]])
+    return c
 
 
-def q_eval(params, xi2):
-    """The bordered determinant q at a single value of xi^2."""
-    return -float(np.linalg.det(_bordered(params, np.array([xi2]))[0]))
+def q_coefficients(p):
+    """Exact Fraction coefficients of q(s), s = xi^2, lowest degree first.
+
+    p is what exact_params takes, or a ModelParams.  Each q(s) at
+    s = 0, ..., N-1 is det(S) b^T S^-1 b from one exact elimination of
+    [S | b] (see the module docstring).  S is positive definite for s >= 0
+    when the matrices are built right; a pivot <= 0 raises
+    NonPositiveDetected.
+    """
+    p = _exponent_set(p)
+    A1, A0, a0 = _matrices(p.p)
+    C = _centered(A0, a0)
+    b = [1 - a for a in a0]
+    values = []
+    for s in range(p.N):
+        U = _eliminate([[x + s * y for x, y in zip(r1, rc)] + [bk]
+                        for r1, rc, bk in zip(A1, C, b)])
+        if U is None:
+            raise NonPositiveDetected(
+                f"A1 + {s} (A0 - a0 (x) a0) is not positive definite "
+                f"for p={p.p}")
+        pivots = [row[k] for k, row in enumerate(U)]
+        values.append(math.prod(pivots)
+                      * sum(row[-1] * row[-1] / dk
+                            for row, dk in zip(U, pivots)))
+    return _interpolate(values)
+
+
+def q_eval(p, xi2):
+    """q at one value of xi^2, exact and then correctly rounded."""
+    value = 0
+    for ck in reversed(q_coefficients(p)):
+        value = value * Fraction(xi2) + ck
+    return float(value)
+
+
+def _remainder(f, g):
+    """f mod g, polynomials as coefficient lists, lowest degree first, with
+    no trailing zeros; the zero polynomial is []."""
+    f = list(f)
+    while len(f) >= len(g):
+        r = f[-1] / g[-1]
+        for i, gi in enumerate(g, len(f) - len(g)):
+            f[i] -= r * gi
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_on_halfline(c):
+    """Whether the polynomial c (Fractions, lowest degree first) is > 0 for
+    every s >= 0: c(0) > 0 and, by Sturm's theorem, no root on s > 0."""
+    if c[0] <= 0:
+        return False
+    f = list(c)
+    while f[-1] == 0:
+        f.pop()
+    sturm = [f]
+    g = [k * ck for k, ck in enumerate(f)][1:]
+    while g:
+        sturm.append(g)
+        f, g = g, [-r for r in _remainder(f, g)]
+    # the roots on (0, inf) are the sign changes lost from s = 0 to s -> inf
+    return (_sign_changes([h[0] for h in sturm])
+            == _sign_changes([h[-1] for h in sturm]))
 
 
 def q_positivity(p):
-    """Minimum of q(xi^2) for exponents p, xi uniform on [0, Q_XI_MAX].
+    """Minimum of q(xi^2) over every real xi, proved positive.
 
-    q is a degree N-1 polynomial in xi^2 and provably bounded below by a
-    positive constant; a nonpositive sample would mean the matrices are
-    built wrong, hence the hard error.  All samples share one determinant
-    call on the stacked matrices.
+    When every coefficient of q(s) is positive, q increases on s >= 0 and
+    the minimum is q(0), returned correctly rounded.  Otherwise Sturm's
+    theorem decides exactly whether q keeps positive on s >= 0, and the
+    largest double m for which q - m still does is returned, found by
+    bisection.  A q that is not positive there is the sign of a mis-built
+    matrix set and raises NonPositiveDetected.
     """
-    params = build_params(p)
-    xs = np.linspace(0.0, Q_XI_MAX, Q_SAMPLES)
-    qs = -np.linalg.det(_bordered(params, xs * xs))
-    qmin = float(qs.min())
-    if qmin <= 0.0:
+    c = q_coefficients(p)
+    if all(ck > 0 for ck in c):
+        return float(c[0])
+    if not _positive_on_halfline(c):
         raise NonPositiveDetected(
-            f"q({xs[int(qs.argmin())] ** 2!r}) = {qmin!r} <= 0 for p={params.p.p}"
-        )
-    return qmin
+            f"q(s) is not positive on s >= 0 for p={_exponent_set(p).p}: "
+            f"coefficients {[str(ck) for ck in c]}")
+    lo, hi = 0.0, math.nextafter(float(c[0]), math.inf)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if _positive_on_halfline([c[0] - Fraction(mid), *c[1:]]):
+            lo = mid
+        else:
+            hi = mid
 
 
 def first_order_family(delta, alpha, grid):
@@ -191,22 +309,36 @@ def first_order_family(delta, alpha, grid):
         phi  = -4 alpha gamma_vec sqrt(alpha/(2 gamma)) delta^4
                tanh(k x) sech^2(k x)   (one row, for the one exponent),
 
-    dropping higher-order corrections.  At alpha = 2 gamma the surface
-    elevation reduces to the classical soliton (4/3) delta^2 sech^2 x when
-    gamma = 1/3.
+    dropping higher-order corrections.  eta and phi0 are lists over the
+    grid, and phi_vec holds one such list per exponent.  At
+    alpha = 2 gamma the surface elevation reduces to the classical soliton
+    (4/3) delta^2 sech^2 x when gamma = 1/3.
     """
     if not (0.0 < delta < math.inf and 0.0 < alpha < math.inf):
         raise ValueError(f"delta and alpha must be positive and finite, "
                          f"got {delta!r} and {alpha!r}")
-    params = build_params((2,))
-    gamma = params.gamma
-    grid = np.asarray(grid, dtype=float)
+    gamma, gamma_vec, *_ = exact_params((2,))
+    gamma = float(gamma)
     k = math.sqrt(alpha / (2.0 * gamma))
-    kx = k * grid
-    s2 = _sech(kx) ** 2
-    t = np.tanh(kx)
+    s2 = [_sech2(k * x) for x in grid]
+    t = [math.tanh(k * x) for x in grid]
     c = 1.0 + alpha * delta * delta
-    eta = 2.0 * alpha * delta * delta * s2
-    phi0 = -2.0 * math.sqrt(2.0 * alpha * gamma) * delta * delta * t
-    phi_vec = (-4.0 * alpha * k * delta ** 4) * np.outer(params.gamma_vec, t * s2)
+    eta = [2.0 * alpha * delta * delta * v for v in s2]
+    phi0 = [-2.0 * math.sqrt(2.0 * alpha * gamma) * delta * delta * v
+            for v in t]
+    scale = -4.0 * alpha * k * delta ** 4
+    phi_vec = [[scale * (float(g) * (tv * sv)) for tv, sv in zip(t, s2)]
+               for g in gamma_vec]
     return c, eta, phi0, phi_vec
+
+
+def family_deviation(delta, grid):
+    """max |eta - delta^2 eta0| over grid, for the family's eta at
+    alpha = 2 gamma (p = [2]) and the leading-order profile
+    eta0 = 4 gamma sech^2 x: delta^2 eta0 is the classical soliton
+    (4/3) delta^2 sech^2 x, so the deviation is rounding."""
+    grid = [float(x) for x in grid]
+    gamma = float(exact_params((2,))[0])
+    _, eta, _, _ = first_order_family(delta, 2.0 * gamma, grid)
+    return max(abs(e - _eta0(gamma, x) * delta * delta)
+               for e, x in zip(eta, grid))

@@ -285,3 +285,42 @@ def test_closed_stdout_exits_1_without_traceback(args):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+# a full stdout, and an output path that cannot be created, are one line
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["critical"], ["checks"]])
+def test_full_stdout_exits_1_with_one_line(args):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ikwave", *args],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: OSError: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_unwritable_out_path_exits_1_with_one_line(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = subprocess.run([sys.executable, "-m", "ikwave", "solve", "--delta",
+                           "0.3", "--out", str(tmp_path / "file" / "x.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: FileExistsError: ")
+    assert proc.stderr.count("\n") == 1
+
+
+# dimensionalize and --depth/--gravity check with the one check_positive
+@pytest.mark.parametrize("name", ["depth", "gravity"])
+def test_library_and_cli_reject_the_same_scale(name, profile_cache, out_dir,
+                                               capsys):
+    from ikwave import dimensionalize
+    scales = {"depth": 2.0, "gravity": 9.81, name: 0.0}
+    with pytest.raises(ValueError) as exc:
+        dimensionalize(profile_cache(0.3), **scales)
+    assert run(["dimensional", "--delta", "0.3",
+                "--depth", repr(scales["depth"]),
+                "--gravity", repr(scales["gravity"])]) == 2
+    assert f"argument --{name}: {exc.value}" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []

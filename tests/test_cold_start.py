@@ -1,10 +1,12 @@
-"""What a fresh process loads: numpy only for arrays, and never scipy.
+"""What a fresh process loads: numpy only for profiles, and never scipy.
 
 `import ikwave` resolves its exports lazily and loads neither.  The commands
 that need only crest values (critical, crest, table) and usage errors load
-no numpy, nor dataclasses or json; params and a delta beyond the critical
-value load no numpy either.  No command loads scipy, and the commands that
-integrate run with scipy made unimportable.
+no numpy, nor dataclasses or json; params, checks and a delta beyond the
+critical value load no numpy either.  No command loads scipy, and the
+commands that integrate run with scipy made unimportable.  The commands run
+with one OS thread: cli.main sets OPENBLAS_NUM_THREADS=1 unless the user set
+it, while `import ikwave` and cli.run leave the environment alone.
 
 Each case runs in a fresh interpreter, since the test process itself has
 long imported numpy and scipy.  The command runs through runpy, as
@@ -28,7 +30,7 @@ LOADED = ('print(*sorted({"numpy", "scipy", "dataclasses", "json"}'
           ' & set(sys.modules)))')
 ARRAY = {"numpy", "scipy"}
 
-SCRIPT = """
+RUN = """
 import runpy, sys
 sys.argv = ["ikwave", *sys.argv[1:]]
 try:
@@ -36,13 +38,23 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code, end=" ")
-""" + LOADED
+"""
+SCRIPT = RUN + LOADED
+# the exit code, the BLAS thread setting and the process's OS thread count
+TASKS = "/proc/self/task"
+THREADS = RUN + (f'import os; print(os.environ["OPENBLAS_NUM_THREADS"], '
+                 f'len(os.listdir("{TASKS}")) if os.path.isdir("{TASKS}") '
+                 f'else "")')
 
 
-def _fresh(code, args, tmp_path):
+def _fresh(code, args, tmp_path, **blas):
+    """The last stdout line of code run in a fresh interpreter, split, with
+    OPENBLAS_NUM_THREADS set only as blas gives it."""
     env = dict(os.environ, IK_OUT_DIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(
                    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(blas)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
@@ -91,10 +103,15 @@ CREST_LAYER = [
     (["solve", "--delta", "abc"], 2),
     (["bogus"], 2),
     (["solve", "--dx", "0.01"], 2),
+    (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
+     2),
 ]
-# params prints exact constants; beyond delta_c the crest solve fails first
+# params prints exact constants and checks runs on math and fractions;
+# beyond delta_c the crest solve fails first
 CREST_ONLY = CREST_LAYER + [
     (["params"], 0),
+    (["checks"], 0),
+    (["checks", "--p", "1,2,3"], 0),
     (["params", "--p", "2", "--exact"], 0),
     (["params", "--p", "1,2,3"], 0),
     (["solve", "--delta", "0.7"], 1),
@@ -130,6 +147,28 @@ def test_integrating_command_needs_no_scipy(args, tmp_path):
     # a None entry makes every import of scipy raise ImportError
     blocked = 'import sys\nsys.modules["scipy"] = None\n' + SCRIPT
     assert _fresh(blocked, args, tmp_path)[0] == "0"
+
+
+@pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"needs {TASKS}")
+@pytest.mark.parametrize("args", INTEGRATING,
+                         ids=[" ".join(args) for args in INTEGRATING])
+def test_integrating_command_runs_one_thread(args, tmp_path):
+    # numpy's OpenBLAS would start a worker thread per core
+    assert _fresh(THREADS, args, tmp_path) == ["0", "1", "1"]
+
+
+def test_user_blas_thread_setting_is_kept(tmp_path):
+    args = ["solve", "--delta", "0.3"]
+    assert _fresh(THREADS, args, tmp_path,
+                  OPENBLAS_NUM_THREADS="2")[:2] == ["0", "2"]
+
+
+def test_import_and_run_leave_the_environment_alone(tmp_path):
+    code = ("import os; before = dict(os.environ)\n"
+            "import ikwave, ikwave.cli\n"
+            "code = ikwave.cli.run(['solve', '--delta', '0.3'])\n"
+            "print(code, dict(os.environ) == before)")
+    assert _fresh(code, [], tmp_path) == ["0", "True"]
 
 
 @pytest.mark.parametrize("name", ikwave.__all__)

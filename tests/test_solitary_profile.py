@@ -103,9 +103,10 @@ def test_kdv_profile_rejects_bad_delta(delta):
 @pytest.mark.parametrize("bad", BAD_POSITIVE)
 def test_dimensionalize_rejects_bad_depth_or_gravity(bad, profile_cache):
     p = profile_cache(0.3)
-    with pytest.raises(ValueError, match="depth and gravity"):
+    with pytest.raises(ValueError, match="depth must be positive and finite"):
         dimensionalize(p, depth=bad, gravity=9.81)
-    with pytest.raises(ValueError, match="depth and gravity"):
+    with pytest.raises(ValueError,
+                       match="gravity must be positive and finite"):
         dimensionalize(p, depth=1.0, gravity=bad)
 
 

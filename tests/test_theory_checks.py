@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (build_params, first_order_family, fundamental_checks,
-                    fundamental_pair, kdv_profile, q_eval, q_positivity,
-                    verify_kdv_solution)
-from ikwave import theory_checks
+                    fundamental_pair, kdv_profile, q_coefficients, q_eval,
+                    q_positivity, verify_kdv_solution)
+from ikwave import model_params, theory_checks
 from ikwave.errors import NonPositiveDetected
 
 
 GRID = np.linspace(-10.0, 10.0, 2001)
+
+
+def test_uniform_grid_is_numpy_linspace():
+    for start, stop, num in ((-10.0, 10.0, 2001), (3.0, 10.0, 101),
+                             (0.0, 1.0, 2)):
+        assert (theory_checks.uniform_grid(start, stop, num)
+                == np.linspace(start, stop, num).tolist())
 
 
 def test_pair_normalization():
@@ -29,11 +37,11 @@ def _central(f, x, h=1e-5):
 
 def test_hand_derivatives_match_finite_differences():
     pair = fundamental_pair()
-    xs = np.linspace(-3.0, 3.0, 41)
-    np.testing.assert_allclose(pair.u1_prime(xs), _central(pair.u1, xs), atol=1e-8)
-    np.testing.assert_allclose(pair.u2_prime(xs), _central(pair.u2, xs), atol=1e-8)
-    np.testing.assert_allclose(pair.u1_second(xs), _central(pair.u1_prime, xs), atol=1e-8)
-    np.testing.assert_allclose(pair.u2_second(xs), _central(pair.u2_prime, xs), atol=1e-8)
+    for x in np.linspace(-3.0, 3.0, 41).tolist():
+        for f, f_prime in ((pair.u1, pair.u1_prime), (pair.u2, pair.u2_prime),
+                           (pair.u1_prime, pair.u1_second),
+                           (pair.u2_prime, pair.u2_second)):
+            assert f_prime(x) == pytest.approx(_central(f, x), abs=1e-8)
 
 
 def test_wronskian_identity():
@@ -85,52 +93,56 @@ Q_ORACLES = {
 
 def test_q_against_exact_oracles():
     for p, table in Q_ORACLES.items():
-        params = build_params(p)
+        c = q_coefficients(p)
         for xi2, exact in table.items():
-            assert q_eval(params, float(xi2)) == pytest.approx(
-                float(exact), rel=1e-12, abs=1e-14)
+            assert sum(ck * xi2 ** k for k, ck in enumerate(c)) == exact
+            assert q_eval(build_params(p), float(xi2)) == float(exact)
 
 
 def test_q_constant_for_single_term():
-    params = build_params([2])
-    vals = [q_eval(params, xi * xi) for xi in np.linspace(0.0, 10.0, 101)]
-    assert np.max(np.abs(np.array(vals) - 4.0 / 9.0)) <= 1e-14
+    assert q_coefficients((2,)) == [Fraction(4, 9)]
+    assert q_eval((2,), 0.0) == 4.0 / 9.0
 
 
 def test_q_positivity_minimum():
-    assert q_positivity((2,)) == pytest.approx(4.0 / 9.0, abs=1e-14)
-    assert q_positivity((1, 2)) > 0.0
-    assert q_positivity((2, 4)) > 0.0
-    assert theory_checks.Q_XI_MAX == 100.0 and theory_checks.Q_SAMPLES == 1001
+    # positive coefficients make q(0) the minimum, correctly rounded
+    assert q_positivity((2,)) == 4.0 / 9.0
+    assert q_positivity((1, 2)) == 1.0 / 9.0
+    assert q_positivity((2, 4)) == 256.0 / 1575.0
+    # the smallest q of the exponent sets in use, exact to the last digit
+    assert q_positivity((1, 2, 3, 4, 5, 6)) == 9.274694205355812e-13
 
 
-def _q_loop(params, xi2):
-    # one bordered matrix and one det call per sample, built entry by entry
-    N = params.p.N
-    M = np.empty((N + 1, N + 1))
-    M[0, 0] = 0.0
-    M[0, 1:] = 1.0 - params.a0
-    M[1:, 0] = 1.0 - params.a0
-    M[1:, 1:] = xi2 * (params.A0 - np.outer(np.ones(N), params.a0)) + params.A1
-    return -float(np.linalg.det(M))
-
-
-@pytest.mark.parametrize("p", [(2,), (1, 2), (2, 4, 6)], ids=repr)
-def test_stacked_q_matches_per_sample_loop(p):
+def _float_q(p, s):
+    """q(s) as the float determinant of the bordered matrix as the theory
+    writes it, with A0 - 1 (x) a0, and its Hadamard scale: the product of
+    the row norms, which bounds the determinant's rounding error."""
     params = build_params(p)
-    xs = np.linspace(0.0, theory_checks.Q_XI_MAX, theory_checks.Q_SAMPLES)
-    qs = [_q_loop(params, xi * xi) for xi in xs]
-    assert q_positivity(p) == min(qs)
-    assert [q_eval(params, xi * xi) for xi in xs] == qs
+    N = params.p.N
+    M = np.zeros((N + 1, N + 1))
+    M[0, 1:] = M[1:, 0] = 1.0 - params.a0
+    M[1:, 1:] = s * (params.A0 - np.outer(np.ones(N), params.a0)) + params.A1
+    return -float(np.linalg.det(M)), float(np.prod(np.linalg.norm(M, axis=1)))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4,
                 unique=True),
        st.floats(min_value=0.0, max_value=100.0))
-def test_q_positive_for_random_exponent_sets(p, xi2):
-    params = build_params(sorted(p))
-    assert q_eval(params, xi2) > 0.0
+def test_q_positive_for_random_exponent_sets(p, s):
+    p = sorted(p)
+    c = q_coefficients(p)
+    assert len(c) == len(p)
+    assert all(ck > 0 for ck in c)
+    # the exact q against a float determinant of the bordered matrix: a
+    # backward-stable determinant of an (N+1) x (N+1) matrix is off by a
+    # small multiple of N eps times the Hadamard scale (at most 0.95 of
+    # (N + 1) eps times it over all 162 sets of up to four exponents <= 8)
+    exact = sum(ck * Fraction(s) ** k for k, ck in enumerate(c))
+    det, scale = _float_q(p, s)
+    eps = np.finfo(float).eps
+    assert abs(Fraction(det) - exact) <= 4 * (len(p) + 1) * eps * scale
+    assert q_positivity(p) == float(c[0])
 
 
 def test_first_order_family_reduces_to_soliton():
@@ -144,11 +156,12 @@ def test_first_order_family_reduces_to_soliton():
 def test_first_order_family_shapes_and_limits():
     grid = np.linspace(-40.0, 40.0, 401)
     c, eta, phi0, phi_vec = first_order_family(0.2, 0.5, grid)
-    assert phi_vec.shape == (1, grid.size)
+    assert len(eta) == len(phi0) == grid.size
+    assert [len(row) for row in phi_vec] == [grid.size]
     # odd parts vanish at the origin
     mid = grid.size // 2
     assert phi0[mid] == 0.0
-    assert phi_vec[0, mid] == 0.0
+    assert phi_vec[0][mid] == 0.0
     # tanh limits of the leading potential
     gamma = build_params([2]).gamma
     limit = 2.0 * np.sqrt(2.0 * 0.5 * gamma) * 0.2 ** 2
@@ -177,17 +190,35 @@ def test_family_matches_solver_to_fourth_order(profile_cache):
 
 
 def test_nonpositive_guard_trips(monkeypatch):
-    # for N=1 the determinant gives q = (1 - a0)^2, so a corrupted a0 = 1
-    # collapses q to zero and must trip the positivity guard
-    class Fake:
-        pass
-
-    fake = Fake()
-    fake.p = build_params([2]).p
-    fake.a0 = np.array([1.0])
-    fake.A0 = np.array([[0.2]])
-    fake.A1 = np.array([[4.0 / 3.0]])
-    assert abs(q_eval(fake, 0.0)) <= 1e-300
-    monkeypatch.setattr(theory_checks, "build_params", lambda p: fake)
+    # for N = 1, q = (1 - a0)^2, so a corrupted a0 = 1 collapses q to zero
+    monkeypatch.setattr(theory_checks, "_matrices", lambda pv: (
+        [[Fraction(4, 3)]], [[Fraction(1, 5)]], [Fraction(1)]))
+    assert q_coefficients((2,)) == [0]
     with pytest.raises(NonPositiveDetected):
         q_positivity((2,))
+
+
+def test_misbuilt_matrices_are_not_eliminated(monkeypatch):
+    A1, A0, a0 = model_params._matrices((1, 2))
+    A1 = [[-x for x in row] for row in A1]
+    monkeypatch.setattr(theory_checks, "_matrices", lambda pv: (A1, A0, a0))
+    with pytest.raises(NonPositiveDetected, match="not positive definite"):
+        q_coefficients((1, 2))
+
+
+@pytest.mark.parametrize("c, q_min", [
+    ((1, -1, 1), math.nextafter(0.75, 0.0)),  # (s - 1/2)^2 + 3/4
+    ((1, 0, 1), math.nextafter(1.0, 0.0)),    # least at s = 0
+    ((1, -3, 1), None),                       # roots (3 -+ sqrt 5)/2
+    ((1, 1, Fraction(-1, 1000)), None),       # falls for large s
+    ((0, 1), None),                           # q(0) = 0
+], ids=repr)
+def test_sturm_branch(c, q_min, monkeypatch):
+    # a coefficient <= 0: the largest double below the minimum, or an error
+    monkeypatch.setattr(theory_checks, "q_coefficients",
+                        lambda p: [Fraction(ck) for ck in c])
+    if q_min is None:
+        with pytest.raises(NonPositiveDetected):
+            q_positivity((2,))
+    else:
+        assert q_positivity((2,)) == q_min
