@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 solver failure (no crest root beyond the critical
 shallowness, integrator step underflow, ...) or an OSError such as a stdout
 that was closed early or is full, 2 usage error.  An error other than a
 closed pipe is one line on stderr.  Arguments are checked by the library's
-own checks (check_delta, check_dx, check_positive, ExponentSet), whose
-message a usage error carries.  All numeric output carries 12 significant
-digits.  An absolute --out path is used as given; a relative one lands in
-$IK_OUT_DIR, else the working directory.  Reruns with the same flags are
-byte-identical.
+own checks (check_delta, check_dx, check_positive, ExponentSet, and
+dimensionalize's for scales that overflow), whose message a usage error
+carries.  All numeric output carries 12 significant digits.  An absolute
+--out path is used as given; a relative one lands in $IK_OUT_DIR, else the
+working directory.  Reruns with the same flags are byte-identical.
 
 numpy is loaded only by the commands that compute a profile: solve,
 compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
@@ -266,7 +266,11 @@ def cmd_extreme(args):
 def cmd_dimensional(args):
     profile = _solitary(args.delta)
     from .solitary_profile import dimensionalize
-    dp = dimensionalize(profile, args.depth, args.gravity)
+    try:
+        dp = dimensionalize(profile, args.depth, args.gravity)
+    except ValueError as exc:
+        print(f"ikwave dimensional: error: {exc}", file=sys.stderr)
+        return 2
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
     # scaling by positive constants keeps the profile's bitwise mirror
     write_text(path, mirrored_csv_text(("x", "eta", "u"), (dp.x, dp.eta, dp.u)))

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .crest_init import (DX_MIN, TableRow,  # noqa: F401 (re-exported)
-                         check_dx, check_positive, crest_curvature,
-                         diagnostics_table, solve_crest)
+from .crest_init import (TableRow,  # noqa: F401 (re-exported)
+                         check_delta, check_dx, check_positive,
+                         crest_curvature, diagnostics_table, solve_crest)
 from .profile_ode import (Z_END, CurveInterpolant, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
@@ -107,8 +107,7 @@ def solve_solitary(delta, dx=None):
 
 def kdv_profile(delta, grid):
     """Classical soliton (4/3) delta^2 sech^2 x on the given grid."""
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    delta = check_delta(delta)
     grid = np.asarray(grid, dtype=float)
     return (4.0 / 3.0) * delta * delta / np.cosh(grid) ** 2
 
@@ -148,15 +147,22 @@ def dimensionalize(profile, depth, gravity):
 
     The surface slope transforms as d(eta*)/d(x*) = delta * d(eta)/dx, which
     is why the dimensional crest slope of the extreme wave carries a factor
-    delta_c.
+    delta_c.  Raises ValueError when a scaled value is not finite.
     """
     depth = check_positive(depth, "depth")
     gravity = check_positive(gravity, "gravity")
     speed = float(np.sqrt(gravity * depth))
-    return DimensionalProfile(
-        depth=depth, gravity=gravity, delta=profile.delta,
-        c=profile.c * speed, amplitude=depth * profile.eta_max,
-        x=(depth / profile.delta) * profile.x,
-        eta=depth * profile.eta,
-        u=speed * profile.u,
-    )
+    # an overflow shows as inf, or inf * 0 = nan, in x, in eta (which holds
+    # the amplitude) or in u (which holds speed, and so c, at its crest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = DimensionalProfile(
+            depth=depth, gravity=gravity, delta=profile.delta,
+            c=profile.c * speed, amplitude=depth * profile.eta_max,
+            x=(depth / profile.delta) * profile.x,
+            eta=depth * profile.eta,
+            u=speed * profile.u,
+        )
+    if not all(np.isfinite(a).all() for a in (dp.x, dp.eta, dp.u)):
+        raise ValueError(f"depth {depth!r} and gravity {gravity!r} scale the "
+                         "profile past the largest float")
+    return dp

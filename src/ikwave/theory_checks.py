@@ -25,13 +25,21 @@ Four independent pieces of theory admit direct verification:
 
 q is proved positive for every xi, not sampled.  Adding multiples of the
 border row and column to the others turns A0 - 1 (x) a0 into the symmetric
-A0 - a0 (x) a0, so q(s) = det(S) b^T S^-1 b with S = A1 + s (A0 - a0 (x) a0)
-and b = 1 - a0.  model_params' exact elimination of [S | b] yields both: the
+C = A0 - a0 (x) a0, so q(s) = det(S) b^T S^-1 b with S = A1 + s C and
+b = 1 - a0.  model_params' exact elimination of [S | b] yields both: the
 pivots D_k multiply to det(S), and with y the eliminated b,
 b^T S^-1 b = sum y_k^2 / D_k.  q_coefficients does this in Fractions at
-s = 0, ..., N-1 and interpolates.  Positive coefficients prove
-q(s) >= q(0) > 0 for every s >= 0; otherwise Sturm's theorem counts the
-roots of q on s > 0 exactly.
+s = 0, ..., N-1 and interpolates.  A1 and C are positive definite, as
+exact_params and check_positivity prove, so some V has V^T A1 V = I and
+V^T C V = diag(lambda_j), every lambda_j > 0.  With beta = V^T b,
+
+    q(s) = det(A1) sum_i beta_i^2 prod_{j != i} (1 + s lambda_j),
+
+whose s^k coefficient, det(A1) sum_i beta_i^2 e_k(lambda without lambda_i)
+with e_k the k-th elementary symmetric polynomial, is > 0 for every
+k = 0, ..., N-1 because b != 0.  So the minimum over s >= 0 is
+q(0) = det(A1) b^T A1^-1 b = det(A1) gamma, and a coefficient <= 0 can
+only come from a mis-built matrix set.
 
 Everything here runs on the standard library.  Each closed form is written
 once, for one float, with math, and a grid is any sequence of floats.  All
@@ -236,68 +244,20 @@ def q_eval(p, xi2):
     return float(value)
 
 
-def _remainder(f, g):
-    """f mod g, polynomials as coefficient lists, lowest degree first, with
-    no trailing zeros; the zero polynomial is []."""
-    f = list(f)
-    while len(f) >= len(g):
-        r = f[-1] / g[-1]
-        for i, gi in enumerate(g, len(f) - len(g)):
-            f[i] -= r * gi
-        while f and f[-1] == 0:
-            f.pop()
-    return f
-
-
-def _sign_changes(values):
-    signs = [v > 0 for v in values if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _positive_on_halfline(c):
-    """Whether the polynomial c (Fractions, lowest degree first) is > 0 for
-    every s >= 0: c(0) > 0 and, by Sturm's theorem, no root on s > 0."""
-    if c[0] <= 0:
-        return False
-    f = list(c)
-    while f[-1] == 0:
-        f.pop()
-    sturm = [f]
-    g = [k * ck for k, ck in enumerate(f)][1:]
-    while g:
-        sturm.append(g)
-        f, g = g, [-r for r in _remainder(f, g)]
-    # the roots on (0, inf) are the sign changes lost from s = 0 to s -> inf
-    return (_sign_changes([h[0] for h in sturm])
-            == _sign_changes([h[-1] for h in sturm]))
-
-
 def q_positivity(p):
     """Minimum of q(xi^2) over every real xi, proved positive.
 
-    When every coefficient of q(s) is positive, q increases on s >= 0 and
-    the minimum is q(0), returned correctly rounded.  Otherwise Sturm's
-    theorem decides exactly whether q keeps positive on s >= 0, and the
-    largest double m for which q - m still does is returned, found by
-    bisection.  A q that is not positive there is the sign of a mis-built
-    matrix set and raises NonPositiveDetected.
+    Every coefficient of q(s) is positive (see the module docstring), so q
+    increases on s >= 0 and the minimum is q(0), returned correctly
+    rounded.  A coefficient <= 0 is the sign of a mis-built matrix set and
+    raises NonPositiveDetected.
     """
     c = q_coefficients(p)
-    if all(ck > 0 for ck in c):
-        return float(c[0])
-    if not _positive_on_halfline(c):
+    if not all(ck > 0 for ck in c):
         raise NonPositiveDetected(
-            f"q(s) is not positive on s >= 0 for p={_exponent_set(p).p}: "
+            f"q(s) has a coefficient <= 0 for p={_exponent_set(p).p}: "
             f"coefficients {[str(ck) for ck in c]}")
-    lo, hi = 0.0, math.nextafter(float(c[0]), math.inf)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if _positive_on_halfline([c[0] - Fraction(mid), *c[1:]]):
-            lo = mid
-        else:
-            hi = mid
+    return float(c[0])
 
 
 def first_order_family(delta, alpha, grid):

@@ -324,3 +324,18 @@ def test_library_and_cli_reject_the_same_scale(name, profile_cache, out_dir,
                 "--gravity", repr(scales["gravity"])]) == 2
     assert f"argument --{name}: {exc.value}" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+# scales whose product with the profile overflows are a usage error too
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("depth, gravity", [("1e308", "9.81"),
+                                            ("1e300", "1e300")])
+def test_dimensional_overflow_is_a_usage_error(depth, gravity, out_dir,
+                                               capsys):
+    assert run(["dimensional", "--delta", "0.3", "--depth", depth,
+                "--gravity", gravity]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ikwave dimensional: error: depth ")
+    assert err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []

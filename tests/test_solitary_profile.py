@@ -4,7 +4,8 @@ import pytest
 from ikwave import (compare_kdv, diagnostics_table, dimensionalize,
                     kdv_profile, solve_solitary)
 from ikwave import solitary_profile
-from ikwave.solitary_profile import DX_MIN, assemble_profile
+from ikwave.crest_init import DX_MIN
+from ikwave.solitary_profile import assemble_profile
 
 
 def test_reference_wave_heights(profile_cache):
@@ -94,7 +95,9 @@ def test_dx_grid_stays_inside_the_half_profile():
 BAD_POSITIVE = [float("nan"), float("inf"), 0.0]
 
 
-@pytest.mark.parametrize("delta", BAD_POSITIVE)
+# 1e-160 squared is subnormal, which check_delta, the rule of solve_crest,
+# rejects too
+@pytest.mark.parametrize("delta", BAD_POSITIVE + [1e-160])
 def test_kdv_profile_rejects_bad_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         kdv_profile(delta, np.linspace(0.0, 1.0, 3))
@@ -199,3 +202,19 @@ def test_dimensionalize_rejects_bad_inputs(profile_cache):
         dimensionalize(profile_cache(0.3), depth=-1.0, gravity=9.81)
     with pytest.raises(ValueError):
         dimensionalize(profile_cache(0.3), depth=1.0, gravity=0.0)
+
+
+# (h/delta) x overflows, and inf * 0 at the crest is nan; sqrt(gh) overflows
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("depth, gravity", [(1e308, 9.81), (1e300, 1e300)])
+def test_dimensionalize_rejects_overflow(depth, gravity, profile_cache):
+    with pytest.raises(ValueError, match="depth .* and gravity .* scale"):
+        dimensionalize(profile_cache(0.3), depth=depth, gravity=gravity)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dimensionalize_large_finite_scales(profile_cache):
+    p = profile_cache(0.6)
+    dp = dimensionalize(p, depth=1e150, gravity=1e150)
+    assert all(np.isfinite(a).all() for a in (dp.x, dp.eta, dp.u))
+    assert np.isfinite(dp.c) and dp.amplitude == 1e150 * p.eta_max

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -206,19 +207,33 @@ def test_misbuilt_matrices_are_not_eliminated(monkeypatch):
         q_coefficients((1, 2))
 
 
-@pytest.mark.parametrize("c, q_min", [
-    ((1, -1, 1), math.nextafter(0.75, 0.0)),  # (s - 1/2)^2 + 3/4
-    ((1, 0, 1), math.nextafter(1.0, 0.0)),    # least at s = 0
-    ((1, -3, 1), None),                       # roots (3 -+ sqrt 5)/2
-    ((1, 1, Fraction(-1, 1000)), None),       # falls for large s
-    ((0, 1), None),                           # q(0) = 0
+# every exponent set of one to six exponents drawn from 1..8
+EXPONENT_SETS = [p for n in range(1, 7)
+                 for p in itertools.combinations(range(1, 9), n)]
+
+
+def test_q_coefficients_positive_and_q0_is_det_A1_gamma():
+    # the module docstring's proof, exactly: all coefficients are > 0 and
+    # the minimum q(0) is det(A1) gamma
+    assert len(EXPONENT_SETS) == 246
+    for p in EXPONENT_SETS:
+        c = q_coefficients(p)
+        assert all(ck > 0 for ck in c)
+        U = model_params._eliminate(model_params._matrices(p)[0])
+        det_A1 = math.prod(row[k] for k, row in enumerate(U))
+        assert c[0] == det_A1 * model_params.exact_params(p)[0]
+
+
+@pytest.mark.parametrize("c", [
+    (1, -1, 1),                # (s - 1/2)^2 + 3/4, positive yet mis-built
+    (1, 0, 1),                 # least at s = 0
+    (1, -3, 1),                # roots (3 -+ sqrt 5)/2
+    (1, 1, Fraction(-1, 1000)),  # falls for large s
+    (0, 1),                    # q(0) = 0
 ], ids=repr)
-def test_sturm_branch(c, q_min, monkeypatch):
-    # a coefficient <= 0: the largest double below the minimum, or an error
+def test_nonpositive_coefficient_raises(c, monkeypatch):
+    # a coefficient <= 0 only comes from a mis-built matrix set
     monkeypatch.setattr(theory_checks, "q_coefficients",
                         lambda p: [Fraction(ck) for ck in c])
-    if q_min is None:
-        with pytest.raises(NonPositiveDetected):
-            q_positivity((2,))
-    else:
-        assert q_positivity((2,)) == q_min
+    with pytest.raises(NonPositiveDetected, match="coefficient <= 0"):
+        q_positivity((2,))
