@@ -8,18 +8,17 @@ rounded, and the smallest eigenvalues are proved positive in exact
 arithmetic.
 """
 
-from ikwave import build_params, check_positivity, exact_params
+from ikwave import check_positivity, exact_params
 
 for p in [(2,), (1,), (1, 2), (2, 4)]:
-    params = build_params(p)
     gamma, gamma_vec, k1, k2, k3 = exact_params(p)
     print(f"p = {list(p)}")
-    print(f"  gamma      = {params.gamma:.15g}   (exact {gamma})")
-    print(f"  gamma_vec  = {[f'{g:.15g}' for g in params.gamma_vec]}"
+    print(f"  gamma      = {float(gamma):.15g}   (exact {gamma})")
+    print(f"  gamma_vec  = {[f'{float(g):.15g}' for g in gamma_vec]}"
           f"   (exact {[str(g) for g in gamma_vec]})")
-    print(f"  kappa1..3  = {params.kappa1:.15g}, {params.kappa2:.15g}, "
-          f"{params.kappa3:.15g}")
-    report = check_positivity(params)
+    print(f"  kappa1..3  = {float(k1):.15g}, {float(k2):.15g}, "
+          f"{float(k3):.15g}")
+    report = check_positivity(p)
     print(f"  min eig A1 = {report['min_eig_A1']:.6g}, "
           f"min eig A0 - a0*a0^T = {report['min_eig_A0_centered']:.6g}")
     print()

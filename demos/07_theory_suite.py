@@ -9,7 +9,7 @@ as delta -> 0.
 
 import numpy as np
 
-from ikwave import (build_params, first_order_family, fundamental_checks,
+from ikwave import (exact_params, first_order_family, fundamental_checks,
                     q_positivity, solve_solitary, verify_kdv_solution)
 
 grid = np.linspace(-10.0, 10.0, 2001)
@@ -25,10 +25,10 @@ for p in [(2,), (1, 2), (2, 4)]:
     print(f"min q over every xi for p={list(p)}: {q_positivity(p):.10g}")
 
 # the first-order family vs the actual solver, fourth-order agreement
-params = build_params([2])
+gamma = float(exact_params([2])[0])
 for delta in (0.05, 0.1):
     profile = solve_solitary(delta)
-    _, eta, _, _ = first_order_family(delta, 2.0 * params.gamma, profile.x)
+    _, eta, _, _ = first_order_family(delta, 2.0 * gamma, profile.x)
     sup = float(np.max(np.abs(profile.eta - eta)))
     print(f"delta={delta}: sup |eta - eta_family| = {sup:.3e} "
           f"= {sup / delta ** 4:.3f} * delta^4")

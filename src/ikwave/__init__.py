@@ -21,18 +21,15 @@ _EXPORTS = {
     "DELTA_C_APPROX": "crest_init",
     "DenominatorVanished": "errors",
     "DimensionalProfile": "solitary_profile",
-    "ExponentSet": "model_params",
     "FundamentalPair": "theory_checks",
     "HalfProfile": "profile_ode",
     "IkwaveError": "errors",
-    "ModelParams": "model_params",
     "NegativeRadicand": "errors",
     "NonPositiveDetected": "errors",
     "NoSolitaryRoot": "errors",
     "StepSizeUnderflow": "errors",
     "TableRow": "crest_init",
     "WaveProfile": "solitary_profile",
-    "build_params": "model_params",
     "check_positivity": "model_params",
     "compare_kdv": "solitary_profile",
     "crest_curvature": "crest_init",

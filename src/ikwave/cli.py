@@ -2,13 +2,19 @@
 
 Exit codes: 0 success, 1 solver failure (no crest root beyond the critical
 shallowness, integrator step underflow, ...) or an OSError such as a stdout
-that was closed early or is full, 2 usage error.  An error other than a
-closed pipe is one line on stderr.  Arguments are checked by the library's
-own checks (check_delta, check_dx, check_positive, ExponentSet, and
-dimensionalize's for scales that overflow), whose message a usage error
-carries.  All numeric output carries 12 significant digits.  An absolute
---out path is used as given; a relative one lands in $IK_OUT_DIR, else the
-working directory.  Reruns with the same flags are byte-identical.
+that was closed early or is full, 2 usage error.  A usage error that the
+parser finds is two lines on stderr: the command's usage
+("usage: ikwave solve ...", wrapped on a narrow terminal) and then
+"ikwave solve: error: ...", which for a rejected value names it
+("argument --delta: ...").  Scales that overflow in dimensional are one
+line, "ikwave dimensional: error: ...".  An exit 1 error is one line,
+"error: <type>: <message>", except a closed pipe, which prints nothing.
+Arguments are checked by the library's own checks (check_delta, check_dx,
+check_positive, check_exponents, and dimensionalize's for scales that
+overflow), whose message a usage error carries.  All numeric output
+carries 12 significant digits.  An absolute --out path is used as given; a
+relative one lands in $IK_OUT_DIR, else the working directory.  Reruns
+with the same flags are byte-identical.
 
 numpy is loaded only by the commands that compute a profile: solve,
 compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
@@ -67,10 +73,10 @@ def _listed(check):
 
 
 def _exponents(text):
-    """The exponents of a comma-separated list, checked by ExponentSet."""
+    """The exponents of a comma-separated list, checked by check_exponents."""
     p = _listed(int)(text)
-    from .model_params import ExponentSet
-    return ExponentSet(p).p
+    from .model_params import check_exponents
+    return check_exponents(p)
 
 
 def _kv(name, value, number=fmt):
@@ -150,7 +156,7 @@ def cmd_params(args):
     exact = dict(zip(("gamma", "gamma_vec", "kappa1", "kappa2", "kappa3"),
                      exact_params(args.p)))
     _kv("p", args.p)
-    # fmt rounds each Fraction to the nearest double, as build_params does
+    # fmt rounds each Fraction to the nearest double, as float() does
     for name, value in (*exact.items(), *check_positivity(args.p).items()):
         _kv(name, value)
     if args.exact:

@@ -13,10 +13,8 @@ so a0_j = 1/(p_j+1) and A0_ij = 1/(p_i+p_j+1).  The derived constants are
 
 For p = [2] these give gamma = 1/3, the value used by the solitary-wave solver.
 Every entry is a small rational, so each constant is built once, exactly, in
-fractions.Fraction arithmetic (exact_params).  build_params rounds those
-values to doubles (float(Fraction) is correctly rounded) and wraps them in
-numpy arrays, which is the only use of numpy here; it is imported there, so
-the params command runs on the standard library.
+fractions.Fraction arithmetic (exact_params); float(Fraction) rounds one
+correctly.  Everything here runs on the standard library.
 
 A1 and A0 - a0 (x) a0 are positive definite.  One exact elimination
 without row exchanges does all the linear algebra: its pivots are those of
@@ -27,53 +25,25 @@ check_positivity runs it on both matrices and reports, for each, the
 largest double below its smallest eigenvalue, found by bisection.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPositiveDetected
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    """Strictly increasing positive integer exponents p_1 < ... < p_N."""
-
-    p: tuple
-
-    def __post_init__(self):
-        if not all(float(v).is_integer() for v in self.p):
-            raise ValueError(f"exponents must be integers, got {self.p!r}")
-        p = tuple(int(v) for v in self.p)
-        object.__setattr__(self, "p", p)
-        if len(p) < 1:
-            raise ValueError("need at least one exponent")
-        if any(v < 1 for v in p):
-            raise ValueError("exponents must be >= 1 (p_0 = 0 is implicit)")
-        if any(b <= a for a, b in zip(p, p[1:])):
-            raise ValueError("exponents must be strictly increasing")
-
-    @property
-    def N(self):
-        return len(self.p)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    p: ExponentSet
-    A1: "np.ndarray"
-    A0: "np.ndarray"
-    a0: "np.ndarray"
-    gamma: float
-    gamma_vec: "np.ndarray"
-    kappa1: float
-    kappa2: float
-    kappa3: float
-
-
-def _exponent_set(p):
-    """p as an ExponentSet; p may be one, a ModelParams or a bare sequence."""
-    if isinstance(p, ModelParams):
-        return p.p
-    return p if isinstance(p, ExponentSet) else ExponentSet(tuple(p))
+def check_exponents(p):
+    """p as a tuple of ints; ValueError unless it is a strictly increasing
+    sequence of integers p_1 < ... < p_N, N >= 1, all >= 1."""
+    p = tuple(p)
+    if not all(float(v).is_integer() for v in p):
+        raise ValueError(f"exponents must be integers, got {p!r}")
+    p = tuple(int(v) for v in p)
+    if not p:
+        raise ValueError("need at least one exponent")
+    if any(v < 1 for v in p):
+        raise ValueError("exponents must be >= 1 (p_0 = 0 is implicit)")
+    if any(b <= a for a, b in zip(p, p[1:])):
+        raise ValueError("exponents must be strictly increasing")
+    return p
 
 
 def _matrices(pv):
@@ -89,48 +59,24 @@ def _centered(A0, a0):
     return [[x - ai * aj for x, aj in zip(row, a0)] for row, ai in zip(A0, a0)]
 
 
-def build_params(p):
-    """All matrices and constants of an exponent set, in double precision.
-
-    Accepts an ExponentSet or a bare sequence of integers.  Every value is
-    the exact one of exact_params, correctly rounded.
-    """
-    import numpy as np
-
-    p = _exponent_set(p)
-    A1, A0, a0 = _matrices(p.p)
-    gamma, gamma_vec, kappa1, kappa2, kappa3 = exact_params(p)
-    return ModelParams(
-        p=p,
-        A1=np.array(A1, dtype=float),
-        A0=np.array(A0, dtype=float),
-        a0=np.array(a0, dtype=float),
-        gamma=float(gamma),
-        gamma_vec=np.array(gamma_vec, dtype=float),
-        kappa1=float(kappa1),
-        kappa2=float(kappa2),
-        kappa3=float(kappa3),
-    )
-
-
 def check_positivity(p):
     """Smallest eigenvalues of A1 and A0 - a0 (x) a0, proved positive.
 
-    p is what exact_params takes, or a ModelParams.  Both matrices are
-    rebuilt in Fractions and are provably positive definite; a pivot <= 0
-    of their exact elimination, the sign of a mis-built matrix, raises
+    p is what check_exponents accepts.  Both matrices are built in
+    Fractions and are provably positive definite; a pivot <= 0 of their
+    exact elimination, the sign of a mis-built matrix, raises
     NonPositiveDetected.  Each reported value is the largest double
     lambda for which A - lambda I is still positive definite: the largest
     double below the smallest eigenvalue, so it is > 0 and within one ulp
     of it.  Returns {"min_eig_A1": ..., "min_eig_A0_centered": ...}.
     """
-    p = _exponent_set(p)
-    A1, A0, a0 = _matrices(p.p)
+    p = check_exponents(p)
+    A1, A0, a0 = _matrices(p)
     report = {}
     for name, A in (("A1", A1), ("A0_centered", _centered(A0, a0))):
         if _eliminate(A) is None:
             raise NonPositiveDetected(
-                f"{name} is not positive definite for p={p.p}")
+                f"{name} is not positive definite for p={p}")
         report["min_eig_" + name] = _smallest_eigenvalue(A)
     return report
 
@@ -185,12 +131,12 @@ def _smallest_eigenvalue(A):
 def exact_params(p):
     """Exact Fraction-valued constants: (gamma, gamma_vec, kappa1, kappa2, kappa3).
 
-    The one place the constants are computed; build_params rounds these.
-    Raises NonPositiveDetected if A1 is not positive definite or gamma is
+    The one place the constants are computed.  p is what check_exponents
+    accepts, which raises ValueError for anything else.  Raises
+    NonPositiveDetected if A1 is not positive definite or gamma is
     not positive, which correctly built matrices rule out.
     """
-    p = _exponent_set(p)
-    pv = p.p
+    pv = check_exponents(p)
     A1, _, a0 = _matrices(pv)
     one_minus_a0 = [1 - a for a in a0]
     U = _eliminate([row + [b] for row, b in zip(A1, one_minus_a0)])

@@ -206,12 +206,16 @@ class _Curve:
         self.gamma = speed_excess(delta)
         self.w0 = curve_w(eta0, self.c, self.gamma)
 
+    def eta(self, z):
+        """eta = eta0 exp(-z^2) at an array of z >= 0."""
+        return self.eta0 * np.exp(-(z * z))
+
     def at(self, z):
         """(eta, u, phi1, dx/dz) at an array of z >= 0."""
         delta, c, gamma, eta0, w0 = (self.delta, self.c, self.gamma,
                                      self.eta0, self.w0)
         z2 = z * z
-        eta = eta0 * np.exp(-z2)
+        eta = self.eta(z)
         H = 1.0 + eta
         W = curve_w(eta, c, gamma, np.sqrt)
         u = eta * (W - c) / H
@@ -266,7 +270,7 @@ class CurveInterpolant:
     def along_z(self, z):
         """(x, eta) at the given z, with no inversion."""
         _check_range("z", z, self._z[-1])
-        return self._x_of_z(z), self._curve.at(z)[0]
+        return self._x_of_z(z), self._curve.eta(z)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -48,11 +48,11 @@ symbolic algebra is involved.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import NonPositiveDetected
-from .model_params import (_centered, _eliminate, _exponent_set, _matrices,
+from .model_params import (_centered, _eliminate, _matrices, check_exponents,
                            exact_params)
 
 
@@ -106,17 +106,16 @@ def _u2_second(x):
                     + 60.0 * x * s2 * t * (3.0 * s2 - 1.0))
 
 
-@dataclass(frozen=True)
-class FundamentalPair:
+class FundamentalPair(NamedTuple):
     """Closed-form fundamental system of -u'' + (4 - 12 sech^2 x) u = 0,
     each function of one float."""
 
-    u1: callable
-    u1_prime: callable
-    u1_second: callable
-    u2: callable
-    u2_prime: callable
-    u2_second: callable
+    u1: Callable
+    u1_prime: Callable
+    u1_second: Callable
+    u2: Callable
+    u2_prime: Callable
+    u2_second: Callable
 
 
 def fundamental_pair():
@@ -211,24 +210,23 @@ def _interpolate(values):
 def q_coefficients(p):
     """Exact Fraction coefficients of q(s), s = xi^2, lowest degree first.
 
-    p is what exact_params takes, or a ModelParams.  Each q(s) at
-    s = 0, ..., N-1 is det(S) b^T S^-1 b from one exact elimination of
-    [S | b] (see the module docstring).  S is positive definite for s >= 0
-    when the matrices are built right; a pivot <= 0 raises
-    NonPositiveDetected.
+    p is what check_exponents accepts.  Each q(s) at s = 0, ..., N-1 is
+    det(S) b^T S^-1 b from one exact elimination of [S | b] (see the module
+    docstring).  S is positive definite for s >= 0 when the matrices are
+    built right; a pivot <= 0 raises NonPositiveDetected.
     """
-    p = _exponent_set(p)
-    A1, A0, a0 = _matrices(p.p)
+    p = check_exponents(p)
+    A1, A0, a0 = _matrices(p)
     C = _centered(A0, a0)
     b = [1 - a for a in a0]
     values = []
-    for s in range(p.N):
+    for s in range(len(p)):
         U = _eliminate([[x + s * y for x, y in zip(r1, rc)] + [bk]
                         for r1, rc, bk in zip(A1, C, b)])
         if U is None:
             raise NonPositiveDetected(
                 f"A1 + {s} (A0 - a0 (x) a0) is not positive definite "
-                f"for p={p.p}")
+                f"for p={p}")
         pivots = [row[k] for k, row in enumerate(U)]
         values.append(math.prod(pivots)
                       * sum(row[-1] * row[-1] / dk
@@ -252,10 +250,11 @@ def q_positivity(p):
     rounded.  A coefficient <= 0 is the sign of a mis-built matrix set and
     raises NonPositiveDetected.
     """
+    p = check_exponents(p)
     c = q_coefficients(p)
     if not all(ck > 0 for ck in c):
         raise NonPositiveDetected(
-            f"q(s) has a coefficient <= 0 for p={_exponent_set(p).p}: "
+            f"q(s) has a coefficient <= 0 for p={p}: "
             f"coefficients {[str(ck) for ck in c]}")
     return float(c[0])
 

@@ -3,8 +3,9 @@
 They are written from the model equations, independently of the solver's
 invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
 eta(0) from the two crest identities, its root in 50-digit decimal
-arithmetic, the critical point in 50-digit decimal arithmetic, and a tail-in
-DOP853 shot of the full three-state system.
+arithmetic, the critical point in 50-digit decimal arithmetic, a tail-in
+DOP853 shot of the full three-state system, and the model matrices of an
+exponent set in floats.
 """
 
 import decimal
@@ -12,6 +13,16 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+
+def float_matrices(p):
+    """A1, A0 and a0 of the exponents p as float arrays, from their entries
+    p_i p_j / (p_i + p_j - 1), 1 / (p_i + p_j + 1) and 1 / (p_j + 1)."""
+    p = np.asarray(p, dtype=float)
+    A1 = np.outer(p, p) / np.add.outer(p, p - 1.0)
+    A0 = 1.0 / np.add.outer(p, p + 1.0)
+    a0 = 1.0 / (p + 1.0)
+    return A1, A0, a0
 
 
 def quartic_coeffs(c):

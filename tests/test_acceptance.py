@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ikwave import (build_params, compare_kdv, diagnostics_table,
+from ikwave import (compare_kdv, diagnostics_table, exact_params,
                     fundamental_checks, phase_speed, q_eval, q_positivity,
                     solve_crest, solve_critical, solve_solitary,
                     verify_kdv_solution)
@@ -92,7 +92,7 @@ def test_criterion_3_extreme_geometry(critical_point):
 
 
 def test_criterion_4_constants():
-    gamma = build_params([2]).gamma
+    gamma = float(exact_params([2])[0])
     c = phase_speed(0.62633493)
     ok = abs(gamma - 1.0 / 3.0) <= 1e-15 and abs(c - 1.26153) <= 1e-5
     _line("model constants", ok, f"gamma={gamma!r}, c(delta_c)={c:.7f}")
@@ -123,8 +123,7 @@ def test_criterion_7_theory_suite():
     grid = np.linspace(-10.0, 10.0, 2001)
     fc = fundamental_checks(grid)
     kdv_res = verify_kdv_solution(1.0 / 3.0, grid)
-    params = build_params([2])
-    q_dev = max(abs(q_eval(params, xi2) - 4.0 / 9.0)
+    q_dev = max(abs(q_eval([2], xi2) - 4.0 / 9.0)
                 for xi2 in (0.0, 1.0, 25.0, 100.0))
     bad = []
     if fc["wronskian_dev"] > 1e-12:

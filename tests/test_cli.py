@@ -119,10 +119,35 @@ def test_params_exact(capsys):
 
 
 def test_params_usage_error(capsys):
-    # unparsable, empty, and parsable but rejected by ExponentSet
+    # unparsable, empty, and parsable but rejected by check_exponents
     for p in ["2,x", "", "2,1", "2,2", "0"]:
         assert run(["params", "--p", p]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_error_shapes_on_stderr(capsys, monkeypatch):
+    # wide enough that the parser prints each usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    # the parser's usage errors: the usage line, then the error line
+    assert run(["params", "--p", "2,2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: ikwave params [-h] [--p P] [--exact]",
+        "ikwave params: error: argument --p: "
+        "exponents must be strictly increasing"]
+    assert run(["solve", "--delta", "abc"]) == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ikwave solve [-h] --delta DELTA ")
+    assert error == ("ikwave solve: error: argument --delta: "
+                     "could not convert string to float: 'abc'")
+    # scales that overflow: one line, in the parser's form
+    assert run(["dimensional", "--delta", "0.3", "--depth", "1e308",
+                "--gravity", "9.81"]) == 2
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith("ikwave dimensional: error: depth 1e+308 ")
+    # a solver failure: one line, exit 1
+    assert run(["solve", "--delta", "0.7"]) == 1
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: NoSolitaryRoot: ")
 
 
 def test_crest_prints_block(capsys):

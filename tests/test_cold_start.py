@@ -1,9 +1,9 @@
 """What a fresh process loads: numpy only for profiles, and never scipy.
 
 `import ikwave` resolves its exports lazily and loads neither.  The commands
-that need only crest values (critical, crest, table) and usage errors load
-no numpy, nor dataclasses or json; params, checks and a delta beyond the
-critical value load no numpy either.  No command loads scipy, and the
+that need only crest values (critical, crest, table), params, checks and
+usage errors load no numpy, nor dataclasses or json; a delta beyond the
+critical value loads no numpy either.  No command loads scipy, and the
 commands that integrate run with scipy made unimportable.  The commands run
 with one OS thread: cli.main sets OPENBLAS_NUM_THREADS=1 unless the user set
 it, while `import ikwave` and cli.run leave the environment alone.
@@ -95,8 +95,9 @@ def test_command_without_integration_does_not_load_scipy(args, exit_code,
     assert code == exit_code and "scipy" not in loaded
 
 
-# the crest layer's commands and usage errors
-CREST_LAYER = [
+# the crest layer's commands, usage errors, and params and checks, which
+# print exact constants and run on math and fractions
+STDLIB_ONLY = [
     (["critical"], 0),
     (["crest", "--delta", "0.3"], 0),
     (["table"], 0),
@@ -105,15 +106,14 @@ CREST_LAYER = [
     (["solve", "--dx", "0.01"], 2),
     (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
      2),
-]
-# params prints exact constants and checks runs on math and fractions;
-# beyond delta_c the crest solve fails first
-CREST_ONLY = CREST_LAYER + [
     (["params"], 0),
     (["checks"], 0),
     (["checks", "--p", "1,2,3"], 0),
     (["params", "--p", "2", "--exact"], 0),
     (["params", "--p", "1,2,3"], 0),
+]
+# beyond delta_c the crest solve fails first
+CREST_ONLY = STDLIB_ONLY + [
     (["solve", "--delta", "0.7"], 1),
     (["compare-kdv", "--delta", "0.7"], 1),
     (["dimensional", "--delta", "0.7", "--depth", "2", "--gravity", "9.81"],
@@ -126,7 +126,7 @@ CREST_ONLY = CREST_LAYER + [
 def test_crest_only_command_does_not_load_numpy(args, exit_code, tmp_path):
     code, loaded = _command(args, tmp_path)
     assert (code, loaded & ARRAY) == (exit_code, set())
-    if (args, exit_code) in CREST_LAYER:
+    if (args, exit_code) in STDLIB_ONLY:
         assert loaded == set()
 
 

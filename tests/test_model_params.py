@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import ExponentSet, NonPositiveDetected, build_params, check_positivity, exact_params
+from ikwave import NonPositiveDetected, check_positivity, exact_params
 from ikwave import model_params
+from ikwave.model_params import check_exponents
+from oracles import float_matrices
 
 
 def test_single_quadratic_term_constants():
-    params = build_params([2])
-    assert abs(params.gamma - 1.0 / 3.0) <= 1e-15
-    assert params.gamma_vec.shape == (1,)
-    assert abs(params.gamma_vec[0] - 0.5) <= 1e-15
-    assert abs(params.kappa1 - 1.0 / 6.0) <= 1e-15
-    assert abs(params.kappa2 - 0.5) <= 1e-15
-    assert abs(params.kappa3 - 1.0) <= 1e-15
+    gamma, gamma_vec, k1, k2, k3 = exact_params([2])
+    assert abs(float(gamma) - 1.0 / 3.0) <= 1e-15
+    assert len(gamma_vec) == 1
+    assert abs(float(gamma_vec[0]) - 0.5) <= 1e-15
+    assert abs(float(k1) - 1.0 / 6.0) <= 1e-15
+    assert abs(float(k2) - 0.5) <= 1e-15
+    assert abs(float(k3) - 1.0) <= 1e-15
 
 
 def test_exact_constants_single_term():
@@ -43,32 +46,36 @@ def test_exact_constants_two_terms():
 
 
 def test_float_path_matches_exact_path():
-    # every float is the exact value correctly rounded
+    # the exact constants, rounded, against a float solve of the same system:
+    # a backward-stable solve is off by a small multiple of N eps cond(A1)
     for p in [(2,), (1, 2), (2, 4), (1, 2, 3)]:
-        params = build_params(p)
+        A1, _, a0 = float_matrices(p)
+        g = np.linalg.solve(A1, 1.0 - a0)
+        tol = 4 * len(p) * np.finfo(float).eps * np.linalg.cond(A1)
         gamma, gamma_vec, k1, k2, k3 = exact_params(p)
-        assert params.gamma == float(gamma)
-        assert params.gamma_vec.tolist() == [float(g) for g in gamma_vec]
-        assert params.kappa1 == float(k1)
-        assert params.kappa2 == float(k2)
-        assert params.kappa3 == float(k3)
-    assert build_params([2]).gamma == 1.0 / 3.0
+        np.testing.assert_allclose(
+            [float(gamma), float(k1), float(k2), float(k3)],
+            [(1.0 - a0) @ g, a0 @ g, g.sum(), np.asarray(p) @ g],
+            rtol=tol, atol=tol)
+        np.testing.assert_allclose([float(v) for v in gamma_vec], g,
+                                   rtol=tol, atol=tol)
+    assert float(exact_params([2])[0]) == 1.0 / 3.0
 
 
 def test_matrix_entries_single_term():
-    params = build_params([2])
+    A1, A0, a0 = model_params._matrices((2,))
     # p=[2]: A1 = [4/3], A0 = [1/5], a0 = [1/3]
-    assert params.A1[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert params.A0[0, 0] == pytest.approx(0.2, abs=1e-15)
-    assert params.a0[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert (A1, A0, a0) == ([[Fraction(4, 3)]], [[Fraction(1, 5)]],
+                            [Fraction(1, 3)])
 
 
 def test_positivity_report():
     for p in [(2,), (1, 2), (2, 4), (1, 2, 3)]:
-        report = check_positivity(build_params(p))
+        report = check_positivity(p)
         assert report["min_eig_A1"] > 0.0
         assert report["min_eig_A0_centered"] > 0.0
-        assert check_positivity(p) == check_positivity(ExponentSet(p)) == report
+        assert check_positivity(list(p)) == check_positivity(
+            check_exponents(p)) == report
 
 
 EXPONENT_SETS = [(2,), (1,), (1, 2), (2, 4), (2, 4, 6), (1, 2, 3),
@@ -112,12 +119,11 @@ def test_min_eig_is_the_last_double_below_the_spectrum(p):
 
 @pytest.mark.parametrize("p", EXPONENT_SETS, ids=repr)
 def test_min_eig_agrees_with_eigvalsh(p):
-    params = build_params(p)
+    A1, A0, a0 = float_matrices(p)
     report = check_positivity(p)
     eps = np.finfo(float).eps
-    for name, A in (("min_eig_A1", params.A1),
-                    ("min_eig_A0_centered",
-                     params.A0 - np.outer(params.a0, params.a0))):
+    for name, A in (("min_eig_A1", A1),
+                    ("min_eig_A0_centered", A0 - np.outer(a0, a0))):
         ev = np.linalg.eigvalsh(A)
         # rounding A and eigvalsh's backward error move each eigenvalue by
         # O(n eps |A|): a relative error of n eps cond(A) at the smallest
@@ -143,25 +149,28 @@ def test_misbuilt_indefinite_matrix_raises(name, monkeypatch):
 
 
 def test_exponent_set_validation():
-    with pytest.raises(ValueError):
-        ExponentSet(())
-    with pytest.raises(ValueError):
-        ExponentSet((0, 2))
-    with pytest.raises(ValueError):
-        ExponentSet((2, 2))
-    with pytest.raises(ValueError):
-        ExponentSet((3, 1))
-    assert ExponentSet((1, 4, 5)).N == 3
-    assert ExponentSet((2.0, 4.0)).p == (2, 4)
+    with pytest.raises(ValueError, match="need at least one exponent"):
+        check_exponents(())
+    with pytest.raises(ValueError, match=r"must be >= 1 \(p_0 = 0"):
+        check_exponents((0, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_exponents((2, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_exponents((3, 1))
+    assert check_exponents((1, 4, 5)) == (1, 4, 5)
+    assert check_exponents([1, 4, 5]) == (1, 4, 5)
+    p = check_exponents((2.0, 4.0))
+    assert p == (2, 4) and all(type(v) is int for v in p)
 
 
 @pytest.mark.parametrize("p", [(2.7,), (2.5,), (1, 2.5), (float("nan"),),
                                (float("inf"),)], ids=repr)
 def test_non_integer_exponents_rejected(p):
+    with pytest.raises(ValueError, match="exponents must be integers, got "
+                       + re.escape(repr(p))):
+        check_exponents(list(p))
     with pytest.raises(ValueError):
-        ExponentSet(p)
-    with pytest.raises(ValueError):
-        build_params(p)
+        check_positivity(p)
     with pytest.raises(ValueError):
         exact_params(p)
 
@@ -170,17 +179,16 @@ def test_exact_params_validates_exponents():
     for p in [(), (0, 2), (2, 2), (3, 1)]:
         with pytest.raises(ValueError):
             exact_params(p)
-    assert exact_params(ExponentSet((2,))) == exact_params([2])
+    assert exact_params(check_exponents((2,))) == exact_params([2])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5,
                 unique=True))
 def test_gamma_positive_for_any_exponent_set(p):
-    params = build_params(sorted(p))
-    assert params.gamma > 0.0
-    assert np.allclose(params.A1, params.A1.T)
-    check_positivity(params)
+    assert exact_params(sorted(p))[0] > 0
+    report = check_positivity(sorted(p))
+    assert min(report.values()) > 0.0
 
 
 def test_nonpositive_detected_is_importable():

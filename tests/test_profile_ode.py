@@ -222,6 +222,16 @@ def test_panel_table_matches_composite_quadrature(delta, critical_point):
     assert half.x[0] == 0.0 and x[0] == 0.0
 
 
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
+def test_along_z_eta_is_the_curve_eta_bit_for_bit(delta, critical_point):
+    # along_z evaluates eta alone, by the formula that at() uses
+    interpolant = _half(delta, critical_point).interpolant
+    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
+                        interpolant._z])
+    assert np.array_equal(interpolant.along_z(z)[1],
+                          interpolant._curve.at(z)[0])
+
+
 def _depth(half):
     """Halvings from [0, Z_END] down to the narrowest panel of a half."""
     return round(math.log2(profile_ode.Z_END

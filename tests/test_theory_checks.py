@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (build_params, first_order_family, fundamental_checks,
+from ikwave import (exact_params, first_order_family, fundamental_checks,
                     fundamental_pair, kdv_profile, q_coefficients, q_eval,
                     q_positivity, verify_kdv_solution)
 from ikwave import model_params, theory_checks
 from ikwave.errors import NonPositiveDetected
+from oracles import float_matrices
 
 
 GRID = np.linspace(-10.0, 10.0, 2001)
@@ -97,7 +98,15 @@ def test_q_against_exact_oracles():
         c = q_coefficients(p)
         for xi2, exact in table.items():
             assert sum(ck * xi2 ** k for k, ck in enumerate(c)) == exact
-            assert q_eval(build_params(p), float(xi2)) == float(exact)
+            assert q_eval(list(p), float(xi2)) == float(exact)
+
+
+@pytest.mark.parametrize("p", [(), (0, 2), (2, 2), (3, 1), (2.5,)],
+                         ids=repr)
+def test_q_rejects_what_check_exponents_rejects(p):
+    for q in (q_coefficients, q_positivity, lambda p: q_eval(p, 0.0)):
+        with pytest.raises(ValueError):
+            q(p)
 
 
 def test_q_constant_for_single_term():
@@ -118,11 +127,11 @@ def _float_q(p, s):
     """q(s) as the float determinant of the bordered matrix as the theory
     writes it, with A0 - 1 (x) a0, and its Hadamard scale: the product of
     the row norms, which bounds the determinant's rounding error."""
-    params = build_params(p)
-    N = params.p.N
+    N = len(p)
+    A1, A0, a0 = float_matrices(p)
     M = np.zeros((N + 1, N + 1))
-    M[0, 1:] = M[1:, 0] = 1.0 - params.a0
-    M[1:, 1:] = s * (params.A0 - np.outer(np.ones(N), params.a0)) + params.A1
+    M[0, 1:] = M[1:, 0] = 1.0 - a0
+    M[1:, 1:] = s * (A0 - np.outer(np.ones(N), a0)) + A1
     return -float(np.linalg.det(M)), float(np.prod(np.linalg.norm(M, axis=1)))
 
 
@@ -148,8 +157,8 @@ def test_q_positive_for_random_exponent_sets(p, s):
 
 def test_first_order_family_reduces_to_soliton():
     # alpha = 2*gamma with gamma = 1/3 collapses eta to the classical soliton
-    params = build_params([2])
-    c, eta, phi0, phi_vec = first_order_family(0.1, 2.0 * params.gamma, GRID)
+    gamma = float(exact_params([2])[0])
+    c, eta, phi0, phi_vec = first_order_family(0.1, 2.0 * gamma, GRID)
     assert c == pytest.approx(1.0 + 2.0 / 3.0 * 0.01, abs=1e-15)
     np.testing.assert_allclose(eta, kdv_profile(0.1, GRID), atol=1e-16)
 
@@ -164,7 +173,7 @@ def test_first_order_family_shapes_and_limits():
     assert phi0[mid] == 0.0
     assert phi_vec[0][mid] == 0.0
     # tanh limits of the leading potential
-    gamma = build_params([2]).gamma
+    gamma = float(exact_params([2])[0])
     limit = 2.0 * np.sqrt(2.0 * 0.5 * gamma) * 0.2 ** 2
     assert phi0[-1] == pytest.approx(-limit, abs=1e-12)
     assert phi0[0] == pytest.approx(limit, abs=1e-12)
@@ -182,10 +191,10 @@ def test_first_order_family_rejects_bad_arguments(delta, alpha):
 def test_family_matches_solver_to_fourth_order(profile_cache):
     # executable form of the small-amplitude convergence statement; the
     # constant 1.0 was calibrated once and frozen
-    params = build_params([2])
+    gamma = float(exact_params([2])[0])
     for delta in (0.05, 0.1):
         p = profile_cache(delta)
-        _, eta, _, _ = first_order_family(delta, 2.0 * params.gamma, p.x)
+        _, eta, _, _ = first_order_family(delta, 2.0 * gamma, p.x)
         sup = float(np.max(np.abs(p.eta - eta)))
         assert sup <= 1.0 * delta ** 4
 
