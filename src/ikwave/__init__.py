@@ -30,6 +30,7 @@ _EXPORTS = {
     "StepSizeUnderflow": "errors",
     "TableRow": "crest_init",
     "WaveProfile": "solitary_profile",
+    "assemble_profile": "solitary_profile",
     "check_positivity": "model_params",
     "compare_kdv": "solitary_profile",
     "crest_curvature": "crest_init",

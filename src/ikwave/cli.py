@@ -331,12 +331,11 @@ def _profile_csv_with_kdv(delta):
 
 def _zoom_csv(delta):
     """The profile at delta near its crest, resampled on |x| <= 1 only."""
-    from .solitary_profile import assemble_profile, solve_solitary
-    profile = solve_solitary(delta)
-    x = [i * ZOOM_DX for i in range(ZOOM_SAMPLES)]
-    zoom = assemble_profile(delta, profile.c, x, *profile.interpolant(x),
-                            kappa0=profile.kappa0,
-                            interpolant=profile.interpolant)
+    from .solitary_profile import assemble_profile, integrate_half
+    crest = solve_crest(delta)
+    zoom = assemble_profile(integrate_half(crest),
+                            [i * ZOOM_DX for i in range(ZOOM_SAMPLES)],
+                            kappa0=crest_curvature(crest))
     return profile_csv_text(zoom)
 
 

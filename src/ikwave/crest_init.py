@@ -241,7 +241,7 @@ def _double_root(gamma):
     b = 3.0 + 8.0 * gamma
     t = 2.0 * gamma * (1.0 + gamma) / (
         b + math.sqrt(b * b + 84.0 * gamma * (1.0 + gamma)))
-    Pt = b + 14.0 * t
+    Pt = crest_polynomial(t, gamma)[1]
     return t, t * Pt * Pt - 5.0 * (1.0 + gamma)
 
 
@@ -260,9 +260,8 @@ def solve_critical():
     delta = math.sqrt(1.5 * lo / (1.0 + math.sqrt(1.0 + lo)))
     crest = crest_on_curve(delta, lo + t)
     c, eta, u = crest.c, crest.eta0, crest.u0
-    H, v = 1.0 + eta, c + u
-    slope = _one_sided_slope(delta, c, H, v)
-    slope_dim = delta * abs(slope)
+    v = c + u
+    slope, slope_dim = _one_sided_slope(delta, c, 1.0 + eta, v)
     return CriticalPoint(
         delta_c=delta, eta_c0=eta, u_c0=u, c_c=c, v_c0=v,
         slope_nondim=slope, slope_dim=slope_dim,
@@ -271,6 +270,7 @@ def solve_critical():
 
 
 def _one_sided_slope(delta, c, H, v):
+    """(eta'(0+), delta |eta'(0+)|) at a corner crest."""
     num = 3.0 * v * (H * v - c) * (8.0 * H * v - 3.0 * c)
     den = delta * delta * H * H * (3.0 * v ** 3 - 8.0 * H * v - 3.0 * c)
     radicand = num / den
@@ -278,14 +278,13 @@ def _one_sided_slope(delta, c, H, v):
         raise NegativeRadicand(
             f"slope radicand {radicand!r} < 0 at delta={delta!r}"
         )
-    return -math.sqrt(radicand)
+    slope = -math.sqrt(radicand)
+    return slope, delta * abs(slope)
 
 
 def crest_slope(cp):
     """(slope_nondim, slope_dim) at a solved critical point."""
-    H = 1.0 + cp.eta_c0
-    slope = _one_sided_slope(cp.delta_c, cp.c_c, H, cp.v_c0)
-    return slope, cp.delta_c * abs(slope)
+    return _one_sided_slope(cp.delta_c, cp.c_c, 1.0 + cp.eta_c0, cp.v_c0)
 
 
 def included_angle(slope_dim):

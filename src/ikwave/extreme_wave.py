@@ -21,8 +21,5 @@ def extreme_profile(cp):
     dx/dz vanishes at z = 0, which makes eta fall linearly in x, a corner,
     once the half profile is mirrored.
     """
-    half = integrate_from(cp.delta_c, cp.eta_c0)
-    return assemble_profile(
-        cp.delta_c, cp.c_c, half.x, half.eta, half.u, half.phi1,
-        kappa0=None, interpolant=half.interpolant,
-    )
+    return assemble_profile(integrate_from(cp.delta_c, cp.eta_c0),
+                            kappa0=None)

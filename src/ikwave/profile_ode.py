@@ -249,7 +249,8 @@ class CurveInterpolant:
     interpolation between the samples.  Each point leaves the sweeps after
     its own last step, so its value does not depend on the other points of
     the call.  An x outside [0, x_end], a z outside [0, Z_END] or a NaN
-    raises ValueError: the panel table covers that range only.
+    raises ValueError: the panel table covers that range only.  x holds
+    x(z) at the samples: z = 0, every panel node and Z_END.
     """
 
     def __init__(self, curve, panels):
@@ -258,7 +259,7 @@ class CurveInterpolant:
         self._x_start, self._coef = panels.x_start, panels.coef
         self._g_start = legendre.legval(-np.ones(len(self._start)),
                                         self._coef, tensor=False)
-        self._x = self._x_of_z(self._z)
+        self.x = self._x_of_z(self._z)
 
     def _x_of_z(self, z):
         i = np.maximum(np.searchsorted(self._start, z, side="right") - 1, 0)
@@ -275,8 +276,8 @@ class CurveInterpolant:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        _check_range("x", flat, self._x[-1])
-        z = np.interp(flat, self._x, self._z)
+        _check_range("x", flat, self.x[-1])
+        z = np.interp(flat, self.x, self._z)
         todo = np.arange(z.size)
         for _ in range(NEWTON_MAX_SWEEPS):
             zt = z[todo]
@@ -318,7 +319,7 @@ def integrate_from(delta, eta0):
     interpolant = CurveInterpolant(curve, panels)
     eta, u, phi1, _ = curve.at(panels.t)
     return HalfProfile(
-        delta=delta, c=curve.c, x=interpolant._x, eta=eta, u=u, phi1=phi1,
+        delta=delta, c=curve.c, x=interpolant.x, eta=eta, u=u, phi1=phi1,
         stop="tail", interpolant=interpolant,
     )
 

@@ -49,16 +49,21 @@ class WaveProfile:
     interpolant: CurveInterpolant  # (eta, u, phi1) at any x in [0, x_end]
 
 
-def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, interpolant):
-    """Mirror right-half samples (x[0] = 0) into a full WaveProfile."""
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    phi1 = np.asarray(phi1, dtype=float)
-    if x[0] != 0.0:
-        raise ValueError("half grid must start at x = 0")
+def assemble_profile(half, x=None, *, kappa0):
+    """Mirror a HalfProfile into a full WaveProfile.
 
-    state = (eta, u, phi1)
+    With no x the half profile's own samples are mirrored; with a half grid
+    x, its interpolant's values there.  Raises ValueError unless x[0] == 0.
+    """
+    if x is None:
+        x, state = half.x, (half.eta, half.u, half.phi1)
+    else:
+        x = np.asarray(x, dtype=float)
+        if x[0] != 0.0:
+            raise ValueError("half grid must start at x = 0")
+        state = half.interpolant(x)
+    delta, c = half.delta, half.c
+    eta, u, phi1 = state
     phi0p, phi1p = reconstruct_potentials(state, c)
     d = denominator(state, c, delta)
     I1, I2 = identity_residuals(state, c, delta)
@@ -74,7 +79,7 @@ def assemble_profile(delta, c, x, eta, u, phi1, *, kappa0, interpolant):
         x=odd(x), eta=even(eta), u=even(u), phi1=odd(phi1),
         phi0_prime=even(phi0p), phi1_prime=even(phi1p),
         d=even(d), I1=even(I1), I2=even(I2),
-        eta_max=float(eta[0]), kappa0=kappa0, interpolant=interpolant,
+        eta_max=float(eta[0]), kappa0=kappa0, interpolant=half.interpolant,
     )
 
 
@@ -91,18 +96,13 @@ def solve_solitary(delta, dx=None):
     dx = None if dx is None else check_dx(dx)
     crest = solve_crest(delta)
     half = integrate_half(crest)
-    x, eta, u, phi1 = half.x, half.eta, half.u, half.phi1
+    x = None
     if dx is not None:
-        n = int(np.floor(x[-1] / dx))
+        n = int(np.floor(half.x[-1] / dx))
         # n dx can round past x_end by an ulp, as 35 * 0.01 > 0.35 does
-        xs = np.arange(n + 1) * dx
-        xs = xs[xs <= x[-1]]
-        eta, u, phi1 = half.interpolant(xs)
-        x = xs
-    return assemble_profile(
-        delta, crest.c, x, eta, u, phi1,
-        kappa0=crest_curvature(crest), interpolant=half.interpolant,
-    )
+        x = np.arange(n + 1) * dx
+        x = x[x <= half.x[-1]]
+    return assemble_profile(half, x, kappa0=crest_curvature(crest))
 
 
 def kdv_profile(delta, grid):

@@ -11,7 +11,7 @@ from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
                     solve_solitary)
 from ikwave import cli, crest_init, profile_ode
 from ikwave.crest_init import CrestState, curve_w
-from ikwave.output import profile_csv_text
+from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
 from ikwave.solitary_profile import assemble_profile
 from oracles import TailReference
 
@@ -82,8 +82,7 @@ def test_half_trajectory_conserves_identities():
     # I1 and I2 vanish by construction on the curve; the phi1' residual and
     # the tail-in reference below are the independent checks
     half = integrate_half(solve_crest(0.45))
-    p = assemble_profile(half.delta, half.c, half.x, half.eta, half.u,
-                         half.phi1, kappa0=None, interpolant=half.interpolant)
+    p = assemble_profile(half, kappa0=None)
     assert half.stop == "tail"
     assert np.all(np.diff(half.x) > 0.0)
     assert np.all(p.d > 0.0)
@@ -204,6 +203,19 @@ def _half(delta, critical_point):
         return profile_ode.integrate_from(critical_point.delta_c,
                                           critical_point.eta_c0)
     return integrate_half(solve_crest(delta))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
+                                   DELTA_C, "extreme"])
+def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
+        delta, critical_point):
+    # Newton on x(z) starts and stops at the sample z, so both branches of
+    # assemble_profile give the same columns
+    half = _half(delta, critical_point)
+    mirrored = profile_arrays(assemble_profile(half, kappa0=None))
+    resampled = profile_arrays(assemble_profile(half, half.x, kappa0=None))
+    for name, a, b in zip(PROFILE_COLUMNS, mirrored, resampled):
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.55, 0.626, DELTA_C - 1e-10,

@@ -135,6 +135,18 @@ def _float_q(p, s):
     return -float(np.linalg.det(M)), float(np.prod(np.linalg.norm(M, axis=1)))
 
 
+def _check_q_against_determinant(p, c, s):
+    """The exact q(s), from its coefficients c, against a float determinant
+    of the bordered matrix: a backward-stable determinant of an
+    (N+1) x (N+1) matrix is off by a small multiple of N eps times the
+    Hadamard scale (at most 0.44 of (N + 1) eps times it over every set of
+    EXPONENT_SETS at s in {0, 0.5, 1, 10, 100})."""
+    exact = sum(ck * Fraction(s) ** k for k, ck in enumerate(c))
+    det, scale = _float_q(p, s)
+    eps = np.finfo(float).eps
+    assert abs(Fraction(det) - exact) <= 4 * (len(p) + 1) * eps * scale, (p, s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4,
                 unique=True),
@@ -143,15 +155,7 @@ def test_q_positive_for_random_exponent_sets(p, s):
     p = sorted(p)
     c = q_coefficients(p)
     assert len(c) == len(p)
-    assert all(ck > 0 for ck in c)
-    # the exact q against a float determinant of the bordered matrix: a
-    # backward-stable determinant of an (N+1) x (N+1) matrix is off by a
-    # small multiple of N eps times the Hadamard scale (at most 0.95 of
-    # (N + 1) eps times it over all 162 sets of up to four exponents <= 8)
-    exact = sum(ck * Fraction(s) ** k for k, ck in enumerate(c))
-    det, scale = _float_q(p, s)
-    eps = np.finfo(float).eps
-    assert abs(Fraction(det) - exact) <= 4 * (len(p) + 1) * eps * scale
+    _check_q_against_determinant(p, c, s)
     assert q_positivity(p) == float(c[0])
 
 
@@ -223,7 +227,7 @@ EXPONENT_SETS = [p for n in range(1, 7)
 
 def test_q_coefficients_positive_and_q0_is_det_A1_gamma():
     # the module docstring's proof, exactly: all coefficients are > 0 and
-    # the minimum q(0) is det(A1) gamma
+    # the minimum q(0) is det(A1) gamma; and q is the bordered determinant
     assert len(EXPONENT_SETS) == 246
     for p in EXPONENT_SETS:
         c = q_coefficients(p)
@@ -231,6 +235,8 @@ def test_q_coefficients_positive_and_q0_is_det_A1_gamma():
         U = model_params._eliminate(model_params._matrices(p)[0])
         det_A1 = math.prod(row[k] for k, row in enumerate(U))
         assert c[0] == det_A1 * model_params.exact_params(p)[0]
+        for s in (0.0, 0.5, 1.0, 10.0, 100.0):
+            _check_q_against_determinant(p, c, s)
 
 
 @pytest.mark.parametrize("c", [
