@@ -91,8 +91,7 @@ def identity_residuals(state, c, delta):
     Scalars or arrays.
     """
     eta, u, phi1 = _unpack(state)
-    H = 1.0 + eta
-    w = c * eta + H * u
+    H, _, w, _ = _terms(eta, u, phi1, c, delta)
     dd = delta * delta
     I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
     I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
@@ -240,8 +239,12 @@ def _check_range(name, values, end):
                          f"got {float(values[outside][0])!r}")
 
 
-class CurveInterpolant:
-    """(eta, u, phi1) anywhere on [0, x_end] of a half profile.
+class HalfProfile:
+    """A half profile on [0, x_end]: its samples, and its values anywhere.
+
+    x, eta, u and phi1 are the samples at z = 0, every panel node and
+    Z_END.  Calling it gives (eta, u, phi1) at any x in [0, x_end], and
+    along_z gives (x, eta) at any z in [0, Z_END].
 
     x(z) is read from the Panels table: the panel that holds z, then one
     Legendre series of its antiderivative, summed by Clenshaw's recurrence.
@@ -249,22 +252,26 @@ class CurveInterpolant:
     interpolation between the samples.  Each point leaves the sweeps after
     its own last step, so its value does not depend on the other points of
     the call.  An x outside [0, x_end], a z outside [0, Z_END] or a NaN
-    raises ValueError: the panel table covers that range only.  x holds
-    x(z) at the samples: z = 0, every panel node and Z_END.
+    raises ValueError: the panel table covers that range only.
     """
 
     def __init__(self, curve, panels):
         self._curve, self._z = curve, panels.t
-        self._start, self._half = panels.start, 0.5 * panels.width
+        self.delta, self.c = curve.delta, curve.c
+        # always "tail": eta/eta0 = TAIL_REL at x_end.  The benchmark
+        # harness reads it; ROADMAP item 1 drops it
+        self.stop = "tail"
+        self._start, self._half_width = panels.start, 0.5 * panels.width
         self._x_start, self._coef = panels.x_start, panels.coef
         self._g_start = legendre.legval(-np.ones(len(self._start)),
                                         self._coef, tensor=False)
         self.x = self._x_of_z(self._z)
+        self.eta, self.u, self.phi1, _ = curve.at(self._z)
 
     def _x_of_z(self, z):
         i = np.maximum(np.searchsorted(self._start, z, side="right") - 1, 0)
-        s = (z - self._start[i]) / self._half[i] - 1.0
-        return self._x_start[i] + self._half[i] * (
+        s = (z - self._start[i]) / self._half_width[i] - 1.0
+        return self._x_start[i] + self._half_width[i] * (
             legendre.legval(s, self._coef[:, i], tensor=False)
             - self._g_start[i])
 
@@ -290,23 +297,6 @@ class CurveInterpolant:
         return tuple(a.reshape(x.shape) for a in self._curve.at(z)[:3])
 
 
-@dataclass
-class HalfProfile:
-    """Samples of a half profile on [0, x_end]: z = 0, the panel nodes of
-    x(z) and the end z = Z_END."""
-
-    delta: float
-    c: float
-    x: np.ndarray
-    eta: np.ndarray
-    u: np.ndarray
-    phi1: np.ndarray
-    # always "tail": eta/eta0 = TAIL_REL at x_end.  The benchmark harness
-    # reads it; ROADMAP item 1 drops it
-    stop: str
-    interpolant: CurveInterpolant
-
-
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
@@ -315,13 +305,7 @@ def integrate_from(delta, eta0):
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)
-    panels = solve_ivp(lambda z: curve.at(z)[3], Z_END)
-    interpolant = CurveInterpolant(curve, panels)
-    eta, u, phi1, _ = curve.at(panels.t)
-    return HalfProfile(
-        delta=delta, c=curve.c, x=interpolant.x, eta=eta, u=u, phi1=phi1,
-        stop="tail", interpolant=interpolant,
-    )
+    return HalfProfile(curve, solve_ivp(lambda z: curve.at(z)[3], Z_END))
 
 
 def integrate_half(crest):

@@ -24,7 +24,7 @@ import numpy as np
 from .crest_init import (TableRow,  # noqa: F401 (re-exported)
                          check_delta, check_dx, check_positive,
                          crest_curvature, diagnostics_table, solve_crest)
-from .profile_ode import (Z_END, CurveInterpolant, denominator,
+from .profile_ode import (Z_END, HalfProfile, denominator,
                           identity_residuals, integrate_half,
                           reconstruct_potentials)
 
@@ -46,22 +46,26 @@ class WaveProfile:
     I2: np.ndarray
     eta_max: float
     kappa0: Optional[float]  # None for the extreme wave (corner crest)
-    interpolant: CurveInterpolant  # (eta, u, phi1) at any x in [0, x_end]
+    # the half profile it mirrors: (eta, u, phi1) at any x in [0, x_end]
+    interpolant: HalfProfile
 
 
 def assemble_profile(half, x=None, *, kappa0):
     """Mirror a HalfProfile into a full WaveProfile.
 
     With no x the half profile's own samples are mirrored; with a half grid
-    x, its interpolant's values there.  Raises ValueError unless x[0] == 0.
+    x, the half profile's values there.  Raises ValueError unless x is 1-D,
+    not empty, starts at 0 and increases strictly.
     """
     if x is None:
         x, state = half.x, (half.eta, half.u, half.phi1)
     else:
         x = np.asarray(x, dtype=float)
-        if x[0] != 0.0:
-            raise ValueError("half grid must start at x = 0")
-        state = half.interpolant(x)
+        if not (x.ndim == 1 and x.size and x[0] == 0.0
+                and (np.diff(x) > 0.0).all()):
+            raise ValueError("half grid must be 1-D, start at x = 0 and "
+                             "increase strictly")
+        state = half(x)
     delta, c = half.delta, half.c
     eta, u, phi1 = state
     phi0p, phi1p = reconstruct_potentials(state, c)
@@ -79,7 +83,7 @@ def assemble_profile(half, x=None, *, kappa0):
         x=odd(x), eta=even(eta), u=even(u), phi1=odd(phi1),
         phi0_prime=even(phi0p), phi1_prime=even(phi1p),
         d=even(d), I1=even(I1), I2=even(I2),
-        eta_max=float(eta[0]), kappa0=kappa0, interpolant=half.interpolant,
+        eta_max=float(eta[0]), kappa0=kappa0, interpolant=half,
     )
 
 
@@ -89,7 +93,7 @@ def solve_solitary(delta, dx=None):
     Without dx the samples are those of the half profile, mirrored: the
     crest, the panel nodes of x(z) and the end of the tail.  With dx given,
     they are replaced by a uniform grid of that spacing evaluated through
-    the profile's interpolant (the final partial cell is dropped).  Raises
+    the half profile (the final partial cell is dropped).  Raises
     ValueError for a delta that solve_crest rejects and for a dx that
     check_dx rejects.
     """

@@ -118,8 +118,10 @@ def test_extreme_peak_and_corner(critical_point, extreme):
 
 
 def test_extreme_identities_and_denominator(extreme):
-    assert np.max(np.abs(extreme.I1)) <= 1e-7
-    assert np.max(np.abs(extreme.I2)) <= 1e-7
+    # at rounding level, within 16 eps of the crest height
+    bound = 16 * np.finfo(float).eps * extreme.eta_max
+    assert np.max(np.abs(extreme.I1)) <= bound
+    assert np.max(np.abs(extreme.I2)) <= bound
     positive = extreme.x > 0.0
     assert np.all(extreme.d[positive] > 0.0)
 
@@ -219,5 +221,5 @@ def test_near_critical_profile_is_resolved_by_step_control(k, monkeypatch):
     fine = integrate_half(crest)
     assert len(fine.x) > len(half.x)
     xs = np.linspace(0.0, min(half.x[-1], fine.x[-1]), 4001)
-    eta, eta_fine = half.interpolant(xs)[0], fine.interpolant(xs)[0]
+    eta, eta_fine = half(xs)[0], fine(xs)[0]
     assert float(np.max(np.abs(eta - eta_fine))) <= 1e-12

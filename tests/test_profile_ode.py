@@ -170,13 +170,17 @@ def test_profiles_across_the_branch(log_delta):
         assert_tail_positive_and_decaying(p)
         crest = p.eta[p.x == 0.0]
         assert len(crest) == 1 and crest[0] == eta0 and p.eta_max == eta0
+        # I1 and I2 at rounding level, within 16 eps of the crest height
+        bound = 16 * np.finfo(float).eps * eta0
+        assert np.max(np.abs(p.I1)) <= bound
+        assert np.max(np.abs(p.I2)) <= bound
     assert phi1_prime_residual(delta, eta0, n=100) <= 1e-8
 
 
 def test_dense_interpolant_matches_samples():
     half = integrate_half(solve_crest(0.5))
     mid = 0.5 * (half.x[10] + half.x[11])
-    eta_mid = half.interpolant(mid)[0]
+    eta_mid = half(mid)[0]
     assert half.eta[11] < eta_mid < half.eta[10]
 
 
@@ -222,11 +226,10 @@ def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
                                    "extreme"])
 def test_panel_table_matches_composite_quadrature(delta, critical_point):
     half = _half(delta, critical_point)
-    interpolant = half.interpolant
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
-                        interpolant._z])
-    x, _ = interpolant.along_z(z)
-    assert np.max(np.abs(x - composite_x(interpolant._curve, z))) <= (
+                        half._z])
+    x, _ = half.along_z(z)
+    assert np.max(np.abs(x - composite_x(half._curve, z))) <= (
         1e-14 * half.x[-1])
     # the samples are the table at z = 0, every node and Z_END, and
     # assemble_profile needs x exactly 0.0 at the crest
@@ -237,17 +240,16 @@ def test_panel_table_matches_composite_quadrature(delta, critical_point):
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
 def test_along_z_eta_is_the_curve_eta_bit_for_bit(delta, critical_point):
     # along_z evaluates eta alone, by the formula that at() uses
-    interpolant = _half(delta, critical_point).interpolant
+    half = _half(delta, critical_point)
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
-                        interpolant._z])
-    assert np.array_equal(interpolant.along_z(z)[1],
-                          interpolant._curve.at(z)[0])
+                        half._z])
+    assert np.array_equal(half.along_z(z)[1], half._curve.at(z)[0])
 
 
 def _depth(half):
     """Halvings from [0, Z_END] down to the narrowest panel of a half."""
     return round(math.log2(profile_ode.Z_END
-                           / (2.0 * half.interpolant._half.min())))
+                           / (2.0 * half._half_width.min())))
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.6]
@@ -289,18 +291,18 @@ def test_interpolant_value_does_not_depend_on_the_batch(delta):
 @pytest.mark.parametrize("delta", [0.3, "extreme"])
 def test_interpolant_rejects_points_off_the_half_profile(delta, critical_point):
     half = _half(delta, critical_point)
-    interpolant, x_end = half.interpolant, half.x[-1]
+    x_end = half.x[-1]
     for x in (-0.1, -3.0, np.nextafter(x_end, np.inf), x_end + 1.0, np.nan,
               [0.0, np.nan]):
         with pytest.raises(ValueError, match="x must lie in") as raised:
-            interpolant(x)
+            half(x)
         assert f"[0, {float(x_end)!r}]" in str(raised.value)
     for z in (-1e-3, np.nextafter(profile_ode.Z_END, np.inf), 10.0, np.nan):
         with pytest.raises(ValueError, match="z must lie in"):
-            interpolant.along_z(z)
+            half.along_z(z)
     # the ends of the range are the first and last samples, bit for bit
     for k in (0, -1):
-        assert [float(a) for a in interpolant(half.x[k])] == [
+        assert [float(a) for a in half(half.x[k])] == [
             half.eta[k], half.u[k], half.phi1[k]]
 
 
