@@ -40,8 +40,12 @@ from .errors import IkwaveError
 from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
                      resolve_out_path, write_text)
 
-# compare-kdv's sup_error_over_delta4 is resolved down to this delta
-KDV_RESOLVED_DELTA = 1e-4
+# compare-kdv's sup_error_over_delta4 is 8/15 + KDV_DELTA2_TERM delta^2 + ...
+# (the delta^2 coefficient as measured for 1e-3 <= delta <= 3e-2).  The
+# rounding of eta ~ (4/3) delta^2 moves it by about 2 eps/delta^2, which
+# exceeds the delta^2 term below KDV_RESOLVED_DELTA (about 2.1e-4)
+KDV_DELTA2_TERM = 0.213
+KDV_RESOLVED_DELTA = (2.0 * sys.float_info.epsilon / KDV_DELTA2_TERM) ** 0.25
 
 PROFILE_DELTAS = (0.3, 0.45, 0.55, 0.6, 0.62, 0.62633493)
 ZOOM_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.62633493)
@@ -241,10 +245,11 @@ def cmd_compare_kdv(args):
     # delta^4 underflows for delta below about 1e-77; delta^2 cannot
     _kv("sup_error_over_delta4", err / args.delta ** 2 / args.delta ** 2)
     if args.delta < KDV_RESOLVED_DELTA:
-        # sup_error ~ (8/15) delta^4 sinks below the rounding of eta ~ delta^2
-        print(f"note: below delta = {KDV_RESOLVED_DELTA:g}, "
-              "sup_error_over_delta4 is below the quadrature's resolution "
-              "and is rounding noise", file=sys.stderr)
+        rounding = 2.0 * sys.float_info.epsilon / args.delta ** 2
+        print(f"note: below delta = {KDV_RESOLVED_DELTA:.2g}, rounding of "
+              "eta ~ (4/3) delta^2 moves sup_error_over_delta4 by about "
+              f"2 eps/delta^2 = {rounding:.2g}, more than its delta^2 term; "
+              "only its limit 8/15 is resolved", file=sys.stderr)
     return 0
 
 

@@ -8,10 +8,17 @@ State (eta, u, phi1) with H = 1 + eta, v = c + u, w = c*eta + H*u:
 
     d = 6Hv^2 - 3vw - H^2 (1 + 4 delta^-2 H phi1^2).
 
-Two identities hold along every solution and act as exact first integrals:
+Two identities vanish on every solitary wave:
 
     I1 = cu + eta + u^2/2 + 2 delta^-2 H^2 phi1^2,
     I2 = eta^2 - Hu^2 + 2uw - (6/(5H)) w^2 + (4/3) delta^-2 H^3 phi1^2.
+
+Along the field dI1/dx = 0 identically, but
+
+    dI2/dx = 4 phi1 H (5c + 8w) I1 / (delta^2 d),
+
+so I1 is a first integral, and I2 is one only on I1 = 0, where every
+solitary wave lies.
 
 The surface potentials are recovered from the 2x2 solve
 
@@ -36,17 +43,22 @@ At the critical value K and d vanish together at the crest; K is clamped at 0
 and dx/dz is 0 where R = 0, so the corner crest of the extreme wave needs no
 special start.
 
-x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp): on each
-accepted panel it is the antiderivative of the Legendre interpolant of dx/dz
-through the panel's nodes, accurate to rounding.  The samples of a half
-profile are z = 0, every panel node and Z_END.  Only numpy is needed.
+x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp).  A
+panel is accepted on the Legendre coefficients of the interpolant of dx/dz
+through its nodes; its x(z) is the antiderivative of that interpolant,
+kept as a Chebyshev series and accurate to rounding.  The samples of a half
+profile are z = 0, every panel node and Z_END, with the closed forms the
+quadrature evaluated there.  Resampling at given x inverts x(z) by Newton
+sweeps started from the cubic Hermite interpolant of z(x) through the
+samples (HalfProfile).  Only numpy is needed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import chebyshev, legendre
 
 from .crest_init import CrestState, _terms, curve_w, phase_speed, speed_excess
 from .errors import StepSizeUnderflow
@@ -90,13 +102,18 @@ def identity_residuals(state, c, delta):
 
     Scalars or arrays.
     """
+    return denominator_and_residuals(state, c, delta)[1:]
+
+
+def denominator_and_residuals(state, c, delta):
+    """(d, I1, I2) from one pass of the kernel; scalars or arrays."""
     eta, u, phi1 = _unpack(state)
-    H, _, w, _ = _terms(eta, u, phi1, c, delta)
+    H, _, w, d = _terms(eta, u, phi1, c, delta)
     dd = delta * delta
     I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
     I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
           + 4.0 / (3.0 * dd) * (H * H * H) * phi1 ** 2)
-    return I1, I2
+    return d, I1, I2
 
 
 def reconstruct_potentials(state, c):
@@ -114,13 +131,14 @@ def reconstruct_potentials(state, c):
 class Panels:
     """The accepted panels of solve_ivp, sorted by z, as one table.
 
-    Panel i covers [a_i, a_i + h_i].  With s = 2(z - a_i)/h_i - 1 and G_i the
-    antiderivative, in the Legendre basis, of the interpolant of dx/dz
-    through the panel's nodes,
+    Panel i covers [a_i, a_i + h_i].  With s = 2(z - a_i)/h_i - 1 and G_i
+    the antiderivative from s = -1, as a Chebyshev series, of the
+    interpolant of dx/dz through the panel's nodes,
 
-        x(z) = x_i + (h_i/2) (G_i(s) - G_i(-1)),
+        x(z) = x_i + (h_i/2) (G_i(s) - G_i(-1)).
 
-    which is x_i exactly at z = a_i.
+    G_i(-1) is 0 but for rounding; subtracting the value that the same
+    Clenshaw sum gives there makes x exactly x_i at z = a_i.
     """
 
     t: np.ndarray        # z at 0, at every node and at the end
@@ -128,7 +146,8 @@ class Panels:
     start: np.ndarray    # a_i
     width: np.ndarray    # h_i
     x_start: np.ndarray  # x_i = x(a_i)
-    coef: np.ndarray     # G_i as column i, lowest degree first
+    coef: np.ndarray     # G_i as column i, row k the degree-k terms
+    values: tuple        # the arrays fun returned, at the nodes of t[1:-1]
 
 
 # the nodes on [-1, 1], and the map from the values of dx/dz at them to the
@@ -138,14 +157,30 @@ _TO_COEF = legendre.legvander(_NODES, PANEL_NODES - 1) * (
     _WEIGHTS[:, None] * (np.arange(PANEL_NODES) + 0.5))
 
 
-def solve_ivp(fun, z_end):
-    """x(z) = integral of fun from 0 to z on [0, z_end], as Panels.
+@functools.cache
+def _to_table():
+    """The map from the values of dx/dz at the nodes to the Chebyshev
+    coefficients of its interpolant's antiderivative from -1, row k giving
+    degree k: the inverse Vandermonde matrix, then chebint.
 
-    fun maps an array of z to dx/dz.  Panels are halved level by level, with
-    one call of fun on the nodes of every open panel per level, until each
-    passes the PANEL_TOL test of the module constants.  Raises
-    StepSizeUnderflow when dx/dz is not finite, or when a panel
-    PANEL_MAX_DEPTH halvings deep still fails.
+    Built on first use rather than at import: its LAPACK call adds about
+    0.4 MB of code pages to the process, which a process that only imports
+    this module need not pay.
+    """
+    return chebyshev.chebint(
+        np.linalg.inv(chebyshev.chebvander(_NODES, PANEL_NODES - 1)),
+        lbnd=-1.0)
+
+
+def solve_ivp(fun, z_end):
+    """x(z) = integral of dx/dz from 0 to z on [0, z_end], as Panels.
+
+    fun maps an array of z to a tuple of arrays of its shape, the last of
+    which is dx/dz; Panels.values keeps them at the nodes.  Panels are
+    halved level by level, with one call of fun on the nodes of every open
+    panel per level, until each passes the PANEL_TOL test of the module
+    constants.  Raises StepSizeUnderflow when dx/dz is not finite, or when
+    a panel PANEL_MAX_DEPTH halvings deep still fails.
 
     The name and the t and nfev fields are those of the scipy routine this
     replaced, because the benchmark harness wraps this name and reads those
@@ -153,11 +188,12 @@ def solve_ivp(fun, z_end):
     them.
     """
     open_start, width = np.zeros(1), z_end
-    done_start, done_width, done_coef = [], [], []
+    done = []
     nfev = 0
     for depth in range(PANEL_MAX_DEPTH + 1):
         z = open_start[:, None] + (0.5 * width) * (_NODES + 1.0)
-        coef = fun(z) @ _TO_COEF
+        values = fun(z)
+        coef = values[-1] @ _TO_COEF
         nfev += z.size
         if not np.isfinite(coef).all():
             raise StepSizeUnderflow(
@@ -166,9 +202,8 @@ def solve_ivp(fun, z_end):
             # each panel's integral is its width times its coefficient c_0
             tol = PANEL_TOL * width * abs(coef[0, 0])
         ok = width * (abs(coef[:, -2]) + abs(coef[:, -1])) <= tol
-        done_start.append(open_start[ok])
-        done_width.append(np.full(ok.sum(), width))
-        done_coef.append(coef[ok])
+        done.append((open_start[ok], np.full(ok.sum(), width), coef[ok, 0],
+                     z[ok], *(v[ok] for v in values)))
         open_start = open_start[~ok]
         if not open_start.size:
             break
@@ -178,16 +213,15 @@ def solve_ivp(fun, z_end):
                 f"z = {open_start.min()!r}")
         width *= 0.5
         open_start = np.concatenate([open_start, open_start + width])
-    order = np.argsort(np.concatenate(done_start))
-    start = np.concatenate(done_start)[order]
-    width = np.concatenate(done_width)[order]
-    coef = np.concatenate(done_coef)[order]
-    nodes = start[:, None] + (0.5 * width[:, None]) * (_NODES + 1.0)
+    order = np.argsort(np.concatenate([level[0] for level in done]))
+    start, width, c0, nodes, *values = (np.concatenate(parts)[order]
+                                        for parts in zip(*done))
     return Panels(
         t=np.concatenate([[0.0], nodes.ravel(), [z_end]]), nfev=nfev,
         start=start, width=width,
-        x_start=np.concatenate([[0.0], np.cumsum(width * coef[:, 0])[:-1]]),
-        coef=legendre.legint(coef, lbnd=-1.0, axis=1).T)
+        x_start=np.concatenate([[0.0], np.cumsum(width * c0)[:-1]]),
+        coef=_to_table() @ values[-1].T,
+        values=tuple(v.ravel() for v in values))
 
 
 def _ratio(num, den, at_zero):
@@ -247,12 +281,16 @@ class HalfProfile:
     along_z gives (x, eta) at any z in [0, Z_END].
 
     x(z) is read from the Panels table: the panel that holds z, then one
-    Legendre series of its antiderivative, summed by Clenshaw's recurrence.
-    x is inverted to z by Newton sweeps on x(z), started from linear
-    interpolation between the samples.  Each point leaves the sweeps after
-    its own last step, so its value does not depend on the other points of
-    the call.  An x outside [0, x_end], a z outside [0, Z_END] or a NaN
-    raises ValueError: the panel table covers that range only.
+    Chebyshev series of its antiderivative, summed by Clenshaw's recurrence
+    one gathered coefficient row at a time.  x is inverted to z by Newton
+    sweeps on x(z), started from the cubic Hermite interpolant of z(x)
+    through the samples, with slopes dz/dx = 1/(dx/dz); on an interval with
+    dx/dz = 0 at an end (the corner crest) the start is linear.  The start
+    is the sample's z exactly at every sample x.  Each point leaves the
+    sweeps after its own last step, so its value does not depend on the
+    other points of the call.  An x outside [0, x_end], a z outside
+    [0, Z_END] or a NaN raises ValueError: the panel table covers that
+    range only.
     """
 
     def __init__(self, curve, panels):
@@ -263,17 +301,45 @@ class HalfProfile:
         self.stop = "tail"
         self._start, self._half_width = panels.start, 0.5 * panels.width
         self._x_start, self._coef = panels.x_start, panels.coef
-        self._g_start = legendre.legval(-np.ones(len(self._start)),
-                                        self._coef, tensor=False)
+        n = len(self._start)
+        self._g_start = self._clenshaw(np.arange(n), -np.ones(n))
         self.x = self._x_of_z(self._z)
-        self.eta, self.u, self.phi1, _ = curve.at(self._z)
+        ends = curve.at(self._z[[0, -1]])
+        self.eta, self.u, self.phi1, slope = (
+            np.concatenate([end[:1], node, end[1:]])
+            for end, node in zip(ends, panels.values))
+        # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1]
+        dz, dx = np.diff(self._z), np.diff(self.x)
+        linear = (slope[:-1] == 0.0) | (slope[1:] == 0.0)
+        a = np.where(linear, dz, _ratio(dx, slope[:-1], 0.0))
+        b = np.where(linear, dz, _ratio(dx, slope[1:], 0.0))
+        self._dx, self._cubic = dx, (a, 3.0 * dz - 2.0 * a - b,
+                                     a + b - 2.0 * dz)
+
+    def _clenshaw(self, i, s):
+        """G_i(s), for panel indices i and s in [-1, 1]."""
+        coef = self._coef
+        y = s + s
+        b2, b1 = 0.0, coef[-1][i]
+        for row in coef[-2:0:-1]:
+            b2, b1 = b1, row[i] + y * b1 - b2
+        return coef[0][i] + s * b1 - b2
 
     def _x_of_z(self, z):
         i = np.maximum(np.searchsorted(self._start, z, side="right") - 1, 0)
         s = (z - self._start[i]) / self._half_width[i] - 1.0
         return self._x_start[i] + self._half_width[i] * (
-            legendre.legval(s, self._coef[:, i], tensor=False)
-            - self._g_start[i])
+            self._clenshaw(i, s) - self._g_start[i])
+
+    def _z_start(self, x):
+        """The Hermite start of the Newton sweeps at x."""
+        j = np.minimum(np.searchsorted(self.x, x, side="right") - 1,
+                       len(self.x) - 2)
+        t = (x - self.x[j]) / self._dx[j]
+        c1, c2, c3 = (c[j] for c in self._cubic)
+        z = self._z[j] + t * (c1 + t * (c2 + t * c3))
+        # at t = 1, z_j + (z_j+1 - z_j) need not be z_j+1
+        return np.where(x == self.x[j + 1], self._z[j + 1], z)
 
     def along_z(self, z):
         """(x, eta) at the given z, with no inversion."""
@@ -284,7 +350,7 @@ class HalfProfile:
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         _check_range("x", flat, self.x[-1])
-        z = np.interp(flat, self.x, self._z)
+        z = self._z_start(flat)
         todo = np.arange(z.size)
         for _ in range(NEWTON_MAX_SWEEPS):
             zt = z[todo]
@@ -301,11 +367,12 @@ def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
     One panel quadrature of x(z) over [0, Z_END] (solve_ivp); eta, u and
-    phi1 are the closed forms at z = 0, at every panel node and at Z_END.
+    phi1 are the closed forms at z = 0, at every panel node and at Z_END,
+    those at the nodes as the quadrature evaluated them.
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)
-    return HalfProfile(curve, solve_ivp(lambda z: curve.at(z)[3], Z_END))
+    return HalfProfile(curve, solve_ivp(curve.at, Z_END))
 
 
 def integrate_half(crest):

@@ -24,9 +24,8 @@ import numpy as np
 from .crest_init import (TableRow,  # noqa: F401 (re-exported)
                          check_delta, check_dx, check_positive,
                          crest_curvature, diagnostics_table, solve_crest)
-from .profile_ode import (Z_END, HalfProfile, denominator,
-                          identity_residuals, integrate_half,
-                          reconstruct_potentials)
+from .profile_ode import (Z_END, HalfProfile, denominator_and_residuals,
+                          integrate_half, reconstruct_potentials)
 
 
 @dataclass
@@ -69,8 +68,7 @@ def assemble_profile(half, x=None, *, kappa0):
     delta, c = half.delta, half.c
     eta, u, phi1 = state
     phi0p, phi1p = reconstruct_potentials(state, c)
-    d = denominator(state, c, delta)
-    I1, I2 = identity_residuals(state, c, delta)
+    d, I1, I2 = denominator_and_residuals(state, c, delta)
 
     def even(a):
         return np.concatenate([a[:0:-1], a])

@@ -234,8 +234,8 @@ def test_compare_kdv_notes_unresolved_ratio(delta, noted, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == f"delta = {float(delta):.12g}"
     assert len(out.splitlines()) == 5
-    assert ("sup_error_over_delta4 is below the quadrature's resolution"
-            in err) is noted
+    assert ("moves sup_error_over_delta4 by about 2 eps/delta^2 = 4.4e-06, "
+            "more than its delta^2 term" in err) is noted
 
 
 def test_extreme_writes_csv(out_dir, capsys):

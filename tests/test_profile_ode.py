@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +217,7 @@ def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
     # Newton on x(z) starts and stops at the sample z, so both branches of
     # assemble_profile give the same columns
     half = _half(delta, critical_point)
+    assert np.array_equal(half._z_start(half.x), half._z)
     mirrored = profile_arrays(assemble_profile(half, kappa0=None))
     resampled = profile_arrays(assemble_profile(half, half.x, kappa0=None))
     for name, a, b in zip(PROFILE_COLUMNS, mirrored, resampled):
@@ -235,6 +237,50 @@ def test_panel_table_matches_composite_quadrature(delta, critical_point):
     # assemble_profile needs x exactly 0.0 at the crest
     assert np.array_equal(half.x, x[4097:])
     assert half.x[0] == 0.0 and x[0] == 0.0
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.62, DELTA_C - 1e-12,
+                                   "extreme"])
+def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
+    # x(z) as numpy's legint and legval give it from the Legendre
+    # coefficients of each panel, which panel acceptance uses
+    half = _half(delta, critical_point)
+    nodes = half._z[1:-1].reshape(-1, profile_ode.PANEL_NODES)
+    g = legendre.legint(half._curve.at(nodes)[3] @ profile_ode._TO_COEF,
+                        lbnd=-1.0, axis=1).T
+    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
+                        half._z[1:-1]])
+    i = np.maximum(np.searchsorted(half._start, z, side="right") - 1, 0)
+    s = (z - half._start[i]) / half._half_width[i] - 1.0
+    x = half._x_start[i] + half._half_width[i] * (
+        legendre.legval(s, g[:, i], tensor=False)
+        - legendre.legval(-1.0, g[:, i], tensor=False))
+    assert np.max(np.abs(half.along_z(z)[0] - x)) <= (
+        4.0 * np.spacing(half.x[-1]))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
+                         + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
+def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
+    # the quadrature's levels, the two ends z = 0 and Z_END, two Newton
+    # sweeps from the Hermite start, and the final state
+    calls, levels = [], []
+    at, solve_ivp = profile_ode._Curve.at, profile_ode.solve_ivp
+
+    def counting_at(self, z):
+        calls.append(np.size(z))
+        return at(self, z)
+
+    def counting_solve(fun, z_end):
+        before = len(calls)
+        panels = solve_ivp(fun, z_end)
+        levels.append(len(calls) - before)
+        return panels
+
+    monkeypatch.setattr(profile_ode._Curve, "at", counting_at)
+    monkeypatch.setattr(profile_ode, "solve_ivp", counting_solve)
+    solve_solitary(delta, dx=0.01)
+    assert len(levels) == 1 and len(calls) <= levels[0] + 4
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
@@ -269,7 +315,8 @@ def test_panel_cap_is_a_step_size_underflow(monkeypatch):
 
 def test_non_finite_slope_is_a_step_size_underflow():
     with pytest.raises(StepSizeUnderflow, match="not finite"):
-        profile_ode.solve_ivp(lambda z: np.where(z > 1.0, np.nan, 1.0), 2.0)
+        profile_ode.solve_ivp(lambda z: (np.where(z > 1.0, np.nan, 1.0),),
+                              2.0)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.626])
