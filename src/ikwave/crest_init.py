@@ -22,11 +22,28 @@ condition on the height.  With t = eta(0) - gamma it reads
 
     F(t) = P^2 - 20(1 + gamma) t = 0,    P = gamma(1 + gamma) + (3 + 8 gamma) t + 7 t^2,
 
-and the crest is its smallest root.  F > 0 for t <= 0 and F is convex for
-t >= 0, so Newton from t = 0 rises monotonically to that root; reaching
-F' >= 0 while F > 0 means F has no root, which is delta beyond the critical
-shallowness, where the smallest root is double.  Next to that value F in
-floating point fixes the root only to about 1e-14, so a last Newton step
+a quartic in t with leading coefficient 49.  How many crests there are, and
+where the branch ends, is decided by one integer quartic in gamma,
+
+    Q(gamma) = 36 gamma^4 + 4 gamma^3 + 234 gamma^2 + 81 gamma - 135.
+
+Its coefficients change sign once, so by Descartes' rule Q has exactly one
+positive root gamma_c = 0.59145869015764591...; Q(0) = -135, Q(1) = 220.
+The identities below are exact; tests/test_branch_structure.py proves each
+in rational arithmetic.  First,
+
+    disc_t F = 79027200 (gamma + 1)^4 Q(gamma).
+
+F > 0 for t <= 0, so every real root is positive.  For 0 < gamma < gamma_c
+the discriminant is negative: F has exactly two real roots, both simple, and
+they merge into a double root at gamma_c.  Beyond gamma_c no real root
+appears or vanishes, and at gamma = 1 there is none (P >= 2 + 11t for
+t >= 0, so F >= 121t^2 + 4t + 4 > 0), so there is none anywhere beyond.
+
+The crest is the smallest root.  F is convex for t >= 0, so Newton from
+t = 0 rises monotonically to it; reaching F' >= 0 while F > 0 means F has no
+root, which is delta beyond the critical shallowness.  Next to that value F
+in floating point fixes the root only to about 1e-14, so a last Newton step
 evaluates F with 40 decimal digits.
 
 The denominator of the reduced system, with v = c + u,
@@ -37,23 +54,43 @@ is written once, in _terms, for floats and arrays alike.  eta' is
 (6Hw + 10H^2 v) phi1/(delta^2 d) and phi1(0) = 0, so the crest curvature
 eta''(0) is that prefactor at the crest times phi1'(0) = 1.5w/H^3.
 
-The extreme wave sits where the smallest root of F becomes double:
-F = dF/dt = 0.  Dividing P^2 = 20(1 + gamma)t by P P_t = 10(1 + gamma) gives
-P = 2t P_t, a quadratic 21t^2 + (3 + 8 gamma)t - gamma(1 + gamma) = 0 in t
-with the positive root
+Why the smallest root: on a crest w = Hv - c, and I1 = 0 reads
+v^2 = c^2 - 2 eta = 1 - gamma - 2t.  I2 = 0 is then linear in cv, and
+eliminating cv leaves the crest denominator a polynomial,
+
+    d(0) = -N(t, gamma)/(2H),
+    N = 35t^3 + (81 gamma + 33)t^2 + (57 gamma^2 + 48 gamma + 6)t
+        + 11 gamma^3 + 15 gamma^2 - 6 gamma - 10,
+
+while F_t = 2M with M = P P_t - 10(1 + gamma).  The resultants
+
+    Res_t(F, N) = 254016 (gamma + 1)^3 (6 gamma + 5) Q(gamma),
+    Res_t(F, M) = 242020800 (gamma + 1)^4 Q(gamma)
+
+are negative on (0, gamma_c).  Each is 49^3 times the product of N (or M)
+over the roots of F, where the complex pair gives |N(z)|^2 > 0.  So along
+either real root N and M never vanish, and they have opposite signs at the
+two.  One crest fixes the signs: on the whole branch d(0) > 0 > F_t at the
+smaller root, while d(0) < 0 at the larger one, whose profile would have to
+cross d = 0 on its way to rest, where d = 6c^2 - 1 > 0.  As the roots merge
+at gamma_c, d(0) and F_t vanish there together.
+
+The extreme wave sits at gamma_c.  There F = F_t = 0; dividing
+P^2 = 20(1 + gamma)t by P P_t = 10(1 + gamma) gives P = 2t P_t, a quadratic
+21t^2 + (3 + 8 gamma)t - gamma(1 + gamma) = 0 in t with the one positive root
 
     t(gamma) = 2 gamma(1 + gamma) / (b + sqrt(b^2 + 84 gamma(1 + gamma))),
 
-b = 3 + 8 gamma.  dF/dt = 0 then reads
+b = 3 + 8 gamma, and F_t = 0 becomes t P_t^2 = 5(1 + gamma).  This fold
+system has the same Q,
 
-    G(gamma) = t P_t^2 - 5(1 + gamma) = 0,
+    Res_t(P - 2t P_t, t P_t^2 - 5(1 + gamma)) = 1764 (gamma + 1)^2 Q(gamma),
 
-one scalar equation with G(0.3) < 0 < G(1) and G increasing in between.
-Bisection down to adjacent floats keeps the lower end; eta(0) = gamma + t,
+so solve_critical bisects Q, in Horner form, over GAMMA_BRACKET = (0, 1)
+down to adjacent floats and keeps the lower end.  eta(0) = gamma + t(gamma),
 and c = sqrt(1 + gamma), delta^2 = 1.5 gamma/(1 + c) give delta_c with no
 subtraction.  delta_c is the largest float below the critical value, the
-last shallowness solve_crest still solves.  There the crest denominator
-d(0) vanishes.
+last shallowness solve_crest still solves.
 
 At the critical point the profile equations are 0/0 at the crest; the
 one-sided crest slope follows from l'Hopital's rule:
@@ -78,8 +115,8 @@ DELTA_C_APPROX = 0.62633493
 CREST_MAX_ITER = 100
 # |d| at or below which the reduced system counts as degenerate
 D_MIN = 1e-13
-# G(gamma) changes sign once in this bracket of gamma = c^2 - 1
-GAMMA_BRACKET = (0.3, 1.0)
+# Q has its one positive root in this bracket of gamma = c^2 - 1
+GAMMA_BRACKET = (0.0, 1.0)
 # smallest resampling step of solve_solitary; the finest grid in use is
 # reproduce-paper's 0.002.  It and check_dx live here so that the CLI
 # checks --dx without numpy
@@ -236,29 +273,31 @@ class CriticalPoint(NamedTuple):
     theta_deg: float     # included crest angle in dimensional variables
 
 
+def fold_quartic(gamma):
+    """Q(gamma) in Horner form; floats, Fractions or Decimals."""
+    return (((36 * gamma + 4) * gamma + 234) * gamma + 81) * gamma - 135
+
+
 def _double_root(gamma):
-    """t(gamma) with P = 2t P_t, and G(gamma) = t P_t^2 - 5(1 + gamma)."""
+    """t(gamma) > 0 with P = 2t P_t; at gamma_c, the double root of F."""
     b = 3.0 + 8.0 * gamma
-    t = 2.0 * gamma * (1.0 + gamma) / (
+    return 2.0 * gamma * (1.0 + gamma) / (
         b + math.sqrt(b * b + 84.0 * gamma * (1.0 + gamma)))
-    Pt = crest_polynomial(t, gamma)[1]
-    return t, t * Pt * Pt - 5.0 * (1.0 + gamma)
 
 
 def solve_critical():
-    """The critical point, by bisection of G over GAMMA_BRACKET."""
+    """The critical point, by bisection of Q over GAMMA_BRACKET."""
     lo, hi = GAMMA_BRACKET
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _double_root(mid)[1] < 0.0:
+        if fold_quartic(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    t = _double_root(lo)[0]
     delta = math.sqrt(1.5 * lo / (1.0 + math.sqrt(1.0 + lo)))
-    crest = crest_on_curve(delta, lo + t)
+    crest = crest_on_curve(delta, lo + _double_root(lo))
     c, eta, u = crest.c, crest.eta0, crest.u0
     v = c + u
     slope, slope_dim = _one_sided_slope(delta, c, 1.0 + eta, v)

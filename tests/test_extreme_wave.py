@@ -9,7 +9,8 @@ from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
                     integrate_half, solve_crest, solve_critical,
                     solve_solitary)
 from ikwave import profile_ode
-from ikwave.crest_init import CriticalPoint, crest_polynomial, speed_excess
+from ikwave.crest_init import (CriticalPoint, crest_polynomial, fold_quartic,
+                               speed_excess)
 from ikwave.profile_ode import denominator
 from oracles import decimal_critical_point, decimal_quartic
 
@@ -22,6 +23,16 @@ def test_critical_point_digits(critical_point):
     assert cp.c_c == pytest.approx(1.26153, abs=1e-5)
     assert cp.v_c0 == pytest.approx(cp.c_c + cp.u_c0, abs=1e-15)
     assert cp.v_c0 > 0.0
+
+
+def test_critical_point_is_pinned_bitwise(critical_point):
+    # every field, bit for bit, so a change to the bisection shows
+    assert critical_point == CriticalPoint(
+        delta_c=0.6263349307245629, eta_c0=0.6879263338437143,
+        u_c0=-0.7971963412054571, c_c=1.2615302969638287,
+        v_c0=0.46433395575837155, slope_nondim=-0.3895225297479565,
+        slope_dim=0.2439715666853428, theta_deg=152.5786014395976)
+    assert all(type(value) is float for value in critical_point)
 
 
 def test_critical_point_residuals(critical_point):
@@ -54,6 +65,15 @@ def test_critical_point_matches_decimal_oracle(critical_point):
     solve_crest(cp.delta_c)
     with pytest.raises(NoSolitaryRoot):
         solve_crest(math.nextafter(cp.delta_c, math.inf))
+
+
+def test_decimal_oracle_lands_on_the_fold_quartic():
+    # the 2-D Newton on F = F_t = 0 knows nothing of Q, yet its gamma is Q's
+    # root: disc_t F = 79027200 (gamma + 1)^4 Q(gamma)
+    _, _, c_c, _ = decimal_critical_point()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        assert abs(fold_quartic(c_c * c_c - 1)) <= decimal.Decimal("1e-45")
 
 
 def test_branch_ends_with_a_resolved_crest(critical_point):
