@@ -1,10 +1,11 @@
 """Run the analytic verification suite by hand.
 
-Everything the solver's derivation leans on that can be checked numerically
-is checked here: the leading-order profile equation, the closed-form
-fundamental pair with unit Wronskian, positivity of the bordered
-determinant q (proved exactly, for every xi), and the first-order family that the computed waves approach
-as delta -> 0.
+Everything the solver's derivation leans on that can be checked is checked
+here.  The leading-order profile equation, the closed-form fundamental pair
+with unit Wronskian and its tail rates, and positivity of the bordered
+determinant q (for every xi) are proved exactly; each residual prints as 0.
+The first-order family that the computed waves approach as delta -> 0 is
+compared with the solver in floats.
 """
 
 import numpy as np
@@ -12,12 +13,9 @@ import numpy as np
 from ikwave import (exact_params, first_order_family, fundamental_checks,
                     q_positivity, solve_solitary, verify_kdv_solution)
 
-grid = np.linspace(-10.0, 10.0, 2001)
+print(f"leading-order equation residual: {verify_kdv_solution(1.0 / 3.0):g}")
 
-print(f"leading-order equation residual: "
-      f"{verify_kdv_solution(1.0 / 3.0, grid):.3e}")
-
-report = fundamental_checks(grid)
+report = fundamental_checks()
 for key, value in report.items():
     print(f"{key:<22} = {value:.6g}")
 

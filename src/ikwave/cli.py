@@ -20,10 +20,10 @@ numpy is loaded only by the commands that compute a profile: solve,
 compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
 table need only crest values, which crest_init computes with the standard
 library; params prints the exact constants of model_params, and checks runs
-theory_checks, which needs only math and fractions, so neither they nor a
-usage error load numpy.  solve, compare-kdv and dimensional solve the crest
-first, so a delta beyond the critical shallowness fails with NoSolitaryRoot
-before numpy is imported.  No command loads scipy.  main() sets
+theory_checks, whose exact proofs need only the standard library, so neither
+they nor a usage error load numpy.  solve, compare-kdv and dimensional solve
+the crest first, so a delta beyond the critical shallowness fails with
+NoSolitaryRoot before numpy is imported.  No command loads scipy.  main() sets
 OPENBLAS_NUM_THREADS=1 unless it is already set, since no BLAS call here is
 large enough to use a thread pool; set it in the environment to override.
 """
@@ -297,31 +297,21 @@ def cmd_dimensional(args):
 def cmd_checks(args):
     from .model_params import exact_params
     from .theory_checks import (family_deviation, fundamental_checks, q_eval,
-                                q_positivity, uniform_grid,
-                                verify_kdv_solution)
-    grid = uniform_grid(-10.0, 10.0, 2001)
-    lines = []
-
-    def check(name, value, ok):
-        lines.append((name, value, ok(value)))
-
-    check("kdv_residual",
-          verify_kdv_solution(float(exact_params(args.p)[0]), grid),
-          lambda v: v <= 1e-12)
-    fc = fundamental_checks(grid)
-    check("ode_residual_u1", fc["ode_residual_u1"], lambda v: v <= 1e-10)
-    check("ode_residual_u2", fc["ode_residual_u2"], lambda v: v <= 1e-10)
-    check("wronskian_dev", fc["wronskian_dev"], lambda v: v <= 1e-12)
-    check("decay_exponent_u1", fc["decay_exponent_u1"],
-          lambda v: abs(v + 2.0) <= 0.04)
-    check("growth_exponent_u2", fc["growth_exponent_u2"],
-          lambda v: abs(v - 2.0) <= 0.04)
-    check("q_min", q_positivity(args.p), lambda v: v > 0.0)
+                                q_positivity, verify_kdv_solution)
+    proved = {"kdv_residual": verify_kdv_solution(exact_params(args.p)[0]),
+              **fundamental_checks()}
+    # each residual is exactly 0, and each tail rate exactly -2 or 2
+    rates = {"decay_exponent_u1": -2, "growth_exponent_u2": 2}
+    lines = [(name, value, value == rates.get(name, 0))
+             for name, value in proved.items()]
+    q_min = q_positivity(args.p)
+    lines.append(("q_min", q_min, q_min > 0.0))
     if args.p == (2,):
-        check("q_constant_dev", abs(q_eval(args.p, 0.0) - 4.0 / 9.0),
-              lambda v: v <= 1e-14)
-        check("family_kdv_dev", family_deviation(0.1, grid),
-              lambda v: v <= 1e-15)
+        # q_eval rounds the exact 4/9 correctly, as 4.0 / 9.0 does
+        q_dev = abs(q_eval(args.p, 0.0) - 4.0 / 9.0)
+        lines.append(("q_constant_dev", q_dev, q_dev == 0.0))
+        family = family_deviation(0.1, [i / 100 for i in range(-1000, 1001)])
+        lines.append(("family_kdv_dev", family, family <= 1e-15))
     for name, value, good in lines:
         print(f"{'PASS' if good else 'FAIL'} {name} = {fmt(value)}")
     return 0 if all(good for *_, good in lines) else 1

@@ -30,5 +30,6 @@ class NegativeRadicand(IkwaveError):
 
 
 class NonPositiveDetected(IkwaveError):
-    """A quantity proven positive (matrix eigenvalue, determinant q) was
-    sampled non-positive; signals an implementation bug, not bad input."""
+    """A quantity proven positive (a pivot of A1 or A0 - a0 (x) a0, a
+    coefficient of q) came out non-positive in exact arithmetic; signals
+    an implementation bug, not bad input."""

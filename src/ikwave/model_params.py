@@ -32,9 +32,15 @@ from .errors import NonPositiveDetected
 
 def check_exponents(p):
     """p as a tuple of ints; ValueError unless it is a strictly increasing
-    sequence of integers p_1 < ... < p_N, N >= 1, all >= 1."""
+    sequence of integers p_1 < ... < p_N, N >= 1, all >= 1, each of which
+    converts to float."""
     p = tuple(p)
-    if not all(float(v).is_integer() for v in p):
+    try:
+        integral = all(float(v).is_integer() for v in p)
+    except OverflowError:
+        raise ValueError("exponents must be small enough to convert to "
+                         "float") from None
+    if not integral:
         raise ValueError(f"exponents must be integers, got {p!r}")
     p = tuple(int(v) for v in p)
     if not p:

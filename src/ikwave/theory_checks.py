@@ -41,14 +41,32 @@ k = 0, ..., N-1 because b != 0.  So the minimum over s >= 0 is
 q(0) = det(A1) b^T A1^-1 b = det(A1) gamma, and a coefficient <= 0 can
 only come from a mis-built matrix set.
 
-Everything here runs on the standard library.  Each closed form is written
-once, for one float, with math, and a grid is any sequence of floats.  All
-derivatives are hand-differentiated closed forms; no finite differencing or
-symbolic algebra is involved.
+The other facts are proved the same way, in exact arithmetic.  With
+T = tanh x and S = sech^2 x = 1 - T^2, every closed form above is a
+polynomial in (x, T) over a power S^k: u1 = S T, u2 = U2 / S with
+
+    U2 = (1/8)(-6 S - (1 + T^2) + 15 S^2 - 15 x S^2 T),
+
+since cosh 2x = (1 + T^2)/S, and eta0 = 4 gamma S.  As T' = S and
+S' = -2 T S, d/dx maps a numerator over S^k to
+
+    d_x + S d_T + 2 k T
+
+of it, over the same S^k.  Each residual, and the Wronskian minus 1, is
+then one numerator over a power of S, and each is the zero Poly.  For
+x -> +inf, E = 1 - T ~ 2 exp(-2x) and S^k ~ (2E)^k; if E^m is the lowest
+power of E in the numerator and its coefficient c carries no x, then
+u ~ c 2^(m - 2k) exp(-2(m - k) x), so the rate 2(k - m) and the limit
+c 2^(m - 2k) are read off exactly: -2 and 4 for u1, 2 and -1/16 for u2.
+
+Everything here runs on the standard library.  The float functions of
+FundamentalPair are the same closed forms written once with math, for
+callers that sample them.
 """
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .errors import NonPositiveDetected
@@ -56,11 +74,107 @@ from .model_params import (_centered, _eliminate, _matrices, check_exponents,
                            exact_params)
 
 
-def uniform_grid(start, stop, num):
-    """num evenly spaced floats from start to stop, as numpy.linspace
-    spaces them: i * step + start, with stop itself last."""
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
+def _power(key, i):
+    """The exponent of variable i in the monomial key."""
+    return key[i] if i < len(key) else 0
+
+
+class Poly(dict):
+    """Polynomial with rational coefficients: a dict from exponent tuples
+    to nonzero coefficients, the exponent of variable i at index i.  Keys
+    drop trailing zeros, so the constant term is () and tuples of any
+    length mix."""
+
+    def __init__(self, terms=()):
+        super().__init__()
+        for key, a in terms.items() if isinstance(terms, dict) else terms:
+            key = tuple(key)
+            while key and not key[-1]:
+                key = key[:-1]
+            a = self.pop(key, 0) + a
+            if a:
+                self[key] = a
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Poly) else Poly({(): x})
+
+    def __add__(self, other):
+        return Poly([*self.items(), *Poly.lift(other).items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({k: -a for k, a in self.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return Poly((tuple(map(sum, zip_longest(k, l, fillvalue=0))), a * b)
+                    for k, a in self.items()
+                    for l, b in Poly.lift(other).items())
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = Poly.lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def diff(self, i):
+        """The partial derivative in variable i."""
+        return Poly((k[:i] + (k[i] - 1,) + k[i + 1:], k[i] * a)
+                    for k, a in self.items() if _power(k, i))
+
+    def subs(self, i, value):
+        """Variable i replaced by value, a number or a Poly."""
+        return sum((Poly({k[:i] + (0,) + k[i + 1:]: a})
+                    * Poly.lift(value) ** _power(k, i)
+                    for k, a in self.items()), Poly())
+
+
+def _size(p):
+    """The largest |coefficient| of p, as a float: 0 exactly when p = 0."""
+    return float(max(map(abs, p.values()), default=0))
+
+
+def _variables():
+    """x, T = tanh x and S = 1 - T^2, as Polys in (x, T)."""
+    x, t = Poly({(1,): 1}), Poly({(0, 1): 1})
+    return x, t, 1 - t * t
+
+
+def _exact_pair():
+    """u1 and u2 exactly, each as (numerator, k): u = numerator / S^k with
+    the numerator a Poly in (x, T), T = tanh x and S = 1 - T^2."""
+    x, t, s = _variables()
+    return ((s * t, 0),
+            (Fraction(1, 8) * (-6 * s - (1 + t * t) + 15 * s * s
+                               - 15 * x * s * s * t), 1))
+
+
+def _d_dx(u):
+    """d/dx of u = (numerator, k): d_x + S d_T + 2 k T on the numerator."""
+    n, k = u
+    _, t, s = _variables()
+    return n.diff(0) + s * n.diff(1) + 2 * k * t * n, k
+
+
+def _tail(u):
+    """(r, L) with u exp(-r x) -> L != 0 as x -> +inf, for u = (numerator,
+    k); (nan, nan) when no such r exists.  See the module docstring."""
+    n, k = u
+    n = n.subs(1, 1 - _variables()[1])  # in (x, E), E = 1 - T
+    m = min((_power(key, 1) for key in n), default=None)
+    lead = {key: a for key, a in n.items() if _power(key, 1) == m}
+    if list(lead) != [(0, m) if m else ()]:
+        return math.nan, math.nan
+    return 2 * (k - m), lead.popitem()[1] * Fraction(2) ** (m - 2 * k)
 
 
 def _sech2(x):
@@ -123,70 +237,40 @@ def fundamental_pair():
                            _u2, _u2_prime, _u2_second)
 
 
-def _eta0(gamma, x):
-    """The leading-order profile 4 gamma sech^2 x."""
-    return 4.0 * gamma * _sech2(x)
-
-
-def verify_kdv_solution(gamma, grid):
-    """Max residual of 2 c1 eta0 - (3/2) eta0^2 - gamma eta0'' on the grid.
-
-    c1 = 2 gamma and eta0 = 4 gamma sech^2 x; the residual is identically
-    zero, gamma cancelling, so anything above rounding flags a bug.
-    """
+def verify_kdv_solution(gamma):
+    """Residual of 2 c1 eta0 - (3/2) eta0^2 - gamma eta0'' with c1 = 2 gamma
+    and eta0 = 4 gamma sech^2 x, as the largest |coefficient| of it as a
+    polynomial in T = tanh x: 0, exactly, for every positive gamma."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-
-    def residual(x):
-        eta0 = _eta0(gamma, x)
-        s2 = _sech2(x)
-        # (sech^2)'' = 4 sech^2 - 6 sech^4
-        eta0_second = 4.0 * gamma * (4.0 * s2 - 6.0 * s2 * s2)
-        return (2.0 * (2.0 * gamma) * eta0 - 1.5 * eta0 * eta0
-                - gamma * eta0_second)
-
-    return max(abs(residual(x)) for x in grid)
+    gamma = Fraction(gamma)
+    eta0 = 4 * gamma * _variables()[2]
+    eta0_second = _d_dx(_d_dx((eta0, 0)))[0]
+    return _size(4 * gamma * eta0 - Fraction(3, 2) * eta0 ** 2
+                 - gamma * eta0_second)
 
 
-def _fit_exponent(xs, ys):
-    """Least-squares slope of log|y| over x; y must be nonzero there."""
-    logs = [math.log(abs(y)) for y in ys]
-    mx, ml = sum(xs) / len(xs), sum(logs) / len(logs)
-    return (sum((x - mx) * (v - ml) for x, v in zip(xs, logs))
-            / sum((x - mx) * (x - mx) for x in xs))
+def fundamental_checks():
+    """Residual, Wronskian and tail-rate report for the pair, proved exactly.
 
-
-def _ode_residual(u, u_second, x):
-    """|-u'' + (4 - 12 sech^2 x) u| at x, relative to max(1, |u|)."""
-    v = u(x)
-    return abs(-u_second(x) + (4.0 - 12.0 * _sech2(x)) * v) / max(1.0, abs(v))
-
-
-def fundamental_checks(grid):
-    """Residual, Wronskian, and tail-exponent report for the pair.
-
-    The ODE residual is taken per unit gamma (-u'' + (4 - 12 sech^2 x) u)
-    and scaled by max(1, |u|): the growing companion reaches cosh(2x) ~ 1e8
-    by x = 10, where the rounding floor of any double-precision evaluation
-    already exceeds 1e-8 in absolute terms, so solution-relative error is
-    the meaningful measure.  Tail exponents are least-squares slopes of
-    log|u| on x in [3, 10].
+    Each ODE residual -u'' + (4 - 12 S) u and the Wronskian
+    u1' u2 - u1 u2' - 1 is a numerator over a power of S, reported as its
+    largest |coefficient|, so 0 means the identity holds.  The rates r with
+    u exp(-r x) -> a finite nonzero limit as x -> +inf come from _tail.
     """
-    grid = [float(x) for x in grid]
-    pair = fundamental_pair()
-    tail = [x for x in grid if 3.0 <= x <= 10.0]
-    if len(tail) < 8:
-        tail = uniform_grid(3.0, 10.0, 101)
+    u1, u2 = _exact_pair()
+    s = _variables()[2]
+
+    def ode_residual(u):
+        return _size(-_d_dx(_d_dx(u))[0] + (4 - 12 * s) * u[0])
+
     return {
-        "ode_residual_u1": max(_ode_residual(pair.u1, pair.u1_second, x)
-                               for x in grid),
-        "ode_residual_u2": max(_ode_residual(pair.u2, pair.u2_second, x)
-                               for x in grid),
-        "wronskian_dev": max(abs(pair.u1_prime(x) * pair.u2(x)
-                                 - pair.u1(x) * pair.u2_prime(x) - 1.0)
-                             for x in grid),
-        "decay_exponent_u1": _fit_exponent(tail, map(pair.u1, tail)),
-        "growth_exponent_u2": _fit_exponent(tail, map(pair.u2, tail)),
+        "ode_residual_u1": ode_residual(u1),
+        "ode_residual_u2": ode_residual(u2),
+        "wronskian_dev": _size(_d_dx(u1)[0] * u2[0] - u1[0] * _d_dx(u2)[0]
+                               - s ** (u1[1] + u2[1])),
+        "decay_exponent_u1": _tail(u1)[0],
+        "growth_exponent_u2": _tail(u2)[0],
     }
 
 
@@ -299,5 +383,5 @@ def family_deviation(delta, grid):
     grid = [float(x) for x in grid]
     gamma = float(exact_params((2,))[0])
     _, eta, _, _ = first_order_family(delta, 2.0 * gamma, grid)
-    return max(abs(e - _eta0(gamma, x) * delta * delta)
+    return max(abs(e - 4.0 * gamma * _sech2(x) * delta * delta)
                for e, x in zip(eta, grid))

@@ -119,24 +119,25 @@ def test_criterion_6_fourth_order_scaling():
 
 
 def test_criterion_7_theory_suite():
-    grid = np.linspace(-10.0, 10.0, 2001)
-    fc = fundamental_checks(grid)
-    kdv_res = verify_kdv_solution(1.0 / 3.0, grid)
+    fc = fundamental_checks()
+    kdv_res = verify_kdv_solution(1.0 / 3.0)
     q_dev = max(abs(q_eval([2], xi2) - 4.0 / 9.0)
                 for xi2 in (0.0, 1.0, 25.0, 100.0))
     bad = []
-    if fc["wronskian_dev"] > 1e-12:
+    if fc["wronskian_dev"] != 0:
         bad.append(f"wronskian {fc['wronskian_dev']:.2e}")
-    if fc["ode_residual_u1"] > 1e-10 or fc["ode_residual_u2"] > 1e-10:
+    if fc["ode_residual_u1"] != 0 or fc["ode_residual_u2"] != 0:
         bad.append("ode residual")
-    if kdv_res > 1e-12:
+    if (fc["decay_exponent_u1"], fc["growth_exponent_u2"]) != (-2, 2):
+        bad.append("tail rates")
+    if kdv_res != 0:
         bad.append(f"kdv {kdv_res:.2e}")
-    if q_dev > 1e-14:
+    if q_dev != 0:
         bad.append(f"q dev {q_dev:.2e}")
     if not (q_positivity((1, 2)) > 0.0 and q_positivity((2, 4)) > 0.0):
         bad.append("q positivity")
     _line("analytic verification suite", not bad,
-          "all residuals within tolerance" if not bad else "; ".join(bad))
+          "all identities exact" if not bad else "; ".join(bad))
 
 
 def test_criterion_8_failure_behavior(capsys):

@@ -41,6 +41,8 @@ def test_usage_errors_exit_2():
     (["crest", "--delta", "1e-155"], "argument --delta:"),
     (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
      "argument --depth:"),
+    (["params", "--p", str(2 ** 1024)], "argument --p:"),
+    (["checks", "--p", f"1,{2 ** 1024}"], "argument --p:"),
 ])
 def test_usage_errors_name_their_argument(argv, argument, capsys):
     assert run(argv) == 2
@@ -255,17 +257,50 @@ def test_dimensional_writes_csv(out_dir, capsys):
     assert "amplitude = " in out
 
 
+# the five identities print exact values, the same on every platform
+PROVED = """\
+PASS kdv_residual = 0
+PASS ode_residual_u1 = 0
+PASS ode_residual_u2 = 0
+PASS wronskian_dev = 0
+PASS decay_exponent_u1 = -2
+PASS growth_exponent_u2 = 2
+"""
+
+
 def test_checks_pass(capsys):
     assert run(["checks"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "PASS wronskian_dev" in out
+    assert capsys.readouterr().out == PROVED + (
+        "PASS q_min = 0.444444444444\n"
+        "PASS q_constant_dev = 0\n"
+        "PASS family_kdv_dev = 3.46944695195e-18\n")
 
 
 def test_checks_two_term_set(capsys):
     assert run(["checks", "--p", "1,2"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS q_min" in out
+    assert capsys.readouterr().out == PROVED + "PASS q_min = 0.111111111111\n"
+    assert run(["checks", "--p", "1,2,3"]) == 0
+    assert (capsys.readouterr().out
+            == PROVED + "PASS q_min = 0.00555555555556\n")
+
+
+# a closed form with one factor S = sech^2 x too many fails its proofs
+@pytest.mark.parametrize("which, failed", [
+    (0, ["ode_residual_u1", "wronskian_dev", "decay_exponent_u1"]),
+    (1, ["ode_residual_u2", "wronskian_dev", "growth_exponent_u2"]),
+], ids=["u1", "u2"])
+def test_corrupted_closed_form_fails_checks(which, failed, monkeypatch,
+                                            capsys):
+    from ikwave import theory_checks
+    pair = list(theory_checks._exact_pair())
+    n, k = pair[which]
+    pair[which] = (n * theory_checks._variables()[2], k)
+    monkeypatch.setattr(theory_checks, "_exact_pair", lambda: pair)
+    assert run(["checks"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert [line.split()[1] for line in lines
+            if not line.startswith("PASS ")] == failed
 
 
 def test_reproduce_outputs(out_dir, capsys):

@@ -157,6 +157,9 @@ def test_exponent_set_validation():
         check_exponents((2, 2))
     with pytest.raises(ValueError, match="strictly increasing"):
         check_exponents((3, 1))
+    # 2**1024 has 309 digits and overflows float()
+    with pytest.raises(ValueError, match="small enough to convert to float"):
+        check_exponents((1, 2 ** 1024))
     assert check_exponents((1, 4, 5)) == (1, 4, 5)
     assert check_exponents([1, 4, 5]) == (1, 4, 5)
     p = check_exponents((2.0, 4.0))

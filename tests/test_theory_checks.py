@@ -18,11 +18,16 @@ from oracles import float_matrices
 GRID = np.linspace(-10.0, 10.0, 2001)
 
 
-def test_uniform_grid_is_numpy_linspace():
-    for start, stop, num in ((-10.0, 10.0, 2001), (3.0, 10.0, 101),
-                             (0.0, 1.0, 2)):
-        assert (theory_checks.uniform_grid(start, stop, num)
-                == np.linspace(start, stop, num).tolist())
+def _exact_value(u, x, t):
+    """u = (numerator, k) at x and T = t, exactly."""
+    n, k = u
+    return n.subs(0, x).subs(1, t).get((), 0) / (1 - t * t) ** k
+
+
+def _exact_forms():
+    """u1, u1', u1'', u2, u2', u2'' exactly, in FundamentalPair's order."""
+    d = theory_checks._d_dx
+    return [v for u in theory_checks._exact_pair() for v in (u, d(u), d(d(u)))]
 
 
 def test_pair_normalization():
@@ -31,36 +36,47 @@ def test_pair_normalization():
     assert pair.u1_prime(0.0) == 1.0
     assert pair.u2(0.0) == 1.0
     assert pair.u2_prime(0.0) == 0.0
+    u1, u1_prime, _, u2, u2_prime, _ = _exact_forms()
+    assert [_exact_value(u, 0, 0) for u in (u1, u1_prime, u2, u2_prime)] == [
+        0, 1, 1, 0]
 
 
-def _central(f, x, h=1e-5):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def test_hand_derivatives_match_finite_differences():
-    pair = fundamental_pair()
-    for x in np.linspace(-3.0, 3.0, 41).tolist():
-        for f, f_prime in ((pair.u1, pair.u1_prime), (pair.u2, pair.u2_prime),
-                           (pair.u1_prime, pair.u1_second),
-                           (pair.u2_prime, pair.u2_second)):
-            assert f_prime(x) == pytest.approx(_central(f, x), abs=1e-8)
+def test_pair_matches_its_exact_forms():
+    # each float function at x = i/8 against its exact form at the same x
+    # and T = the float tanh x (5.5e-15 at worst, relative to max(1, |u|))
+    pair, forms = fundamental_pair(), _exact_forms()
+    for i in range(-24, 25):
+        x, t = i / 8, Fraction(math.tanh(i / 8))
+        for f, u in zip(pair, forms):
+            exact = _exact_value(u, Fraction(x), t)
+            assert abs(Fraction(f(x)) - exact) <= 1e-13 * max(1, abs(exact))
 
 
 def test_wronskian_identity():
-    report = fundamental_checks(GRID)
-    assert report["wronskian_dev"] <= 1e-12
+    assert fundamental_checks()["wronskian_dev"] == 0
 
 
 def test_fundamental_ode_residuals():
-    report = fundamental_checks(GRID)
-    assert report["ode_residual_u1"] <= 1e-10
-    assert report["ode_residual_u2"] <= 1e-10
+    report = fundamental_checks()
+    assert report["ode_residual_u1"] == 0
+    assert report["ode_residual_u2"] == 0
 
 
 def test_tail_exponents():
-    report = fundamental_checks(GRID)
-    assert report["decay_exponent_u1"] == pytest.approx(-2.0, rel=0.02)
-    assert report["growth_exponent_u2"] == pytest.approx(2.0, rel=0.02)
+    report = fundamental_checks()
+    assert report["decay_exponent_u1"] == -2
+    assert report["growth_exponent_u2"] == 2
+    # u1 exp(2x) -> 4 and u2 exp(-2x) -> -1/16 as x -> +inf
+    u1, u2 = theory_checks._exact_pair()
+    assert theory_checks._tail(u1) == (-2, 4)
+    assert theory_checks._tail(u2) == (2, Fraction(-1, 16))
+
+
+@pytest.mark.parametrize("n", [{}, {(1,): 1}], ids=["zero", "x"])
+def test_tail_without_a_rate_is_nan(n):
+    # u = 0 has no rate, and u = x no exponential one
+    u = (theory_checks.Poly(n), 0)
+    assert all(map(math.isnan, theory_checks._tail(u)))
 
 
 def test_wronskian_pointwise():
@@ -71,15 +87,14 @@ def test_wronskian_pointwise():
 
 
 def test_leading_order_profile_equation():
-    assert verify_kdv_solution(1.0 / 3.0, GRID) <= 1e-12
-    assert verify_kdv_solution(1.0, GRID) <= 1e-12
-    assert verify_kdv_solution(2.5, GRID) <= 1e-11  # scale grows with gamma^2
+    for gamma in (1.0 / 3.0, 1.0, 2.5, Fraction(1, 3)):
+        assert verify_kdv_solution(gamma) == 0
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_verify_kdv_solution_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError):
-        verify_kdv_solution(gamma, GRID)
+        verify_kdv_solution(gamma)
 
 
 # exact determinant values frozen from an independent rational computation
