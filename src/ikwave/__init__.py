@@ -35,7 +35,6 @@ _EXPORTS = {
     "compare_kdv": "solitary_profile",
     "crest_curvature": "crest_init",
     "crest_slope": "crest_init",
-    "denominator": "profile_ode",
     "diagnostics_table": "crest_init",
     "dimensionalize": "solitary_profile",
     "exact_params": "model_params",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "first_order_family": "theory_checks",
     "fundamental_checks": "theory_checks",
     "fundamental_pair": "theory_checks",
-    "identity_residuals": "profile_ode",
     "included_angle": "crest_init",
     "integrate_half": "profile_ode",
     "kdv_profile": "solitary_profile",
@@ -51,7 +49,6 @@ _EXPORTS = {
     "q_coefficients": "theory_checks",
     "q_eval": "theory_checks",
     "q_positivity": "theory_checks",
-    "reconstruct_potentials": "profile_ode",
     "solve_crest": "crest_init",
     "solve_critical": "crest_init",
     "solve_solitary": "solitary_profile",

@@ -8,7 +8,7 @@ plain text for an external gnuplot; nothing here executes them.
 Profiles are even in x, and assemble_profile mirrors them bitwise, so the
 rows left of the crest repeat the rows right of it with x and phi1 negated.
 mirrored_csv_text formats the right half only and writes each left-half
-row from those strings; the bytes are those of csv_text on the same arrays.
+row from those strings; the bytes are those of formatting every value.
 
 numpy is imported by the functions that take arrays, so that fmt and the
 path helpers serve the commands that never load it.
@@ -19,7 +19,8 @@ from pathlib import Path
 
 PROFILE_COLUMNS = ("x", "eta", "u", "phi1", "phi0_prime", "phi1_prime",
                    "d", "I1", "I2")
-# columns that change sign under x -> -x; every other column is even
+# columns that change sign under x -> -x; every other column is even.
+# assemble_profile mirrors by this rule and mirrored_csv_text checks it
 ODD_COLUMNS = ("x", "phi1")
 
 
@@ -61,11 +62,6 @@ def _join(columns, string_columns):
     return "\n".join(lines) + "\n"
 
 
-def csv_text(columns, arrays):
-    """CSV text for named columns of equal-length arrays."""
-    return _join(columns, [_reprs(a) for a in _float_columns(arrays)])
-
-
 def _negated(strings):
     """repr(-v) from repr(v); repr(-nan) is 'nan' too."""
     return [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s
@@ -73,7 +69,7 @@ def _negated(strings):
 
 
 def mirrored_csv_text(columns, arrays):
-    """csv_text of columns mirrored about their middle row, where x = 0.
+    """CSV text of named columns mirrored about their middle row, x = 0.
 
     The left half must be the bitwise mirror of the right half, as
     assemble_profile makes it: reversed, and negated in ODD_COLUMNS.  Only

@@ -80,51 +80,18 @@ Z_TOL = 1e-10
 NEWTON_MAX_SWEEPS = 50
 
 
-def _unpack(state):
-    """(eta, u, phi1) as Python floats, or as float arrays for array input."""
+def derived_columns(state, c, delta):
+    """(phi0', phi1', d, I1, I2) at states (eta, u, phi1), from one pass of
+    the kernel; floats or arrays."""
     eta, u, phi1 = state
-    if np.ndim(eta) == 0:
-        return float(eta), float(u), float(phi1)
-    return (np.asarray(eta, dtype=float), np.asarray(u, dtype=float),
-            np.asarray(phi1, dtype=float))
-
-
-def denominator(state, c, delta):
-    """Denominator d of the reduced system; vanishes at the extreme crest.
-
-    Scalars or arrays.
-    """
-    return _terms(*_unpack(state), c, delta)[-1]
-
-
-def identity_residuals(state, c, delta):
-    """(I1, I2); both vanish on exact solutions.
-
-    Scalars or arrays.
-    """
-    return denominator_and_residuals(state, c, delta)[1:]
-
-
-def denominator_and_residuals(state, c, delta):
-    """(d, I1, I2) from one pass of the kernel; scalars or arrays."""
-    eta, u, phi1 = _unpack(state)
     H, _, w, d = _terms(eta, u, phi1, c, delta)
     dd = delta * delta
+    H3 = H * H * H
     I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
     I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
-          + 4.0 / (3.0 * dd) * (H * H * H) * phi1 ** 2)
-    return d, I1, I2
-
-
-def reconstruct_potentials(state, c):
-    """Surface potential derivatives (phi0', phi1') from the 2x2 linear solve.
-
-    Scalars or arrays.
-    """
-    eta, u, _ = _unpack(state)
-    H = 1.0 + eta
-    inv = 1.5 / (H * H * H)
-    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (c * eta + H * u)
+          + 4.0 / (3.0 * dd) * H3 * phi1 ** 2)
+    inv = 1.5 / H3
+    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * w, d, I1, I2
 
 
 @dataclass

@@ -24,8 +24,8 @@ import numpy as np
 from .crest_init import (TableRow,  # noqa: F401 (re-exported)
                          check_delta, check_dx, check_positive,
                          crest_curvature, diagnostics_table, solve_crest)
-from .profile_ode import (Z_END, HalfProfile, denominator_and_residuals,
-                          integrate_half, reconstruct_potentials)
+from .output import ODD_COLUMNS, PROFILE_COLUMNS
+from .profile_ode import Z_END, HalfProfile, derived_columns, integrate_half
 
 
 @dataclass
@@ -66,23 +66,13 @@ def assemble_profile(half, x=None, *, kappa0):
                              "increase strictly")
         state = half(x)
     delta, c = half.delta, half.c
-    eta, u, phi1 = state
-    phi0p, phi1p = reconstruct_potentials(state, c)
-    d, I1, I2 = denominator_and_residuals(state, c, delta)
-
-    def even(a):
-        return np.concatenate([a[:0:-1], a])
-
-    def odd(a):
-        return np.concatenate([-a[:0:-1], a])
-
-    return WaveProfile(
-        delta=delta, c=c,
-        x=odd(x), eta=even(eta), u=even(u), phi1=odd(phi1),
-        phi0_prime=even(phi0p), phi1_prime=even(phi1p),
-        d=even(d), I1=even(I1), I2=even(I2),
-        eta_max=float(eta[0]), kappa0=kappa0, interpolant=half,
-    )
+    right = (x, *state, *derived_columns(state, c, delta))
+    # the left half repeats the right, negated in the columns odd in x
+    columns = {name: np.concatenate([(-a if name in ODD_COLUMNS else a)[:0:-1],
+                                     a])
+               for name, a in zip(PROFILE_COLUMNS, right)}
+    return WaveProfile(delta=delta, c=c, **columns, eta_max=float(state[0][0]),
+                       kappa0=kappa0, interpolant=half)
 
 
 def solve_solitary(delta, dx=None):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import DELTA_C_APPROX, NoSolitaryRoot, phase_speed, solve_crest
-from ikwave.crest_init import DX_MIN, check_dx
-from ikwave.profile_ode import denominator, identity_residuals
+from ikwave.crest_init import DX_MIN, check_dx, crest_denominator
+from ikwave.profile_ode import derived_columns
 from oracles import decimal_crest_eta0, quartic_coeffs
 
 
@@ -41,12 +41,12 @@ def test_crest_satisfies_both_identities():
         c, u, eta = crest.c, crest.u0, crest.eta0
         # first crest identity: eta = -(cu + u^2/2)
         assert eta == pytest.approx(-(c * u + 0.5 * u * u), abs=1e-12)
-        assert abs(identity_residuals((eta, u, 0.0), c, delta)[1]) <= 1e-12
+        assert abs(derived_columns((eta, u, 0.0), c, delta)[4]) <= 1e-12
         # the quartic itself
         res = np.polyval(quartic_coeffs(c), u)
         assert abs(res) <= 1e-9
         # admissible branch: positive denominator, depressed fluid moving backward
-        assert denominator((eta, u, 0.0), c, delta) > 0.0
+        assert crest_denominator(crest) > 0.0
         assert -1.0 < u < 0.0
         assert 0.0 < eta < 1.0
 
@@ -108,8 +108,7 @@ def test_boundary_value_still_solvable():
     # the printed 8-digit critical value sits just below the true one
     crest = solve_crest(0.62633493)
     assert crest.eta0 == pytest.approx(0.687915, abs=1e-5)
-    assert denominator((crest.eta0, crest.u0, 0.0), crest.c, crest.delta) == \
-        pytest.approx(2.30314e-4, abs=1e-5)
+    assert crest_denominator(crest) == pytest.approx(2.30314e-4, abs=1e-5)
 
 
 def test_wave_height_monotone_in_delta():

@@ -9,9 +9,9 @@ from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
                     integrate_half, solve_crest, solve_critical,
                     solve_solitary)
 from ikwave import profile_ode
-from ikwave.crest_init import (CriticalPoint, crest_polynomial, fold_quartic,
-                               speed_excess)
-from ikwave.profile_ode import denominator
+from ikwave.crest_init import (CriticalPoint, crest_denominator,
+                               crest_polynomial, fold_quartic, speed_excess)
+from ikwave.profile_ode import derived_columns
 from oracles import decimal_critical_point, decimal_quartic
 
 
@@ -43,7 +43,7 @@ def test_critical_point_residuals(critical_point):
     assert abs(F) <= 1e-12
     assert abs(Ft) <= 1e-12
     # the critical condition is exactly a vanishing crest denominator
-    d0 = denominator((cp.eta_c0, cp.u_c0, 0.0), cp.c_c, cp.delta_c)
+    d0 = derived_columns((cp.eta_c0, cp.u_c0, 0.0), cp.c_c, cp.delta_c)[2]
     assert abs(d0) <= 1e-10
 
 
@@ -79,8 +79,7 @@ def test_decimal_oracle_lands_on_the_fold_quartic():
 def test_branch_ends_with_a_resolved_crest(critical_point):
     # the smallest crest denominator solve_crest can return, far above D_MIN
     crest = solve_crest(critical_point.delta_c)
-    assert denominator((crest.eta0, crest.u0, 0.0), crest.c,
-                       crest.delta) >= 1e-8
+    assert crest_denominator(crest) >= 1e-8
     assert math.isfinite(crest_curvature(crest))
 
 
@@ -176,7 +175,7 @@ def test_denominator_growth_off_the_crest(critical_point, extreme):
     expected = (3.0 * v * v - 8.0 * H - 3.0 * c / v) * cp.slope_nondim
 
     def d_at(x):
-        return denominator(extreme.interpolant(x), cp.c_c, cp.delta_c)
+        return derived_columns(extreme.interpolant(x), cp.c_c, cp.delta_c)[2]
 
     q1 = d_at(1e-3) / 1e-3
     q2 = d_at(5e-4) / 5e-4

@@ -6,10 +6,9 @@ import pytest
 
 from ikwave import dimensionalize, extreme_profile, solve_solitary
 from ikwave.cli import _profile_csv_with_kdv, _zoom_csv
-from ikwave.output import (ODD_COLUMNS, PROFILE_COLUMNS, csv_text, fmt,
-                           gnuplot_script, mirrored_csv_text, profile_arrays,
-                           profile_csv_text, resolve_out_dir,
-                           resolve_out_path, write_text)
+from ikwave.output import (ODD_COLUMNS, PROFILE_COLUMNS, fmt, gnuplot_script,
+                           mirrored_csv_text, profile_arrays, profile_csv_text,
+                           resolve_out_dir, resolve_out_path, write_text)
 from ikwave.solitary_profile import kdv_profile
 
 # delta_c - 1e-10; test_extreme_wave pins delta_c to 0.6263349307245629
@@ -23,22 +22,8 @@ def test_fmt_has_at_least_nine_significant_digits():
     assert len(fmt(np.pi).replace("0.", "").replace(".", "")) >= 9
 
 
-def test_csv_round_trips_doubles(tmp_path):
-    xs = np.array([0.1, 1.0 / 3.0, 1e-17, -2.5e8])
-    ys = np.array([1.0, 2.0, 3.0, 4.0])
-    text = csv_text(("x", "y"), (xs, ys))
-    lines = text.splitlines()
-    assert lines[0] == "x,y"
-    assert len(lines) == 5
-    assert text.endswith("\n")
-    for line, x, y in zip(lines[1:], xs, ys):
-        sx, sy = line.split(",")
-        assert float(sx) == x
-        assert float(sy) == y
-
-
 def _per_element_csv(columns, arrays):
-    """csv_text as first written: repr(float(v)) of each element in turn."""
+    """CSV text as first written: repr(float(v)) of each element in turn."""
     arrays = [list(a) for a in arrays]
     lines = [",".join(columns)]
     for i in range(len(arrays[0])):
@@ -49,15 +34,16 @@ def _per_element_csv(columns, arrays):
 def test_csv_bytes_equal_the_per_element_formula():
     profile = solve_solitary(0.3, dx=0.01)
     arrays = profile_arrays(profile)
-    text = csv_text(PROFILE_COLUMNS, arrays)
+    text = mirrored_csv_text(PROFILE_COLUMNS, arrays)
     assert text == _per_element_csv(PROFILE_COLUMNS, arrays)
     # phi1 at the crest is -0.0 on the mirrored grid
     crest = next(line for line in text.splitlines() if line.startswith("0.0,"))
     assert crest.split(",")[PROFILE_COLUMNS.index("phi1")] == "-0.0"
-    odd = ([math.nan, math.inf, -math.inf, -0.0, 5e-324, 3],
-           np.array([1.0, -2.5e8, 1e-17, 0.1, 1.0 / 3.0, 2.0]),
-           (7, 8, 9, 10, 11, 12))
-    assert csv_text(("a", "b", "c"), odd) == _per_element_csv(("a", "b", "c"), odd)
+    # lists, tuples and ints are columns too
+    mixed = ((-3, 0, 3), [math.inf, -0.0, math.inf],
+             np.array([1e-17, 0.1, 1e-17]))
+    assert mirrored_csv_text(("x", "a", "b"), mixed) == _per_element_csv(
+        ("x", "a", "b"), mixed)
 
 
 @pytest.mark.parametrize("dx", [None, 0.01])
@@ -97,6 +83,21 @@ def _mirror(columns, right_halves):
             for name, a in zip(columns, map(np.asarray, right_halves))]
 
 
+def test_csv_round_trips_doubles():
+    columns = ("x", "y")
+    arrays = _mirror(columns, ([0.0, 1e-17, 0.1, 1.0 / 3.0, 2.5e8],
+                               [1.0, 2.0, 1.0 / 3.0, 1e-300, 4.0]))
+    text = mirrored_csv_text(columns, arrays)
+    lines = text.splitlines()
+    assert lines[0] == "x,y"
+    assert len(lines) == 10
+    assert text.endswith("\n")
+    for line, x, y in zip(lines[1:], *arrays, strict=True):
+        sx, sy = line.split(",")
+        assert float(sx) == x
+        assert float(sy) == y
+
+
 def test_mirrored_csv_negates_special_values_like_repr():
     nan, inf, tiny = math.nan, math.inf, 5e-324
     columns = ("x", "phi1", "eta", "u")
@@ -107,7 +108,7 @@ def test_mirrored_csv_negates_special_values_like_repr():
         [-tiny, -0.0, 0.0, nan, inf, -inf],
     ))
     text = mirrored_csv_text(columns, arrays)
-    assert text == _per_element_csv(columns, arrays) == csv_text(columns, arrays)
+    assert text == _per_element_csv(columns, arrays)
     lines = text.splitlines()
     assert lines[1] == "nan,-1e-17,5e-324,-inf"
     assert lines[3] == "-250000000.0,nan,-0.0,nan"
@@ -134,12 +135,10 @@ def test_mirrored_csv_rejects_what_is_not_a_mirror(profile_cache):
 
 
 def test_csv_rejects_ragged_columns():
-    with pytest.raises(ValueError):
-        csv_text(("a", "b"), ([1.0, 2.0], [1.0]))
-    with pytest.raises(ValueError):
-        csv_text(("a", "b"), (np.zeros(3), np.zeros(2)))
-    with pytest.raises(ValueError):
-        csv_text(("a", "b"), (np.zeros((3, 2)), np.zeros((3, 2))))
+    for arrays in (([-1.0, 0.0, 1.0], [1.0]), (np.zeros(3), np.zeros(2)),
+                   (np.zeros((3, 2)), np.zeros((3, 2)))):
+        with pytest.raises(ValueError, match="1-D and of equal length"):
+            mirrored_csv_text(("x", "b"), arrays)
 
 
 def test_profile_csv_columns(profile_cache):

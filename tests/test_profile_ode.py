@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
-                    denominator, extreme_profile, identity_residuals,
-                    integrate_half, reconstruct_potentials, solve_crest,
+                    extreme_profile, integrate_half, solve_crest,
                     solve_solitary)
 from ikwave import cli, crest_init, profile_ode
 from ikwave.crest_init import CrestState, curve_w
 from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
+from ikwave.profile_ode import derived_columns
 from ikwave.solitary_profile import assemble_profile
 from oracles import TailReference
 
@@ -30,42 +30,25 @@ def test_config_validation():
 
 def test_identities_vanish_at_solved_crest():
     crest = solve_crest(0.55)
-    I1, I2 = identity_residuals((crest.eta0, crest.u0, 0.0), crest.c, crest.delta)
+    *_, I1, I2 = derived_columns((crest.eta0, crest.u0, 0.0), crest.c,
+                                 crest.delta)
     assert abs(I1) <= 1e-12
     assert abs(I2) <= 1e-11
 
 
-def test_scalar_kernel_calls_return_python_floats():
-    state = (np.float64(0.3), np.float64(-0.2), np.float64(0.01))
-    values = (denominator(state, 1.2, 0.5),
-              *identity_residuals(state, 1.2, 0.5),
-              *reconstruct_potentials(state, 1.2),
-              crest_curvature(solve_crest(0.55)))
-    assert all(type(v) is float for v in values)
-
-
 def test_profile_fields_are_the_kernel_on_its_samples(profile_cache):
     p = profile_cache(0.55)
-    state = (p.eta, p.u, p.phi1)
-    assert np.array_equal(p.d, denominator(state, p.c, p.delta))
-    I1, I2 = identity_residuals(state, p.c, p.delta)
-    assert np.array_equal(p.I1, I1) and np.array_equal(p.I2, I2)
-    phi0p, phi1p = reconstruct_potentials(state, p.c)
-    assert np.array_equal(p.phi0_prime, phi0p)
-    assert np.array_equal(p.phi1_prime, phi1p)
+    columns = derived_columns((p.eta, p.u, p.phi1), p.c, p.delta)
+    for name, a in zip(PROFILE_COLUMNS[4:], columns, strict=True):
+        assert np.array_equal(getattr(p, name), a), name
 
 
 def test_scalar_kernel_calls_match_array_entries(profile_cache):
     p = profile_cache(0.45)
-    state = (p.eta, p.u, p.phi1)
-    arrays = (denominator(state, p.c, p.delta),
-              *identity_residuals(state, p.c, p.delta),
-              *reconstruct_potentials(state, p.c))
+    arrays = derived_columns((p.eta, p.u, p.phi1), p.c, p.delta)
     for i, sample in enumerate(zip(p.eta.tolist(), p.u.tolist(),
                                    p.phi1.tolist())):
-        scalars = (denominator(sample, p.c, p.delta),
-                   *identity_residuals(sample, p.c, p.delta),
-                   *reconstruct_potentials(sample, p.c))
+        scalars = derived_columns(sample, p.c, p.delta)
         assert scalars == tuple(a[i] for a in arrays), i
 
 
@@ -74,7 +57,7 @@ def test_potential_reconstruction_recovers_velocity():
     rng = np.random.default_rng(7)
     for _ in range(50):
         eta, u, c = rng.uniform(-0.5, 0.9), rng.uniform(-1, 1), rng.uniform(0.9, 1.4)
-        phi0p, phi1p = reconstruct_potentials((eta, u, 0.1), c)
+        phi0p, phi1p = derived_columns((eta, u, 0.1), c, 0.5)[:2]
         H = 1.0 + eta
         assert phi0p + H * H * phi1p == pytest.approx(u, abs=1e-13)
 
