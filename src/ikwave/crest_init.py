@@ -53,6 +53,11 @@ The denominator of the reduced system, with v = c + u,
 is written once, in _terms, for floats and arrays alike.  eta' is
 (6Hw + 10H^2 v) phi1/(delta^2 d) and phi1(0) = 0, so the crest curvature
 eta''(0) is that prefactor at the crest times phi1'(0) = 1.5w/H^3.
+crest_curvature takes w0 = eta0 W0 with W0 = curve_w(eta0), since
+c eta0 + H u0 cancels to a relative error of about eps/delta^2.  It divides
+W0, not w0, by delta^2: W0/delta^2 tends to -2/3, while w0 ~ delta^4
+underflows below delta ~ 1e-77.  So kappa0 tends to -(8/3) delta^2 to
+rounding for every delta that check_delta accepts.
 
 Why the smallest root: on a crest w = Hv - c, and I1 = 0 reads
 v^2 = c^2 - 2 eta = 1 - gamma - 2t.  I2 = 0 is then linear in cv, and
@@ -252,14 +257,15 @@ def crest_curvature(crest):
     DenominatorVanished for a crest with d(0) <= D_MIN, which solve_crest
     never returns.
     """
-    delta = crest.delta
-    H, v, w, d0 = _terms(crest.eta0, crest.u0, 0.0, crest.c, delta)
+    delta, eta0, c = crest.delta, crest.eta0, crest.c
+    H, v, _, d0 = _terms(eta0, crest.u0, 0.0, c, delta)
     if d0 <= D_MIN:
         raise DenominatorVanished(
             f"curvature diverges: crest denominator {d0!r} at delta={delta!r}"
         )
-    prefactor = (6.0 * H * w + 10.0 * H * H * v) / (delta * delta * d0)
-    return prefactor * (1.5 / H ** 3 * w)
+    W0 = curve_w(eta0, c, speed_excess(delta))
+    return ((6.0 * H * (eta0 * W0) + 10.0 * H * H * v) / d0 * (1.5 / H ** 3)
+            * eta0 * (W0 / (delta * delta)))
 
 
 class CriticalPoint(NamedTuple):

@@ -24,6 +24,11 @@ The surface potentials are recovered from the 2x2 solve
 
     (phi0', phi1')^T = (1/((2/3)H^3)) (-H^2(c eta + (1/3)Hu), c eta + Hu)^T.
 
+On the curve below w = c eta + Hu equals eta W, with W = curve_w(eta) of
+order delta^2.  The sum c eta + Hu cancels to a relative error of about
+eps/delta^2, so derived_columns forms phi1' as 1.5 eta W/H^3; d and I2 keep
+w as written, where the cancelled digits are below their rounding.
+
 A solitary wave lies on the curve I1 = I2 = 0 (crest_init), where u is a
 closed form in eta and so is phi1: with W = w/eta, W0 its crest value and
 m = cu + eta + u^2/2, both roots of m are factored out,
@@ -81,8 +86,11 @@ NEWTON_MAX_SWEEPS = 50
 
 
 def derived_columns(state, c, delta):
-    """(phi0', phi1', d, I1, I2) at states (eta, u, phi1), from one pass of
-    the kernel; floats or arrays."""
+    """(phi0', phi1', d, I1, I2) at states (eta, u, phi1) on the curve
+    I1 = I2 = 0, from one pass of the kernel; floats or arrays.
+
+    phi1' is 1.5 eta W/H^3, W from curve_w, as the module docstring says.
+    """
     eta, u, phi1 = state
     H, _, w, d = _terms(eta, u, phi1, c, delta)
     dd = delta * delta
@@ -91,7 +99,8 @@ def derived_columns(state, c, delta):
     I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
           + 4.0 / (3.0 * dd) * H3 * phi1 ** 2)
     inv = 1.5 / H3
-    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * w, d, I1, I2
+    W = curve_w(eta, c, speed_excess(delta), np.sqrt)
+    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (eta * W), d, I1, I2
 
 
 @dataclass

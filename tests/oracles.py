@@ -3,6 +3,7 @@
 They are written from the model equations, independently of the solver's
 invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
 eta(0) from the two crest identities, its root in 50-digit decimal
+arithmetic, the crest curvature and the phi1' column in 40-digit decimal
 arithmetic, the critical point in 50-digit decimal arithmetic, a tail-in
 DOP853 shot of the full three-state system, and the model matrices of an
 exponent set in floats.
@@ -55,8 +56,9 @@ def decimal_quartic(c, u):
     return f, fp
 
 
-def decimal_crest_eta0(delta, digits=50):
-    """eta(0) from the admissible quartic root, in `digits`-digit decimals.
+def decimal_crest(delta, digits=50):
+    """(c, u(0), eta(0)) at the admissible quartic root, in `digits`-digit
+    decimals.
 
     The quartic is positive and rising at u = 0 and, on the whole branch,
     convex between 0 and the admissible root, its largest negative one; so
@@ -77,7 +79,71 @@ def decimal_crest_eta0(delta, digits=50):
                 break
         else:
             raise RuntimeError(f"decimal Newton did not settle at delta={delta}")
-        return -(c * u + u * u / 2)
+        return c, u, -(c * u + u * u / 2)
+
+
+def decimal_crest_eta0(delta, digits=50):
+    """eta(0) from the admissible quartic root, in `digits`-digit decimals."""
+    return decimal_crest(delta, digits)[2]
+
+
+def _extra_digits(delta):
+    """Digits lost to cancellation at shallowness delta: c - 1 is of order
+    delta^2, and w = c eta + Hu, of order delta^2 eta, is a difference of
+    terms of order eta, so 4 log10(1/delta) digits in all."""
+    return 4 * max(0, math.ceil(-math.log10(delta)))
+
+
+def decimal_crest_curvature(delta, digits=40):
+    """eta''(0) in `digits`-digit decimals, at the crest of decimal_crest.
+
+    eta' = (6Hw + 10H^2 v) phi1/(delta^2 d) and phi1(0) = 0 give
+    eta''(0) = (6Hw + 10H^2 v) phi1'(0)/(delta^2 d(0)), with
+    phi1'(0) = 1.5 w/H^3, w = c eta + Hu, v = c + u and
+    d(0) = 6Hv^2 - 3vw - H^2, all formed as written.
+    """
+    extra = _extra_digits(delta)
+    c, u, eta = decimal_crest(delta, digits + extra)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10 + extra
+        H = 1 + eta
+        v = c + u
+        w = c * eta + H * u
+        d = 6 * H * v * v - 3 * v * w - H * H
+        return ((6 * H * w + 10 * H * H * v) * (3 * w / (2 * H ** 3))
+                / (decimal.Decimal(delta) ** 2 * d))
+
+
+def decimal_phi1_prime(delta, etas, digits=40):
+    """phi1' = 1.5 w/H^3 on the curve I1 = I2 = 0 at each float eta of a
+    profile at shallowness delta, as Decimals of `digits` digits.
+
+    I1 = 0 gives (4/3) delta^-2 H^3 phi1^2 = -(2/3)H(cu + eta + u^2/2), and
+    I2 = 0 then leaves a quadratic f(u) = a u^2 + b u + e with a < 0, b < 0
+    and e < 0, whose coefficients are read off f(0) and f(+-1).  The
+    profile's root is the one that tends to -eta/c as eta -> 0, the root
+    of smaller modulus, 2e/(sqrt(b^2 - 4ae) - b); w = c eta + Hu is then
+    formed as written.
+    """
+    extra = _extra_digits(delta)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10 + extra
+        D = decimal.Decimal
+        c = 1 + D(2) / 3 * D(delta) ** 2
+        values = []
+        for eta in map(D, etas):
+            H = 1 + eta
+
+            def f(u):
+                w = c * eta + H * u
+                return (eta * eta - H * u * u + 2 * u * w - 6 * w * w / (5 * H)
+                        - D(2) / 3 * H * (c * u + eta + u * u / 2))
+
+            e, plus, minus = f(D(0)), f(D(1)), f(D(-1))
+            a, b = (plus + minus) / 2 - e, (plus - minus) / 2
+            u = 2 * e / ((b * b - 4 * a * e).sqrt() - b)
+            values.append(3 * (c * eta + H * u) / (2 * H ** 3))
+        return values
 
 
 def decimal_critical_point(digits=50):

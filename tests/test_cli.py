@@ -159,6 +159,15 @@ def test_crest_prints_block(capsys):
     assert "d0 = 1.55721530971" in out
 
 
+def test_crest_curvature_keeps_its_digits_for_small_delta(capsys):
+    # the KdV value -(8/3) delta^2; c eta + H u cancels to 0 here
+    assert run(["crest", "--delta", "1e-8"]) == 0
+    assert "kappa0 = -2.66666666667e-16" in capsys.readouterr().out.splitlines()
+    assert run(["table", "--deltas", "1e-8"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "1e-08,1.33333333333e-16,2.66666666667e-16,5")
+
+
 def test_last_crest_of_the_branch_has_finite_curvature(capsys):
     # 0.6263349307245629 is the largest float below the critical value
     assert run(["crest", "--delta", "0.6263349307245629"]) == 0

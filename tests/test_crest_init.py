@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import DELTA_C_APPROX, NoSolitaryRoot, phase_speed, solve_crest
+from ikwave import (DELTA_C_APPROX, NoSolitaryRoot, crest_curvature,
+                    phase_speed, solve_crest)
 from ikwave.crest_init import DX_MIN, check_dx, crest_denominator
 from ikwave.profile_ode import derived_columns
 from oracles import decimal_crest_eta0, quartic_coeffs
@@ -80,6 +81,10 @@ def test_tiny_delta_has_a_crest(delta):
     crest = solve_crest(delta)
     assert crest.eta0 / ((4.0 / 3.0) * delta * delta) == pytest.approx(1.0, rel=1e-15)
     assert crest.u0 == pytest.approx(-crest.eta0, rel=1e-15)
+    # the KdV curvature, though w0 = eta0 W0 underflows below 1e-77
+    kappa0 = crest_curvature(crest)
+    assert abs(kappa0 / (-(8.0 / 3.0) * delta * delta) - 1.0) <= (
+        2 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("delta", [1.4e-154, 1e-200, 5e-324])

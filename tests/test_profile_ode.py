@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from ikwave.crest_init import CrestState, curve_w
 from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
 from ikwave.profile_ode import derived_columns
 from ikwave.solitary_profile import assemble_profile
-from oracles import TailReference
+from oracles import (TailReference, decimal_crest_curvature,
+                     decimal_phi1_prime)
 
 # the largest float below the critical shallowness 0.62633493072456297...
 DELTA_C = 0.6263349307245629
@@ -52,14 +54,42 @@ def test_scalar_kernel_calls_match_array_entries(profile_cache):
         assert scalars == tuple(a[i] for a in arrays), i
 
 
-def test_potential_reconstruction_recovers_velocity():
-    # u = phi0' + H^2 phi1' is an algebraic identity of the reconstruction
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        eta, u, c = rng.uniform(-0.5, 0.9), rng.uniform(-1, 1), rng.uniform(0.9, 1.4)
-        phi0p, phi1p = derived_columns((eta, u, 0.1), c, 0.5)[:2]
-        H = 1.0 + eta
-        assert phi0p + H * H * phi1p == pytest.approx(u, abs=1e-13)
+def _half(delta, critical_point):
+    if delta == "extreme":
+        return profile_ode.integrate_from(critical_point.delta_c,
+                                          critical_point.eta_c0)
+    return integrate_half(solve_crest(delta))
+
+
+def _dx_grid(half, dx):
+    """solve_solitary's half grid of spacing dx."""
+    x = np.arange(int(half.x[-1] / dx) + 1) * dx
+    return x[x <= half.x[-1]]
+
+
+def test_potential_reconstruction_recovers_velocity(critical_point):
+    # u = phi0' + H^2 phi1' is an identity of the 2x2 solve on the curve
+    for delta in (1e-6, 1e-2, 0.3, 0.62, "extreme"):
+        half = _half(delta, critical_point)
+        for x in (None, _dx_grid(half, 0.01)):
+            p = assemble_profile(half, x, kappa0=None)
+            H = 1.0 + p.eta
+            assert np.all(np.abs(p.phi0_prime + H * H * p.phi1_prime - p.u)
+                          <= 8 * np.finfo(float).eps * np.abs(p.u)), delta
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-2, 0.3, 0.62, "extreme"])
+def test_phi1_prime_column_matches_decimal_oracle(delta, critical_point):
+    # w = eta W keeps the digits that c eta + H u cancels as delta -> 0
+    half = _half(delta, critical_point)
+    for x in (None, _dx_grid(half, 0.01)):
+        p = assemble_profile(half, x, kappa0=None)
+        right = p.x >= 0.0
+        exact = decimal_phi1_prime(p.delta, p.eta[right].tolist())
+        error = max(abs(decimal.Decimal(a) - b)
+                    for a, b in zip(p.phi1_prime[right].tolist(), exact))
+        assert float(error) <= (8 * np.finfo(float).eps
+                                * np.max(np.abs(p.phi1_prime)))
 
 
 def test_half_trajectory_conserves_identities():
@@ -184,13 +214,6 @@ def composite_x(curve, z, nodes=20, panels=400):
     whole = np.concatenate([[0.0], np.cumsum(rule(edges[:-1], edges[1:]))])
     i = np.minimum(np.searchsorted(edges, z, side="right") - 1, panels - 1)
     return whole[i] + rule(edges[i], z)
-
-
-def _half(delta, critical_point):
-    if delta == "extreme":
-        return profile_ode.integrate_from(critical_point.delta_c,
-                                          critical_point.eta_c0)
-    return integrate_half(solve_crest(delta))
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
@@ -341,6 +364,15 @@ def test_crest_curvature_against_reference():
     for delta, neg_kappa in [(0.6, 2.34087), (0.62, 4.85676), (0.625, 10.4536)]:
         crest = solve_crest(delta)
         assert -crest_curvature(crest) == pytest.approx(neg_kappa, rel=1e-4)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3,
+                                   0.5, 0.6, 0.62])
+def test_crest_curvature_matches_decimal_oracle(delta):
+    # measured: at most 6 ulp; c eta0 + H u0 cost 5e15 ulp at delta = 1e-8
+    kappa0 = crest_curvature(solve_crest(delta))
+    error = decimal.Decimal(kappa0) - decimal_crest_curvature(delta)
+    assert abs(float(error)) <= 8 * math.ulp(kappa0)
 
 
 def test_crest_curvature_diverges_at_critical_point():
