@@ -66,12 +66,13 @@ def assemble_profile(half, x=None, *, kappa0):
                              "increase strictly")
         state = half(x)
     delta, c = half.delta, half.c
-    right = (x, *state, *derived_columns(state, c, delta))
+    eta, u, phi1 = state
+    right = (x, eta, u, phi1, *derived_columns(state, c, delta))
     # the left half repeats the right, negated in the columns odd in x
     columns = {name: np.concatenate([(-a if name in ODD_COLUMNS else a)[:0:-1],
                                      a])
                for name, a in zip(PROFILE_COLUMNS, right)}
-    return WaveProfile(delta=delta, c=c, **columns, eta_max=float(state[0][0]),
+    return WaveProfile(delta=delta, c=c, **columns, eta_max=float(eta[0]),
                        kappa0=kappa0, interpolant=half)
 
 
