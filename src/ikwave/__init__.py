@@ -21,7 +21,6 @@ _EXPORTS = {
     "DELTA_C_APPROX": "crest_init",
     "DenominatorVanished": "errors",
     "DimensionalProfile": "solitary_profile",
-    "FundamentalPair": "theory_checks",
     "HalfProfile": "profile_ode",
     "IkwaveError": "errors",
     "NegativeRadicand": "errors",
@@ -41,7 +40,6 @@ _EXPORTS = {
     "extreme_profile": "extreme_wave",
     "first_order_family": "theory_checks",
     "fundamental_checks": "theory_checks",
-    "fundamental_pair": "theory_checks",
     "included_angle": "crest_init",
     "integrate_half": "profile_ode",
     "kdv_profile": "solitary_profile",

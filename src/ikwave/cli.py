@@ -6,15 +6,16 @@ that was closed early or is full, 2 usage error.  A usage error that the
 parser finds is two lines on stderr: the command's usage
 ("usage: ikwave solve ...", wrapped on a narrow terminal) and then
 "ikwave solve: error: ...", which for a rejected value names it
-("argument --delta: ...").  Scales that overflow in dimensional are one
-line, "ikwave dimensional: error: ...".  An exit 1 error is one line,
-"error: <type>: <message>", except a closed pipe, which prints nothing.
-Arguments are checked by the library's own checks (check_delta, check_dx,
-check_positive, check_exponents, and dimensionalize's for scales that
-overflow), whose message a usage error carries.  All numeric output
-carries 12 significant digits.  An absolute --out path is used as given; a
-relative one lands in $IK_OUT_DIR, else the working directory.  Reruns
-with the same flags are byte-identical.
+("argument --delta: ...").  Scales that overflow or underflow in
+dimensional are one line, "ikwave dimensional: error: ...".  An exit 1
+error is one line, "error: <type>: <message>", except a closed pipe, which
+prints nothing.  Arguments are checked by the library's own checks
+(check_delta, check_dx, check_positive, check_exponents, and
+dimensionalize's for scales that overflow or underflow), whose message a
+usage error carries.  All numeric output carries 12 significant digits.
+An absolute --out path is used as given; a relative one lands in
+$IK_OUT_DIR, else the working directory.  Reruns with the same flags are
+byte-identical.
 
 numpy is loaded only by the commands that compute a profile: solve,
 compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
@@ -41,10 +42,12 @@ from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
                      resolve_out_path, write_text)
 
 # compare-kdv's sup_error_over_delta4 is 8/15 + KDV_DELTA2_TERM delta^2 + ...
-# (the delta^2 coefficient as measured for 1e-3 <= delta <= 3e-2).  The
-# rounding of eta ~ (4/3) delta^2 moves it by about 2 eps/delta^2, which
-# exceeds the delta^2 term below KDV_RESOLVED_DELTA (about 2.1e-4)
-KDV_DELTA2_TERM = 0.213
+# for delta <= 0.1, where the sup sits at the crest: the crest series
+# eta0 = (4/3) delta^2 + (8/15) delta^4 + (16/75) delta^6 + ..., the smallest
+# root of F (crest_init), less (4/3) delta^2.  The rounding of
+# eta ~ (4/3) delta^2 moves it by about 2 eps/delta^2, which exceeds the
+# delta^2 term below KDV_RESOLVED_DELTA (about 2.1e-4)
+KDV_DELTA2_TERM = 16 / 75
 KDV_RESOLVED_DELTA = (2.0 * sys.float_info.epsilon / KDV_DELTA2_TERM) ** 0.25
 
 PROFILE_DELTAS = (0.3, 0.45, 0.55, 0.6, 0.62, 0.62633493)
@@ -296,7 +299,7 @@ def cmd_dimensional(args):
 
 def cmd_checks(args):
     from .model_params import exact_params
-    from .theory_checks import (family_deviation, fundamental_checks, q_eval,
+    from .theory_checks import (family_deviation, fundamental_checks,
                                 q_positivity, verify_kdv_solution)
     proved = {"kdv_residual": verify_kdv_solution(exact_params(args.p)[0]),
               **fundamental_checks()}
@@ -307,8 +310,8 @@ def cmd_checks(args):
     q_min = q_positivity(args.p)
     lines.append(("q_min", q_min, q_min > 0.0))
     if args.p == (2,):
-        # q_eval rounds the exact 4/9 correctly, as 4.0 / 9.0 does
-        q_dev = abs(q_eval(args.p, 0.0) - 4.0 / 9.0)
+        # q_min is the exact q(0) = 4/9 correctly rounded, as 4.0 / 9.0 is
+        q_dev = abs(q_min - 4.0 / 9.0)
         lines.append(("q_constant_dev", q_dev, q_dev == 0.0))
         family = family_deviation(0.1, [i / 100 for i in range(-1000, 1001)])
         lines.append(("family_kdv_dev", family, family <= 1e-15))

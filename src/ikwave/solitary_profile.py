@@ -99,10 +99,12 @@ def solve_solitary(delta, dx=None):
 
 
 def kdv_profile(delta, grid):
-    """Classical soliton (4/3) delta^2 sech^2 x on the given grid."""
+    """Classical soliton (4/3) delta^2 sech^2 x on the given grid; 0 where
+    cosh x, or its square, overflows."""
     delta = check_delta(delta)
     grid = np.asarray(grid, dtype=float)
-    return (4.0 / 3.0) * delta * delta / np.cosh(grid) ** 2
+    with np.errstate(over="ignore"):
+        return (4.0 / 3.0) * delta * delta / np.cosh(grid) ** 2
 
 
 def compare_kdv(profile):
@@ -111,7 +113,11 @@ def compare_kdv(profile):
     Evaluated on the union of the profile's sample grid and an auxiliary
     grid of 4097 points uniform in the curve parameter z over the whole half
     profile, with the soliton always evaluated analytically, so no
-    resampling of the reference is involved.
+    resampling of the reference is involved.  For delta <= 0.1 the sup sits
+    at the crest, so by the crest height's series
+    eta0 = (4/3) delta^2 + (8/15) delta^4 + (16/75) delta^6 + ...,
+    compare_kdv/delta^4 = (eta0 - (4/3) delta^2)/delta^4
+    -> 8/15 + (16/75) delta^2.
     """
     right = profile.x >= 0.0
     xs = profile.x[right]
@@ -140,7 +146,9 @@ def dimensionalize(profile, depth, gravity):
 
     The surface slope transforms as d(eta*)/d(x*) = delta * d(eta)/dx, which
     is why the dimensional crest slope of the extreme wave carries a factor
-    delta_c.  Raises ValueError when a scaled value is not finite.
+    delta_c.  Raises ValueError when a scaled value is not finite, and when
+    one underflows: x no longer increases strictly, or the amplitude or the
+    phase speed is 0.
     """
     depth = check_positive(depth, "depth")
     gravity = check_positive(gravity, "gravity")
@@ -155,7 +163,11 @@ def dimensionalize(profile, depth, gravity):
             eta=depth * profile.eta,
             u=speed * profile.u,
         )
+    scaled = f"depth {depth!r} and gravity {gravity!r} scale the profile"
     if not all(np.isfinite(a).all() for a in (dp.x, dp.eta, dp.u)):
-        raise ValueError(f"depth {depth!r} and gravity {gravity!r} scale the "
-                         "profile past the largest float")
+        raise ValueError(f"{scaled} past the largest float")
+    # an underflow shows as a repeated x, or as 0 in the amplitude or in c
+    if not (dp.amplitude > 0.0 and dp.c > 0.0
+            and (np.diff(dp.x) > 0.0).all()):
+        raise ValueError(f"{scaled} below the smallest float")
     return dp

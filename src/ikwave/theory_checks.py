@@ -59,15 +59,12 @@ power of E in the numerator and its coefficient c carries no x, then
 u ~ c 2^(m - 2k) exp(-2(m - k) x), so the rate 2(k - m) and the limit
 c 2^(m - 2k) are read off exactly: -2 and 4 for u1, 2 and -1/16 for u2.
 
-Everything here runs on the standard library.  The float functions of
-FundamentalPair are the same closed forms written once with math, for
-callers that sample them.
+Everything here runs on the standard library.
 """
 
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, NamedTuple
 
 from .errors import NonPositiveDetected
 from .model_params import (_centered, _eliminate, _matrices, check_exponents,
@@ -184,57 +181,6 @@ def _sech2(x):
     except OverflowError:
         return 0.0
     return s * s
-
-
-def _u1(x):
-    return _sech2(x) * math.tanh(x)
-
-
-def _u1_prime(x):
-    s2 = _sech2(x)
-    return s2 * (3.0 * s2 - 2.0)
-
-
-def _u1_second(x):
-    s2 = _sech2(x)
-    return -4.0 * s2 * math.tanh(x) * (3.0 * s2 - 1.0)
-
-
-def _u2(x):
-    s2 = _sech2(x)
-    t = math.tanh(x)
-    return 0.125 * (-6.0 - math.cosh(2.0 * x) + 15.0 * s2 - 15.0 * x * s2 * t)
-
-
-def _u2_prime(x):
-    s2 = _sech2(x)
-    t = math.tanh(x)
-    return 0.125 * (-2.0 * math.sinh(2.0 * x) - 45.0 * s2 * t
-                    - 15.0 * x * s2 * (3.0 * s2 - 2.0))
-
-
-def _u2_second(x):
-    s2 = _sech2(x)
-    t = math.tanh(x)
-    return 0.125 * (-4.0 * math.cosh(2.0 * x) - 60.0 * s2 * (3.0 * s2 - 2.0)
-                    + 60.0 * x * s2 * t * (3.0 * s2 - 1.0))
-
-
-class FundamentalPair(NamedTuple):
-    """Closed-form fundamental system of -u'' + (4 - 12 sech^2 x) u = 0,
-    each function of one float."""
-
-    u1: Callable
-    u1_prime: Callable
-    u1_second: Callable
-    u2: Callable
-    u2_prime: Callable
-    u2_second: Callable
-
-
-def fundamental_pair():
-    return FundamentalPair(_u1, _u1_prime, _u1_second,
-                           _u2, _u2_prime, _u2_second)
 
 
 def verify_kdv_solution(gamma):

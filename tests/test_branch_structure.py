@@ -7,13 +7,15 @@ Sylvester matrix whose entries are polynomials in gamma, so its degree is at
 most the sum over rows of the largest degree in the row.  Two polynomials of
 degree at most n that agree at n + 1 points are equal, so agreement at that
 many rational gamma, in Fractions, proves the identity.  Identities in
-(t, gamma) are expanded and compared term by term.  Only the standard
-library is used.
+(t, gamma) are expanded and compared term by term.  The crest height's
+series in delta^2 is the fixed point of a contraction on power series
+truncated at a fixed order.  Only the standard library is used.
 """
 
 from fractions import Fraction
 
 from ikwave import solve_crest
+from ikwave.cli import KDV_DELTA2_TERM
 from ikwave.crest_init import (GAMMA_BRACKET, crest_denominator,
                                crest_polynomial, fold_quartic, speed_excess)
 from ikwave.theory_checks import Poly, _power
@@ -162,3 +164,37 @@ def test_one_crest_fixes_the_signs():
     n_value, m_value = at_crest(N), at_crest(M)
     assert n_value < -1.0 and m_value < -1.0
     assert abs(crest_denominator(crest) + float(n_value) / (2.0 * H)) <= 1e-14
+
+
+def crest_series(order):
+    """eta0 = gamma + t as a Poly in E = delta^2, to E^order, with
+    gamma = (4/9) E (3 + E) and t the smallest root of F.  That root is
+    O(E^2), and F_t = -20 + O(E) there, so t -> t + F/20 is a contraction
+    by a factor O(E): each step fixes one more power of E, and its
+    truncated fixed point is t to E^order."""
+    E = Poly({(1,): 1})
+
+    def truncate(p):
+        return Poly({k: a for k, a in p.items() if _power(k, 0) <= order})
+
+    gamma = Fraction(4, 9) * E * (3 + E)
+
+    def F(t):
+        return crest_polynomial(t, gamma)[2]
+
+    t = Poly()
+    while (step := truncate(t + Fraction(1, 20) * F(t))) != t:
+        t = step
+    assert truncate(F(t)) == Poly()
+    return gamma + t
+
+
+def test_crest_height_series():
+    # eta0 = (4/3) delta^2 + (8/15) delta^4 + (16/75) delta^6 + ...
+    eta0 = crest_series(6)
+    assert [eta0.get((k,), 0) for k in range(7)] == [
+        0, Fraction(4, 3), Fraction(8, 15), Fraction(16, 75),
+        Fraction(16, 45), Fraction(3616, 5625), Fraction(314432, 253125)]
+    # for delta <= 0.1 compare-kdv's ratio is (eta0 - (4/3) delta^2)/delta^4
+    # at the crest, whose delta^2 term is the delta^6 term of eta0
+    assert KDV_DELTA2_TERM == float(eta0[(3,)])

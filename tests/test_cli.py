@@ -285,6 +285,17 @@ def test_checks_pass(capsys):
         "PASS family_kdv_dev = 3.46944695195e-18\n")
 
 
+def test_checks_builds_q_once(monkeypatch):
+    # q_constant_dev comes from the q_min that q_positivity returned
+    from ikwave import theory_checks
+    calls = []
+    build = theory_checks.q_coefficients
+    monkeypatch.setattr(theory_checks, "q_coefficients",
+                        lambda p: calls.append(p) or build(p))
+    assert run(["checks"]) == 0
+    assert calls == [(2,)]
+
+
 def test_checks_two_term_set(capsys):
     assert run(["checks", "--p", "1,2"]) == 0
     assert capsys.readouterr().out == PROVED + "PASS q_min = 0.111111111111\n"
@@ -407,4 +418,21 @@ def test_dimensional_overflow_is_a_usage_error(depth, gravity, out_dir,
     assert out == ""
     assert err.startswith("ikwave dimensional: error: depth ")
     assert err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
+# and so are scales that underflow it: x would repeat, and the amplitude or
+# the phase speed would be 0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("depth, gravity", [("5e-324", "9.81"),
+                                            ("1e-300", "1e-300")])
+def test_dimensional_underflow_is_a_usage_error(depth, gravity, out_dir,
+                                                capsys):
+    assert run(["dimensional", "--delta", "0.3", "--depth", depth,
+                "--gravity", gravity]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"ikwave dimensional: error: depth {float(depth)!r} and "
+                   f"gravity {float(gravity)!r} scale the profile below the "
+                   "smallest float\n")
     assert list(out_dir.iterdir()) == []

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (exact_params, first_order_family, fundamental_checks,
-                    fundamental_pair, kdv_profile, q_coefficients, q_eval,
-                    q_positivity, verify_kdv_solution)
+                    kdv_profile, q_coefficients, q_eval, q_positivity,
+                    verify_kdv_solution)
 from ikwave import model_params, theory_checks
 from ikwave.errors import NonPositiveDetected
 from oracles import float_matrices
@@ -24,32 +24,11 @@ def _exact_value(u, x, t):
     return n.subs(0, x).subs(1, t).get((), 0) / (1 - t * t) ** k
 
 
-def _exact_forms():
-    """u1, u1', u1'', u2, u2', u2'' exactly, in FundamentalPair's order."""
-    d = theory_checks._d_dx
-    return [v for u in theory_checks._exact_pair() for v in (u, d(u), d(d(u)))]
-
-
 def test_pair_normalization():
-    pair = fundamental_pair()
-    assert pair.u1(0.0) == 0.0
-    assert pair.u1_prime(0.0) == 1.0
-    assert pair.u2(0.0) == 1.0
-    assert pair.u2_prime(0.0) == 0.0
-    u1, u1_prime, _, u2, u2_prime, _ = _exact_forms()
-    assert [_exact_value(u, 0, 0) for u in (u1, u1_prime, u2, u2_prime)] == [
-        0, 1, 1, 0]
-
-
-def test_pair_matches_its_exact_forms():
-    # each float function at x = i/8 against its exact form at the same x
-    # and T = the float tanh x (5.5e-15 at worst, relative to max(1, |u|))
-    pair, forms = fundamental_pair(), _exact_forms()
-    for i in range(-24, 25):
-        x, t = i / 8, Fraction(math.tanh(i / 8))
-        for f, u in zip(pair, forms):
-            exact = _exact_value(u, Fraction(x), t)
-            assert abs(Fraction(f(x)) - exact) <= 1e-13 * max(1, abs(exact))
+    # u1(0) = 0, u1'(0) = 1, u2(0) = 1 and u2'(0) = 0, exactly
+    d = theory_checks._d_dx
+    forms = [v for u in theory_checks._exact_pair() for v in (u, d(u))]
+    assert [_exact_value(u, 0, 0) for u in forms] == [0, 1, 1, 0]
 
 
 def test_wronskian_identity():
@@ -77,13 +56,6 @@ def test_tail_without_a_rate_is_nan(n):
     # u = 0 has no rate, and u = x no exponential one
     u = (theory_checks.Poly(n), 0)
     assert all(map(math.isnan, theory_checks._tail(u)))
-
-
-def test_wronskian_pointwise():
-    pair = fundamental_pair()
-    for x in (0.0, 1.0, 5.0):
-        W = pair.u1_prime(x) * pair.u2(x) - pair.u1(x) * pair.u2_prime(x)
-        assert W == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leading_order_profile_equation():
