@@ -45,7 +45,6 @@ _EXPORTS = {
     "kdv_profile": "solitary_profile",
     "phase_speed": "crest_init",
     "q_coefficients": "theory_checks",
-    "q_eval": "theory_checks",
     "q_positivity": "theory_checks",
     "solve_crest": "crest_init",
     "solve_critical": "crest_init",

@@ -51,11 +51,12 @@ special start.
 x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp).  A
 panel is accepted on the Legendre coefficients of the interpolant of dx/dz
 through its nodes; its x(z) is the antiderivative of that interpolant,
-kept as a Chebyshev series and accurate to rounding.  The samples of a half
-profile are z = 0, every panel node and Z_END, with the closed forms the
-quadrature evaluated there.  Resampling at given x inverts x(z) by Newton
-sweeps started from the cubic Hermite interpolant of z(x) through the
-samples (HalfProfile).  Only numpy is needed.
+kept as a Chebyshev series and accurate to rounding.  The quadrature sees
+dx/dz only.  The samples of a half profile are z = 0, every panel node and
+Z_END, where one pass of the closed forms gives eta, u, phi1 and dx/dz.
+Resampling at given x inverts x(z) by Newton sweeps started from the cubic
+Hermite interpolant of z(x) through the samples (HalfProfile).  Only numpy
+is needed.
 """
 
 import functools
@@ -105,7 +106,8 @@ def derived_columns(state, c, delta):
 
 @dataclass
 class Panels:
-    """The accepted panels of solve_ivp, sorted by z, as one table.
+    """The accepted panels of solve_ivp, sorted by z, as one table of
+    x(z); the closed forms at the nodes are not kept.
 
     Panel i covers [a_i, a_i + h_i].  With s = 2(z - a_i)/h_i - 1 and G_i
     the antiderivative from s = -1, as a Chebyshev series, of the
@@ -123,7 +125,6 @@ class Panels:
     width: np.ndarray    # h_i
     x_start: np.ndarray  # x_i = x(a_i)
     coef: np.ndarray     # G_i as column i, row k the degree-k terms
-    values: tuple        # the arrays fun returned, at the nodes of t[1:-1]
 
 
 # the nodes on [-1, 1], and the map from the values of dx/dz at them to the
@@ -151,12 +152,11 @@ def _to_table():
 def solve_ivp(fun, z_end):
     """x(z) = integral of dx/dz from 0 to z on [0, z_end], as Panels.
 
-    fun maps an array of z to a tuple of arrays of its shape, the last of
-    which is dx/dz; Panels.values keeps them at the nodes.  Panels are
-    halved level by level, with one call of fun on the nodes of every open
-    panel per level, until each passes the PANEL_TOL test of the module
-    constants.  Raises StepSizeUnderflow when dx/dz is not finite, or when
-    a panel PANEL_MAX_DEPTH halvings deep still fails.
+    fun maps an array of z to dx/dz there, an array of its shape.  Panels
+    are halved level by level, with one call of fun on the nodes of every
+    open panel per level, until each passes the PANEL_TOL test of the
+    module constants.  Raises StepSizeUnderflow when dx/dz is not finite,
+    or when a panel PANEL_MAX_DEPTH halvings deep still fails.
 
     The name and the t and nfev fields are those of the scipy routine this
     replaced, because the benchmark harness wraps this name and reads those
@@ -168,8 +168,8 @@ def solve_ivp(fun, z_end):
     nfev = 0
     for depth in range(PANEL_MAX_DEPTH + 1):
         z = open_start[:, None] + (0.5 * width) * (_NODES + 1.0)
-        values = fun(z)
-        coef = values[-1] @ _TO_COEF
+        slope = fun(z)
+        coef = slope @ _TO_COEF
         nfev += z.size
         if not np.isfinite(coef).all():
             raise StepSizeUnderflow(
@@ -179,7 +179,7 @@ def solve_ivp(fun, z_end):
             tol = PANEL_TOL * width * abs(coef[0, 0])
         ok = width * (abs(coef[:, -2]) + abs(coef[:, -1])) <= tol
         done.append((open_start[ok], np.full(ok.sum(), width), coef[ok, 0],
-                     z[ok], *(v[ok] for v in values)))
+                     z[ok], slope[ok]))
         open_start = open_start[~ok]
         if not open_start.size:
             break
@@ -190,14 +190,13 @@ def solve_ivp(fun, z_end):
         width *= 0.5
         open_start = np.concatenate([open_start, open_start + width])
     order = np.argsort(np.concatenate([level[0] for level in done]))
-    start, width, c0, nodes, *values = (np.concatenate(parts)[order]
-                                        for parts in zip(*done))
+    start, width, c0, nodes, slope = (np.concatenate(parts)[order]
+                                      for parts in zip(*done))
     return Panels(
         t=np.concatenate([[0.0], nodes.ravel(), [z_end]]), nfev=nfev,
         start=start, width=width,
         x_start=np.concatenate([[0.0], np.cumsum(width * c0)[:-1]]),
-        coef=_to_table() @ values[-1].T,
-        values=tuple(v.ravel() for v in values))
+        coef=_to_table() @ slope.T)
 
 
 def _ratio(num, den, at_zero):
@@ -213,7 +212,7 @@ class _Curve:
         self.delta, self.eta0 = delta, eta0
         self.c = phase_speed(delta)
         self.gamma = speed_excess(delta)
-        self.w0 = curve_w(eta0, self.c, self.gamma)
+        self.W0 = curve_w(eta0, self.c, self.gamma)
 
     def eta(self, z):
         """eta = eta0 exp(-z^2) at an array of z >= 0."""
@@ -221,17 +220,17 @@ class _Curve:
 
     def at(self, z):
         """(eta, u, phi1, dx/dz) at an array of z >= 0."""
-        delta, c, gamma, eta0, w0 = (self.delta, self.c, self.gamma,
-                                     self.eta0, self.w0)
+        delta, c, gamma, eta0, W0 = (self.delta, self.c, self.gamma,
+                                     self.eta0, self.W0)
         z2 = z * z
         eta = self.eta(z)
         H = 1.0 + eta
         W = curve_w(eta, c, gamma, np.sqrt)
         u = eta * (W - c) / H
-        A = 1.6 * w0 * w0 + 3.0 + 2.0 * gamma - eta - eta0
-        B = 1.6 * eta * (W + w0) + 2.0 * c
+        A = 1.6 * W0 * W0 + 3.0 + 2.0 * gamma - eta - eta0
+        B = 1.6 * eta * (W + W0) + 2.0 * c
         # K < 0 only by rounding, at the corner crest of the extreme wave
-        K = np.maximum(1.0 + (W + w0) * A / (5.0 * B), 0.0)
+        K = np.maximum(1.0 + (W + W0) * A / (5.0 * B), 0.0)
         R = np.sqrt(0.75 * eta0 * _ratio(-np.expm1(-z2), z2, 1.0) * K)
         phi1 = -delta * eta * z * R / (H * H)
         _, v, w, d = _terms(eta, u, phi1, c, delta)
@@ -277,13 +276,9 @@ class HalfProfile:
         self.stop = "tail"
         self._start, self._half_width = panels.start, 0.5 * panels.width
         self._x_start, self._coef = panels.x_start, panels.coef
-        n = len(self._start)
-        self._g_start = self._clenshaw(np.arange(n), -np.ones(n))
+        self._g_start = self._clenshaw(np.arange(len(self._start)), -1.0)
         self.x = self._x_of_z(self._z)
-        ends = curve.at(self._z[[0, -1]])
-        self.eta, self.u, self.phi1, slope = (
-            np.concatenate([end[:1], node, end[1:]])
-            for end, node in zip(ends, panels.values))
+        self.eta, self.u, self.phi1, slope = curve.at(self._z)
         # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1]
         dz, dx = np.diff(self._z), np.diff(self.x)
         linear = (slope[:-1] == 0.0) | (slope[1:] == 0.0)
@@ -342,13 +337,13 @@ class HalfProfile:
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
-    One panel quadrature of x(z) over [0, Z_END] (solve_ivp); eta, u and
-    phi1 are the closed forms at z = 0, at every panel node and at Z_END,
-    those at the nodes as the quadrature evaluated them.
+    One panel quadrature of x(z) over [0, Z_END] (solve_ivp), then one pass
+    of the closed forms for eta, u and phi1 at z = 0, at every panel node
+    and at Z_END.
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)
-    return HalfProfile(curve, solve_ivp(curve.at, Z_END))
+    return HalfProfile(curve, solve_ivp(lambda z: curve.at(z)[3], Z_END))
 
 
 def integrate_half(crest):

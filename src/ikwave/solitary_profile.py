@@ -16,6 +16,7 @@ They stay module attributes here too, because solve_solitary and the
 benchmark harness (perfbench) look them up here at call time.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,8 +148,8 @@ def dimensionalize(profile, depth, gravity):
     The surface slope transforms as d(eta*)/d(x*) = delta * d(eta)/dx, which
     is why the dimensional crest slope of the extreme wave carries a factor
     delta_c.  Raises ValueError when a scaled value is not finite, and when
-    one underflows: x no longer increases strictly, or the amplitude or the
-    phase speed is 0.
+    one underflows: a scaled x, eta or u whose unscaled value is not 0, or
+    the amplitude or the phase speed, is below the smallest normal float.
     """
     depth = check_positive(depth, "depth")
     gravity = check_positive(gravity, "gravity")
@@ -166,8 +167,11 @@ def dimensionalize(profile, depth, gravity):
     scaled = f"depth {depth!r} and gravity {gravity!r} scale the profile"
     if not all(np.isfinite(a).all() for a in (dp.x, dp.eta, dp.u)):
         raise ValueError(f"{scaled} past the largest float")
-    # an underflow shows as a repeated x, or as 0 in the amplitude or in c
-    if not (dp.amplitude > 0.0 and dp.c > 0.0
-            and (np.diff(dp.x) > 0.0).all()):
+    # an underflow leaves a value subnormal, or 0, and so short of digits
+    tiny = sys.float_info.min
+    if not (dp.amplitude >= tiny and dp.c >= tiny
+            and all(((abs(a) >= tiny) | (b == 0.0)).all()
+                    for a, b in ((dp.x, profile.x), (dp.eta, profile.eta),
+                                 (dp.u, profile.u)))):
         raise ValueError(f"{scaled} below the smallest float")
     return dp

@@ -264,14 +264,6 @@ def q_coefficients(p):
     return _interpolate(values)
 
 
-def q_eval(p, xi2):
-    """q at one value of xi^2, exact and then correctly rounded."""
-    value = 0
-    for ck in reversed(q_coefficients(p)):
-        value = value * Fraction(xi2) + ck
-    return float(value)
-
-
 def q_positivity(p):
     """Minimum of q(xi^2) over every real xi, proved positive.
 

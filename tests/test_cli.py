@@ -421,10 +421,12 @@ def test_dimensional_overflow_is_a_usage_error(depth, gravity, out_dir,
     assert list(out_dir.iterdir()) == []
 
 
-# and so are scales that underflow it: x would repeat, and the amplitude or
-# the phase speed would be 0
+# and so are scales that underflow it: x, eta and u would lose digits as
+# subnormals, and the amplitude or the phase speed would be 0
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("depth, gravity", [("5e-324", "9.81"),
+@pytest.mark.parametrize("depth, gravity", [("1e-310", "9.81"),
+                                            ("1e-320", "9.81"),
+                                            ("5e-324", "9.81"),
                                             ("1e-300", "1e-300")])
 def test_dimensional_underflow_is_a_usage_error(depth, gravity, out_dir,
                                                 capsys):

@@ -268,8 +268,8 @@ def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
 @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
                          + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
 def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
-    # the quadrature's levels, the two ends z = 0 and Z_END, two Newton
-    # sweeps from the Hermite start, and the final state
+    # the quadrature's levels, the samples, two Newton sweeps from the
+    # Hermite start, and the final state
     calls, levels = [], []
     at, solve_ivp = profile_ode._Curve.at, profile_ode.solve_ivp
 
@@ -321,8 +321,7 @@ def test_panel_cap_is_a_step_size_underflow(monkeypatch):
 
 def test_non_finite_slope_is_a_step_size_underflow():
     with pytest.raises(StepSizeUnderflow, match="not finite"):
-        profile_ode.solve_ivp(lambda z: (np.where(z > 1.0, np.nan, 1.0),),
-                              2.0)
+        profile_ode.solve_ivp(lambda z: np.where(z > 1.0, np.nan, 1.0), 2.0)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.626])

@@ -4,12 +4,16 @@ The field and the integrals are those of the profile_ode docstring, as
 Polys in (eta, u, phi1, c, r) with r = delta^-2.  Each identity is a
 rational function whose denominator is a power of H = 1 + eta times d;
 multiplied by that power it is a polynomial, and the identity holds exactly
-when that polynomial is the zero Poly.  Only the standard library is used.
+when that polynomial is the zero Poly.  The same integrals, with u written
+through W = w/eta, give the quadratic that curve_w solves.  Only the
+standard library is used.
 """
 
 from fractions import Fraction
 
-from ikwave.theory_checks import Poly
+from ikwave.crest_init import (curve_w, phase_speed, solve_crest,
+                               speed_excess)
+from ikwave.theory_checks import Poly, _power
 
 ETA, U, PHI1, C, R = (Poly({(0,) * i + (1,): 1}) for i in range(5))
 H = 1 + ETA
@@ -43,3 +47,39 @@ def test_second_integral_is_conserved_on_the_first():
     # H' = eta' = N_ETA / d, H^5 d dI2/dx = H (H^3 d (H I2)') - H^3 H_I2 N_ETA
     lhs = H * h3_d_derivative(H_I2) - H ** 3 * H_I2 * N_ETA
     assert lhs == 4 * R * PHI1 * H ** 6 * (5 * C + 8 * W) * I1
+
+
+# W = w/eta, in u's place once on_curve has eliminated u
+W_ETA = U
+
+
+def on_curve(f):
+    """H^2 f with H u = eta (W - c), for a Poly f of degree at most 2 in u;
+    W takes u's place as variable 1."""
+    assert max(_power(k, 1) for k in f) <= 2
+    hu = ETA * (W_ETA - C)
+    return sum((H ** (2 - j) * hu ** j
+                * Poly({k[:1] + (0,) + k[2:]: a
+                        for k, a in f.items() if _power(k, 1) == j})
+                for j in range(3)), Poly())
+
+
+def test_curve_is_the_w_quadratic():
+    # with u = eta (W - c)/H, w = eta W and gamma = c^2 - 1,
+    # 3 H I2 - 2 H^2 I1 = -eta Q_W: phi1 drops out, so on I1 = I2 = 0 W is
+    # a root of Q_W.  Both sides are multiplied by H^2, as on_curve(H I2)
+    # is H^3 I2
+    gamma = C * C - 1
+    q_w = (Fraction(8, 5) * ETA * W_ETA * W_ETA + 2 * C * W_ETA - 2 * gamma
+           + ETA * (3 + 2 * gamma - ETA))
+    assert 3 * on_curve(H_I2) - 2 * H * H * on_curve(I1) == -ETA * H * H * q_w
+    # and curve_w returns that root, between the tail and the crest
+    # (measured: at most 1.1e-16 of the terms' sum)
+    for delta in (0.01, 0.3, 0.6):
+        c, g = phase_speed(delta), speed_excess(delta)
+        for eta in (f * solve_crest(delta).eta0 for f in (1e-5, 0.5, 1.0)):
+            w_eta = curve_w(eta, c, g)
+            terms = (1.6 * eta * w_eta * w_eta, 2.0 * c * w_eta, 2.0 * g,
+                     eta * (3.0 + 2.0 * g - eta))
+            assert abs(terms[0] + terms[1] - terms[2] + terms[3]) <= (
+                4e-16 * sum(map(abs, terms)))

@@ -228,12 +228,25 @@ def test_dimensionalize_rejects_overflow(depth, gravity, profile_cache):
         dimensionalize(profile_cache(0.3), depth=depth, gravity=gravity)
 
 
-# (h/delta) x repeats subnormal values, and h eta_max is 0; sqrt(gh) is 0
+# (h/delta) x, h eta and sqrt(gh) u turn subnormal, or 0, from h = 1e-310
+# on; h eta_max is 0 at 5e-324; sqrt(gh) is 0 at 1e-300 * 1e-300
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("depth, gravity", [(5e-324, 9.81), (1e-300, 1e-300)])
+@pytest.mark.parametrize("depth, gravity", [(1e-310, 9.81), (1e-320, 9.81),
+                                            (5e-324, 9.81), (1e-300, 1e-300)])
 def test_dimensionalize_rejects_underflow(depth, gravity, profile_cache):
     with pytest.raises(ValueError, match="depth .* and gravity .* below"):
         dimensionalize(profile_cache(0.3), depth=depth, gravity=gravity)
+
+
+# h = 1e-300 is the smallest of these depths that leaves every value normal
+@pytest.mark.filterwarnings("error")
+def test_dimensionalize_small_normal_scales(profile_cache):
+    p = profile_cache(0.3)
+    dp = dimensionalize(p, depth=1e-300, gravity=9.81)
+    tiny = np.finfo(float).tiny
+    assert all((np.abs(a) >= tiny).all() for a in (dp.eta, dp.u))
+    assert (np.abs(dp.x[p.x != 0.0]) >= tiny).all()
+    assert dp.amplitude == 1e-300 * p.eta_max
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (exact_params, first_order_family, fundamental_checks,
-                    kdv_profile, q_coefficients, q_eval, q_positivity,
+                    kdv_profile, q_coefficients, q_positivity,
                     verify_kdv_solution)
 from ikwave import model_params, theory_checks
 from ikwave.errors import NonPositiveDetected
@@ -85,20 +85,18 @@ def test_q_against_exact_oracles():
         c = q_coefficients(p)
         for xi2, exact in table.items():
             assert sum(ck * xi2 ** k for k, ck in enumerate(c)) == exact
-            assert q_eval(list(p), float(xi2)) == float(exact)
 
 
 @pytest.mark.parametrize("p", [(), (0, 2), (2, 2), (3, 1), (2.5,)],
                          ids=repr)
 def test_q_rejects_what_check_exponents_rejects(p):
-    for q in (q_coefficients, q_positivity, lambda p: q_eval(p, 0.0)):
+    for q in (q_coefficients, q_positivity):
         with pytest.raises(ValueError):
             q(p)
 
 
 def test_q_constant_for_single_term():
     assert q_coefficients((2,)) == [Fraction(4, 9)]
-    assert q_eval((2,), 0.0) == 4.0 / 9.0
 
 
 def test_q_positivity_minimum():
