@@ -38,8 +38,9 @@ from .crest_init import (TableRow, check_delta, check_dx, check_positive,
                          crest_curvature, crest_denominator,
                          diagnostics_table, solve_crest, solve_critical)
 from .errors import IkwaveError
-from .output import (fmt, gnuplot_script, mirrored_csv_text, profile_csv_text,
-                     resolve_out_path, write_text)
+from .output import (PROFILE_COLUMNS, fmt, gnuplot_script, mirrored_csv_text,
+                     profile_arrays, profile_csv_text, resolve_out_path,
+                     write_text)
 
 # compare-kdv's sup_error_over_delta4 is 8/15 + KDV_DELTA2_TERM delta^2 + ...
 # for delta <= 0.1, where the sup sits at the crest: the crest series
@@ -324,7 +325,8 @@ def _profile_csv_with_kdv(delta):
     from .solitary_profile import kdv_profile, solve_solitary
     profile = solve_solitary(delta, dx=0.01)
     eta_kdv = kdv_profile(delta, profile.x)
-    return profile_csv_text(profile, extra=(("eta_kdv", eta_kdv),))
+    return mirrored_csv_text((*PROFILE_COLUMNS, "eta_kdv"),
+                             [*profile_arrays(profile), eta_kdv])
 
 
 def _zoom_csv(delta):

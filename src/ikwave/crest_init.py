@@ -4,7 +4,7 @@ denominator, the critical point, and the crest table.
 This module uses only the standard library, so the commands that need
 nothing beyond the crest (critical, crest, table) never import numpy.  Its
 records are NamedTuples, so they do not load dataclasses either, and decimal
-is imported only by solve_crest's last step, which critical does not run.
+is imported only by solve_crest, which critical does not run.
 
 Every solitary wave lies on the curve I1 = I2 = 0 of the reduced system (see
 profile_ode).  Eliminating phi1 between the two integrals and writing
@@ -42,9 +42,11 @@ t >= 0, so F >= 121t^2 + 4t + 4 > 0), so there is none anywhere beyond.
 
 The crest is the smallest root.  F is convex for t >= 0, so Newton from
 t = 0 rises monotonically to it; reaching F' >= 0 while F > 0 means F has no
-root, which is delta beyond the critical shallowness.  Next to that value F
-in floating point fixes the root only to about 1e-14, so a last Newton step
-evaluates F with 40 decimal digits.
+root, which is delta beyond the critical shallowness.  Next to that value the
+root is nearly double, and an error e in F moves it by about sqrt(e): F in
+floating point fixes it only to about 1e-10 at delta_c.  So the Newton runs
+in 40-digit decimal arithmetic, where the same bound is about 1e-20, and
+eta0 = gamma + t is rounded to a float once, at the end.
 
 The denominator of the reduced system, with v = c + u,
 
@@ -116,7 +118,8 @@ from .errors import (DenominatorVanished, IkwaveError, NegativeRadicand,
 
 # largest shallowness with a crest, for error messages
 DELTA_C_APPROX = 0.62633493
-# Newton from t = 0 settles within 30 steps, even next to the double root
+# Newton from t = 0 settles within 31 steps at 40 digits, even next to the
+# double root
 CREST_MAX_ITER = 100
 # |d| at or below which the reduced system counts as degenerate
 D_MIN = 1e-13
@@ -209,31 +212,27 @@ def solve_crest(delta):
     the crest polynomial has no root (delta beyond the critical value).
     """
     delta = check_delta(delta)
-    gamma = speed_excess(delta)
-    t = 0.0
-    for _ in range(CREST_MAX_ITER):
-        _, _, F, Ft = crest_polynomial(t, gamma)
-        if F <= 0.0:
-            break
-        if Ft >= 0.0:
-            raise NoSolitaryRoot(
-                f"the crest polynomial has no root at delta={delta!r}; "
-                f"solitary waves exist only for delta <= {DELTA_C_APPROX}")
-        t_next = t - F / Ft
-        if t_next <= t:
-            break
-        t = t_next
-    else:
-        raise NoSolitaryRoot(
-            f"crest Newton did not settle in {CREST_MAX_ITER} steps at "
-            f"delta={delta!r}")
     from decimal import Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = 40
-        fine_gamma, t = speed_excess(Decimal(delta)), Decimal(t)
-        _, _, F, _ = crest_polynomial(t, fine_gamma)
-        eta0 = float(fine_gamma + t - F / Decimal(Ft))
-    return crest_on_curve(delta, eta0)
+        gamma, t = speed_excess(Decimal(delta)), Decimal(0)
+        for _ in range(CREST_MAX_ITER):
+            _, _, F, Ft = crest_polynomial(t, gamma)
+            if F <= 0:
+                break
+            if Ft >= 0:
+                raise NoSolitaryRoot(
+                    f"the crest polynomial has no root at delta={delta!r}; "
+                    f"solitary waves exist only for delta <= {DELTA_C_APPROX}")
+            t_next = t - F / Ft
+            if t_next <= t:
+                break
+            t = t_next
+        else:
+            raise NoSolitaryRoot(
+                f"crest Newton did not settle in {CREST_MAX_ITER} steps at "
+                f"delta={delta!r}")
+        return crest_on_curve(delta, float(gamma + t))
 
 
 def _terms(eta, u, phi1, c, delta):

@@ -102,15 +102,9 @@ def profile_arrays(profile):
     return [getattr(profile, name) for name in PROFILE_COLUMNS]
 
 
-def profile_csv_text(profile, extra=()):
-    """Standard profile CSV; extra is a sequence of (name, array) columns,
-    each even in x."""
-    cols = list(PROFILE_COLUMNS)
-    arrays = profile_arrays(profile)
-    for name, a in extra:
-        cols.append(name)
-        arrays.append(a)
-    return mirrored_csv_text(cols, arrays)
+def profile_csv_text(profile):
+    """Standard profile CSV, one column per PROFILE_COLUMNS name."""
+    return mirrored_csv_text(PROFILE_COLUMNS, profile_arrays(profile))
 
 
 def write_text(path, text):

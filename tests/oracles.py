@@ -2,8 +2,8 @@
 
 They are written from the model equations, independently of the solver's
 invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
-eta(0) from the two crest identities, its root in 50-digit decimal
-arithmetic, the crest curvature and the phi1' column in 40-digit decimal
+eta(0) from the two crest identities, its root by a 60-digit decimal Newton,
+the crest curvature and the phi1' column in 40-digit decimal
 arithmetic, the critical point in 50-digit decimal arithmetic, a tail-in
 DOP853 shot of the full three-state system, and the model matrices of an
 exponent set in floats.
@@ -57,26 +57,33 @@ def decimal_quartic(c, u):
 
 
 def decimal_crest(delta, digits=50):
-    """(c, u(0), eta(0)) at the admissible quartic root, in `digits`-digit
-    decimals.
+    """(c, u(0), eta(0)) at the admissible quartic root, by Newton in
+    `digits` + 10 digit decimals.
 
     The quartic is positive and rising at u = 0 and, on the whole branch,
     convex between 0 and the admissible root, its largest negative one; so
-    Newton from u = 0 falls monotonically to that root.
+    Newton from u = 0 falls monotonically to that root.  It stops where the
+    quartic rounds to f <= 0 or the iterate no longer falls.  A rounding
+    error e in f moves the root by about e/f', and f' is small next to the
+    double root at delta_c; the 10 guard digits cover that up to the float
+    delta_c, where the root keeps `digits` + 1 digits (measured at 40 and 50
+    against an 80-digit Newton in t).  At an exactly double root only about
+    half of the working digits, sqrt(e), would be left.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = digits + 10
         D = decimal.Decimal
         delta = D(delta)
         c = 1 + D(2) / 3 * delta * delta
-        tol = D(10) ** -(digits + 5)
         u = D(0)
         for _ in range(1000):
             f, fp = decimal_quartic(c, u)
-            step = f / fp
-            u -= step
-            if abs(step) <= tol * max(abs(u), tol):
+            if f <= 0:
                 break
+            u_next = u - f / fp
+            if u_next >= u:
+                break
+            u = u_next
         else:
             raise RuntimeError(f"decimal Newton did not settle at delta={delta}")
         return c, u, -(c * u + u * u / 2)

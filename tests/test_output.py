@@ -145,9 +145,6 @@ def test_profile_csv_columns(profile_cache):
     text = profile_csv_text(profile_cache(0.3))
     header = text.splitlines()[0]
     assert header == "x,eta,u,phi1,phi0_prime,phi1_prime,d,I1,I2"
-    # a ragged extra column must be rejected
-    with pytest.raises(ValueError):
-        profile_csv_text(profile_cache(0.3), extra=(("zeros", np.zeros(1)),))
 
 
 def test_out_dir_resolution(monkeypatch, tmp_path):

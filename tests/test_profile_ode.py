@@ -11,7 +11,7 @@ from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
                     extreme_profile, integrate_half, solve_crest,
                     solve_solitary)
 from ikwave import cli, crest_init, profile_ode
-from ikwave.crest_init import CrestState, curve_w
+from ikwave.crest_init import CrestState, crest_denominator, curve_w
 from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
 from ikwave.profile_ode import derived_columns
 from ikwave.solitary_profile import assemble_profile
@@ -372,6 +372,18 @@ def test_crest_curvature_matches_decimal_oracle(delta):
     kappa0 = crest_curvature(solve_crest(delta))
     error = decimal.Decimal(kappa0) - decimal_crest_curvature(delta)
     assert abs(float(error)) <= 8 * math.ulp(kappa0)
+
+
+@pytest.mark.parametrize("delta", [0.6263349307245, DELTA_C])
+def test_crest_curvature_matches_decimal_oracle_next_to_critical(delta):
+    # d0 = 6Hv^2 - 3vw - H^2 cancels to an error of about eps/d0; measured
+    # 4.3 and 4.2 eps/d0.  kappa0 ~ 1/d0 also amplifies the crest height's
+    # error, so a crest 1.75e6 ulp off at DELTA_C moves kappa0 by 6%
+    crest = solve_crest(delta)
+    bound = 16 * np.finfo(float).eps / crest_denominator(crest)
+    exact = decimal_crest_curvature(delta)
+    error = decimal.Decimal(crest_curvature(crest)) - exact
+    assert abs(float(error / exact)) <= bound
 
 
 def test_crest_curvature_diverges_at_critical_point():
