@@ -7,26 +7,29 @@ parser finds is two lines on stderr: the command's usage
 ("usage: ikwave solve ...", wrapped on a narrow terminal) and then
 "ikwave solve: error: ...", which for a rejected value names it
 ("argument --delta: ...").  Scales that overflow or underflow in
-dimensional are one line, "ikwave dimensional: error: ...".  An exit 1
-error is one line, "error: <type>: <message>", except a closed pipe, which
-prints nothing.  Arguments are checked by the library's own checks
-(check_delta, check_dx, check_positive, check_exponents, and
-dimensionalize's for scales that overflow or underflow), whose message a
-usage error carries.  All numeric output carries 12 significant digits.
-An absolute --out path is used as given; a relative one lands in
-$IK_OUT_DIR, else the working directory.  Reruns with the same flags are
-byte-identical.
+dimensional, and a delta so small (below about 1e-75) that its profile
+underflows in solve, compare-kdv or dimensional, are one line,
+"ikwave <command>: error: ...".  An exit 1 error is one line,
+"error: <type>: <message>", except a closed pipe, which prints nothing.
+Arguments are checked by the library's own checks (check_delta, check_dx,
+check_positive, check_exponents, solve_solitary's for a profile that
+underflows, and dimensionalize's for scales that overflow or underflow),
+whose message a usage error carries.  All numeric output carries 12
+significant digits.  An absolute --out path is used as given; a relative
+one lands in $IK_OUT_DIR, else the working directory.  Reruns with the same
+flags are byte-identical.
 
 numpy is loaded only by the commands that compute a profile: solve,
 compare-kdv, extreme, dimensional and reproduce-paper.  critical, crest and
 table need only crest values, which crest_init computes with the standard
 library; params prints the exact constants of model_params, and checks runs
 theory_checks, whose exact proofs need only the standard library, so neither
-they nor a usage error load numpy.  solve, compare-kdv and dimensional solve
-the crest first, so a delta beyond the critical shallowness fails with
-NoSolitaryRoot before numpy is imported.  No command loads scipy.  main() sets
-OPENBLAS_NUM_THREADS=1 unless it is already set, since no BLAS call here is
-large enough to use a thread pool; set it in the environment to override.
+they nor a usage error that the parser finds load numpy.  solve, compare-kdv
+and dimensional solve the crest first, so a delta beyond the critical
+shallowness fails with NoSolitaryRoot before numpy is imported.  No command
+loads scipy.  main() sets OPENBLAS_NUM_THREADS=1 unless it is already set,
+since no BLAS call here is large enough to use a thread pool; set it in the
+environment to override.
 """
 
 import argparse
@@ -58,6 +61,11 @@ TABLE_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.6263, 0.62633, 0.626334,
 # each crest zoom holds x = i * ZOOM_DX, |i| < ZOOM_SAMPLES, so |x| <= 1
 ZOOM_DX = 0.002
 ZOOM_SAMPLES = 501
+
+
+class _UsageError(Exception):
+    """A value that the library rejected after parsing; run() prints it as
+    one line and returns 2."""
 
 
 def _checked(check):
@@ -188,10 +196,14 @@ def _default_name(stem, delta):
 
 def _solitary(delta, dx=None):
     """solve_solitary(delta, dx), after a standard-library crest solve, so
-    that a delta beyond the critical value fails before numpy is imported."""
+    that a delta beyond the critical value fails before numpy is imported.
+    A delta whose profile underflows is a usage error."""
     solve_crest(delta)
     from .solitary_profile import solve_solitary
-    return solve_solitary(delta, dx=dx)
+    try:
+        return solve_solitary(delta, dx=dx)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
 def _wrote_profile(path, gnuplot):
@@ -284,8 +296,7 @@ def cmd_dimensional(args):
     try:
         dp = dimensionalize(profile, args.depth, args.gravity)
     except ValueError as exc:
-        print(f"ikwave dimensional: error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     path = resolve_out_path(args.out or _default_name("dimensional", args.delta))
     # scaling by positive constants keeps the profile's bitwise mirror
     write_text(path, mirrored_csv_text(("x", "eta", "u"), (dp.x, dp.eta, dp.u)))
@@ -392,6 +403,9 @@ def run(argv):
     except IkwaveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"ikwave {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

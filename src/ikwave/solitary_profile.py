@@ -77,6 +77,15 @@ def assemble_profile(half, x=None, *, kappa0):
                        kappa0=kappa0, interpolant=half)
 
 
+def _underflows(*pairs):
+    """True when, in any (values, reference) pair, a value is below the
+    smallest normal float, and so short of digits, where its reference is
+    not 0."""
+    tiny = sys.float_info.min
+    return not all(((np.abs(a) >= tiny) | (b == 0.0)).all()
+                   for a, b in pairs)
+
+
 def solve_solitary(delta, dx=None):
     """Solve the full solitary profile at shallowness delta < delta_c.
 
@@ -84,8 +93,10 @@ def solve_solitary(delta, dx=None):
     crest, the panel nodes of x(z) and the end of the tail.  With dx given,
     they are replaced by a uniform grid of that spacing evaluated through
     the half profile (the final partial cell is dropped).  Raises
-    ValueError for a delta that solve_crest rejects and for a dx that
-    check_dx rejects.
+    ValueError for a delta that solve_crest rejects, for a dx that
+    check_dx rejects, and for a delta so small (below about 1e-75) that a
+    sample of eta, u, phi1 off the crest, phi0', phi1' or d falls below
+    the smallest normal float.
     """
     dx = None if dx is None else check_dx(dx)
     crest = solve_crest(delta)
@@ -96,7 +107,13 @@ def solve_solitary(delta, dx=None):
         # n dx can round past x_end by an ulp, as 35 * 0.01 > 0.35 does
         x = np.arange(n + 1) * dx
         x = x[x <= half.x[-1]]
-    return assemble_profile(half, x, kappa0=crest_curvature(crest))
+    p = assemble_profile(half, x, kappa0=crest_curvature(crest))
+    # phi1 is 0 at the crest alone; no other value of these columns is 0
+    if _underflows((p.eta, 1.0), (p.u, 1.0), (p.phi1, p.x),
+                   (p.phi0_prime, 1.0), (p.phi1_prime, 1.0), (p.d, 1.0)):
+        raise ValueError(f"delta {delta!r} is too small: its profile falls "
+                         "below the smallest float")
+    return p
 
 
 def kdv_profile(delta, grid):
@@ -167,11 +184,7 @@ def dimensionalize(profile, depth, gravity):
     scaled = f"depth {depth!r} and gravity {gravity!r} scale the profile"
     if not all(np.isfinite(a).all() for a in (dp.x, dp.eta, dp.u)):
         raise ValueError(f"{scaled} past the largest float")
-    # an underflow leaves a value subnormal, or 0, and so short of digits
-    tiny = sys.float_info.min
-    if not (dp.amplitude >= tiny and dp.c >= tiny
-            and all(((abs(a) >= tiny) | (b == 0.0)).all()
-                    for a, b in ((dp.x, profile.x), (dp.eta, profile.eta),
-                                 (dp.u, profile.u)))):
+    if _underflows((dp.x, profile.x), (dp.eta, profile.eta),
+                   (dp.u, profile.u), (dp.amplitude, 1.0), (dp.c, 1.0)):
         raise ValueError(f"{scaled} below the smallest float")
     return dp

@@ -4,16 +4,20 @@ They are written from the model equations, independently of the solver's
 invariant-curve formulas: the crest quartic in u(0) obtained by eliminating
 eta(0) from the two crest identities, its root by a 60-digit decimal Newton,
 the crest curvature and the phi1' column in 40-digit decimal
-arithmetic, the critical point in 50-digit decimal arithmetic, a tail-in
-DOP853 shot of the full three-state system, and the model matrices of an
-exponent set in floats.
+arithmetic, the critical point in 50-digit decimal arithmetic, x(z) along
+the whole half profile by a 40-digit composite Gauss-Legendre quadrature of
+dx/dz (XOracle), and the model matrices of an exponent set in floats.  Only
+the standard library and numpy are needed.
 """
 
+import bisect
 import decimal
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+from ikwave.profile_ode import Z_END
 
 
 def float_matrices(p):
@@ -121,35 +125,36 @@ def decimal_crest_curvature(delta, digits=40):
                 / (decimal.Decimal(delta) ** 2 * d))
 
 
-def decimal_phi1_prime(delta, etas, digits=40):
-    """phi1' = 1.5 w/H^3 on the curve I1 = I2 = 0 at each float eta of a
-    profile at shallowness delta, as Decimals of `digits` digits.
+def _curve_u(c, eta):
+    """u on the curve I1 = I2 = 0 at the Decimal eta, in the current context.
 
     I1 = 0 gives (4/3) delta^-2 H^3 phi1^2 = -(2/3)H(cu + eta + u^2/2), and
-    I2 = 0 then leaves a quadratic f(u) = a u^2 + b u + e with a < 0, b < 0
-    and e < 0, whose coefficients are read off f(0) and f(+-1).  The
-    profile's root is the one that tends to -eta/c as eta -> 0, the root
-    of smaller modulus, 2e/(sqrt(b^2 - 4ae) - b); w = c eta + Hu is then
-    formed as written.
+    I2 = 0 then leaves a u^2 + b u + e = 0 with
+    a = -(8/15)H, b = -2c(eta/5 + H/3) and e = eta(eta - 6c^2 eta/(5H)
+    - 2H/3), all negative.  The profile's root is the one that tends to
+    -eta/c as eta -> 0, the root of smaller modulus,
+    2e/(sqrt(b^2 - 4ae) - b).
+    """
+    H = 1 + eta
+    a = -8 * H / 15
+    b = -2 * c * (eta / 5 + H / 3)
+    e = eta * (eta - 6 * c * c * eta / (5 * H) - 2 * H / 3)
+    return 2 * e / ((b * b - 4 * a * e).sqrt() - b)
+
+
+def decimal_phi1_prime(delta, etas, digits=40):
+    """phi1' = 1.5 w/H^3 on the curve I1 = I2 = 0 at each float eta of a
+    profile at shallowness delta, as Decimals of `digits` digits, with u
+    from _curve_u and w = c eta + Hu formed as written.
     """
     extra = _extra_digits(delta)
     with decimal.localcontext() as ctx:
         ctx.prec = digits + 10 + extra
-        D = decimal.Decimal
-        c = 1 + D(2) / 3 * D(delta) ** 2
+        c = 1 + decimal.Decimal(2) / 3 * decimal.Decimal(delta) ** 2
         values = []
-        for eta in map(D, etas):
+        for eta in map(decimal.Decimal, etas):
             H = 1 + eta
-
-            def f(u):
-                w = c * eta + H * u
-                return (eta * eta - H * u * u + 2 * u * w - 6 * w * w / (5 * H)
-                        - D(2) / 3 * H * (c * u + eta + u * u / 2))
-
-            e, plus, minus = f(D(0)), f(D(1)), f(D(-1))
-            a, b = (plus + minus) / 2 - e, (plus - minus) / 2
-            u = 2 * e / ((b * b - 4 * a * e).sqrt() - b)
-            values.append(3 * (c * eta + H * u) / (2 * H ** 3))
+            values.append(3 * (c * eta + H * _curve_u(c, eta)) / (2 * H ** 3))
         return values
 
 
@@ -191,51 +196,147 @@ def decimal_critical_point(digits=50):
         return (D(3) / 2 * (c - 1)).sqrt(), eta, c, u
 
 
-class TailReference:
-    """eta_ref(x) on [0, x_end] for one subcritical delta, crest at x = 0.
+def _legendre_rule(n):
+    """Gauss-Legendre nodes and weights of an even n on [-1, 1], in the
+    current context.
 
-    Shoots inward from the rest state toward the crest: start at 1e-12 along
-    the eigenvector whose mode decays like exp(-lambda x) on x > 0, integrate
-    the reversed three-state system with DOP853 and stop at phi1 = 0.  Errors
-    across the connection decay on this path.
+    Each positive node is Newton's root of P_n from cos(pi(i - 1/4)/(n +
+    1/2)), with P_n and P_n-1 from the recurrence
+    k P_k = (2k - 1) t P_k-1 - (k - 1) P_k-2 and
+    P_n' = n (t P_n - P_n-1)/(t^2 - 1); its weight is 2/((1 - t^2) P_n'^2),
+    and -t is a node of the same weight.
+    """
+    def legendre(t):
+        before, p = 1, t
+        for k in range(2, n + 1):
+            before, p = p, ((2 * k - 1) * t * p - (k - 1) * before) / k
+        return p, n * (t * p - before) / (t * t - 1)
+
+    tol = decimal.Decimal(10) ** (4 - decimal.getcontext().prec)
+    rule = []
+    for i in range(1, n // 2 + 1):
+        t = decimal.Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        for _ in range(100):
+            p, slope = legendre(t)
+            t -= p / slope
+            if abs(p) <= tol * abs(slope):
+                break
+        else:
+            raise RuntimeError(f"Legendre node {i} of {n} did not settle")
+        weight = 2 / ((1 - t * t) * legendre(t)[1] ** 2)
+        rule += [(t, weight), (-t, weight)]
+    return rule
+
+
+# the oracle's panels: [0, Z_END 2^-40], geometric ones [Z_END 2^-k-1,
+# Z_END 2^-k] up to Z_END 2^-8, then 256 uniform ones up to Z_END; the
+# edges are floats, so that the solver can be read at them exactly
+ORACLE_EDGES = ([0.0] + [Z_END * 2.0 ** -k for k in range(40, 8, -1)]
+                + [Z_END * j / 256 for j in range(1, 257)])
+ORACLE_NODES = 14
+# digits beyond the crest oracle's that the extreme wave needs: at its corner
+# crest m vanishes like z^4, not z^2, so the node nearest 0, at about 2e-14,
+# loses some 55 digits to cancellation in m instead of about 28
+CORNER_DIGITS = 30
+
+
+class XOracle:
+    """x(z), the integral of dx/dz from 0 to z, along the solitary wave with
+    crest (delta, eta0), in `digits`-digit decimals.
+
+    The integrand is written from the model equations, as
+    decimal_phi1_prime is, and not from the solver's closed forms:
+    eta = eta0 exp(-z^2), u = _curve_u(c, eta), phi1 = -sqrt(-delta^2
+    m/(2H^2)) with m = cu + eta + u^2/2 from I1 = 0, d and eta' as the
+    profile_ode docstring writes them, and dx/dz = -2 z eta/eta'.  Each
+    panel of ORACLE_EDGES gets a `nodes`-node Gauss-Legendre rule; x at
+    the edges is their running sum, and x(z) inside a panel adds the rule
+    on [edge, z].  eta0 must be the decimal crest, to about `digits`
+    digits: a rounded one leaves m(eta0) != 0, and then phi1 is imaginary
+    next to z = 0.
     """
 
-    def __init__(self, delta):
-        c = 1.0 + (2.0 / 3.0) * delta * delta
-        dd = delta * delta
+    def __init__(self, delta, eta0, digits, nodes=ORACLE_NODES):
+        self._ctx = decimal.Context(prec=digits)
+        with decimal.localcontext(self._ctx):
+            self.eta0 = +eta0
+            self._dd = decimal.Decimal(delta) ** 2
+            self.c = 1 + decimal.Decimal(2) / 3 * self._dd
+            self._rule = _legendre_rule(nodes)
+            self._eta_edges = [self.eta(decimal.Decimal(a))
+                               for a in ORACLE_EDGES]
+            # x at each of ORACLE_EDGES
+            self.x = [decimal.Decimal(0)]
+            for a, b, eta_a in zip(ORACLE_EDGES, ORACLE_EDGES[1:],
+                                   self._eta_edges):
+                self.x.append(self.x[-1] + self._integral(
+                    decimal.Decimal(a), decimal.Decimal(b), eta_a))
 
-        def reversed_rhs(s, y):
-            eta, u, phi1 = y
-            H = 1.0 + eta
-            v = c + u
-            w = c * eta + H * u
-            q = 4.0 * H * phi1 * phi1 / dd
-            d = 6.0 * H * v * v - 3.0 * v * w - H * H * (1.0 + q)
-            return (-(6.0 * H * w + 10.0 * H * H * v) * phi1 / (dd * d),
-                    (18.0 * w * (2.0 * H * v - w) + 10.0 * H ** 3 * (1.0 + q))
-                    * phi1 / (dd * H * d),
-                    -1.5 / H ** 3 * w)
+    def eta(self, z):
+        """eta0 exp(-z^2) at a Decimal z."""
+        with decimal.localcontext(self._ctx):
+            return self.eta0 * (-z * z).exp()
 
-        # linearised at rest: eta' = a phi1, u' = b phi1, phi1' = 1.5(c eta + u)
-        a = 10.0 * c / (dd * (6.0 * c * c - 1.0))
-        b = -10.0 / (dd * (6.0 * c * c - 1.0))
-        lam = math.sqrt(1.5 * (c * a + b))
-        mode = np.array([a / lam, b / lam, -1.0])
+    def slope(self, z, eta):
+        """dx/dz at z, where eta = eta0 exp(-z^2)."""
+        c, dd = self.c, self._dd
+        H = 1 + eta
+        u = _curve_u(c, eta)
+        phi1 = -(-dd * (c * u + eta + u * u / 2) / (2 * H * H)).sqrt()
+        v, w = c + u, c * eta + H * u
+        d = 6 * H * v * v - 3 * v * w - H * H * (1 + 4 * H * phi1 * phi1 / dd)
+        eta_prime = (6 * H * w + 10 * H * H * v) * phi1 / (dd * d)
+        return -2 * z * eta / eta_prime
 
-        def crest(s, y):
-            return y[2]
-        crest.terminal = True
-        crest.direction = 1
+    def _integral(self, a, b, eta_a):
+        """The rule for dx/dz on [a, b], with eta_a = eta(a).  eta at a node
+        t is eta_a exp((a - t)(a + t)): Decimal's exp is about twice as
+        fast at the small exponent."""
+        mid, half = (a + b) / 2, (b - a) / 2
+        total = 0
+        for s, weight in self._rule:
+            t = mid + half * s
+            total += weight * self.slope(t, eta_a * ((a - t) * (a + t)).exp())
+        return half * total
 
-        sol = solve_ivp(reversed_rhs, (0.0, 200.0),
-                        1e-12 * mode / np.linalg.norm(mode), method="DOP853",
-                        rtol=1e-12, atol=1e-30, events=crest,
-                        dense_output=True)
-        if sol.status != 1:
-            raise RuntimeError(f"tail-in reference missed the crest at "
-                               f"delta={delta!r}: {sol.message}")
-        self.x_end = float(sol.t_events[0][0])
-        self._sol = sol.sol
+    def __call__(self, z):
+        """x at a float or Decimal z in [0, Z_END]."""
+        i = min(bisect.bisect_right(ORACLE_EDGES, z), len(self.x) - 1) - 1
+        if z == ORACLE_EDGES[i]:
+            return self.x[i]
+        a = decimal.Decimal(ORACLE_EDGES[i])
+        with decimal.localcontext(self._ctx):
+            return self.x[i] + self._integral(a, decimal.Decimal(z),
+                                              self._eta_edges[i])
 
-    def eta(self, x):
-        return self._sol(self.x_end - np.asarray(x, dtype=float))[0]
+    def z_of_x(self, x, z):
+        """The Decimal z where x(z) = x, for a float x in [0, x(Z_END)], by
+        Newton from the float z until a step is at most 1e-15 Z_END, which
+        leaves an error of order 1e-30."""
+        if x == 0:
+            return decimal.Decimal(0)
+        with decimal.localcontext(self._ctx):
+            x, z = decimal.Decimal(x), decimal.Decimal(z)
+            tol = decimal.Decimal("1e-15") * decimal.Decimal(Z_END)
+            for _ in range(50):
+                step = (self(z) - x) / self.slope(z, self.eta(z))
+                z -= step
+                if abs(step) <= tol:
+                    return z
+        raise RuntimeError(f"Newton for z at x = {x} did not settle")
+
+
+@functools.cache
+def x_oracle(delta, nodes=ORACLE_NODES):
+    """The XOracle at shallowness delta, its crest from decimal_crest and
+    40 + 10 + _extra_digits(delta) digits; for delta = "extreme", the
+    extreme wave's, from decimal_critical_point and CORNER_DIGITS more.
+    Cached, since each one costs some 4000 evaluations of dx/dz."""
+    if delta == "extreme":
+        # delta_c = 0.626...
+        digits = 50 + _extra_digits(0.626) + CORNER_DIGITS
+        delta, eta0, *_ = decimal_critical_point(digits)
+    else:
+        digits = 50 + _extra_digits(delta)
+        eta0 = decimal_crest(delta, digits - 10)[2]
+    return XOracle(delta, eta0, digits, nodes)

@@ -438,3 +438,23 @@ def test_dimensional_underflow_is_a_usage_error(depth, gravity, out_dir,
                    f"gravity {float(gravity)!r} scale the profile below the "
                    "smallest float\n")
     assert list(out_dir.iterdir()) == []
+
+
+# a delta whose profile leaves the normal range is a usage error of one
+# line in each command that solves a profile; crest and table still print
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", ["1e-76", "1e-90"])
+@pytest.mark.parametrize("args", [["solve"], ["solve", "--dx", "0.01"],
+                                  ["compare-kdv"],
+                                  ["dimensional", "--depth", "2",
+                                   "--gravity", "9.81"]],
+                         ids=lambda args: " ".join(args))
+def test_profile_underflow_is_a_usage_error(args, delta, out_dir, capsys):
+    assert run([args[0], "--delta", delta, *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"ikwave {args[0]}: error: delta {float(delta)!r} is too "
+                   "small: its profile falls below the smallest float\n")
+    assert list(out_dir.iterdir()) == []
+    assert run(["crest", "--delta", delta]) == 0
+    assert run(["table", "--deltas", delta]) == 0

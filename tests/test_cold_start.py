@@ -4,12 +4,13 @@
 that need only crest values (critical, crest, table), params, checks and
 usage errors load no numpy, nor dataclasses or json; a delta beyond the
 critical value loads no numpy either.  No command loads scipy, and the
-commands that integrate run with scipy made unimportable.  The commands run
-with one OS thread: cli.main sets OPENBLAS_NUM_THREADS=1 unless the user set
-it, while `import ikwave` and cli.run leave the environment alone.
+commands that integrate run with scipy made unimportable, as do the
+oracles and the test modules themselves.  The commands run with one OS
+thread: cli.main sets OPENBLAS_NUM_THREADS=1 unless the user set it, while
+`import ikwave` and cli.run leave the environment alone.
 
 Each case runs in a fresh interpreter, since the test process itself has
-long imported numpy and scipy.  The command runs through runpy, as
+long imported numpy.  The command runs through runpy, as
 `python -m ikwave` would, and the script then reports the exit code and
 which of numpy, scipy, dataclasses and json were loaded.
 """
@@ -147,6 +148,18 @@ def test_integrating_command_needs_no_scipy(args, tmp_path):
     # a None entry makes every import of scipy raise ImportError
     blocked = 'import sys\nsys.modules["scipy"] = None\n' + SCRIPT
     assert _fresh(blocked, args, tmp_path)[0] == "0"
+
+
+def test_tests_need_no_scipy(tmp_path):
+    # oracles.py and every test module import with scipy made unimportable
+    tests = Path(__file__).resolve().parent
+    modules = ["oracles", *sorted(p.stem for p in tests.glob("test_*.py"))]
+    code = ('import importlib, sys\nsys.modules["scipy"] = None\n'
+            f'sys.path.insert(0, {str(tests)!r})\n'
+            f'for name in {modules!r}:\n'
+            '    importlib.import_module(name)\n'
+            'print("imported")')
+    assert _fresh(code, [], tmp_path) == ["imported"]
 
 
 @pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"needs {TASKS}")

@@ -15,8 +15,8 @@ from ikwave.crest_init import CrestState, crest_denominator, curve_w
 from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
 from ikwave.profile_ode import derived_columns
 from ikwave.solitary_profile import assemble_profile
-from oracles import (TailReference, decimal_crest_curvature,
-                     decimal_phi1_prime)
+from oracles import (ORACLE_EDGES, ORACLE_NODES, decimal_crest_curvature,
+                     decimal_phi1_prime, x_oracle)
 
 # the largest float below the critical shallowness 0.62633493072456297...
 DELTA_C = 0.6263349307245629
@@ -94,7 +94,7 @@ def test_phi1_prime_column_matches_decimal_oracle(delta, critical_point):
 
 def test_half_trajectory_conserves_identities():
     # I1 and I2 vanish by construction on the curve; the phi1' residual and
-    # the tail-in reference below are the independent checks
+    # the quadrature oracle below are the independent checks
     half = integrate_half(solve_crest(0.45))
     p = assemble_profile(half, kappa0=None)
     assert half.stop == "tail"
@@ -147,14 +147,33 @@ def test_third_equation_holds_on_the_extreme_wave(critical_point):
     assert phi1_prime_residual(cp.delta_c, cp.eta_c0) <= 1e-8
 
 
-@pytest.mark.parametrize("delta", [0.1, 0.3, 0.55, 0.62, 0.626])
-def test_profile_matches_tail_in_reference(delta):
-    p = solve_solitary(delta, dx=0.01)
-    ref = TailReference(delta)
-    x = p.x[(p.x >= 0.0) & (p.x <= ref.x_end)]
-    eta = p.eta[(p.x >= 0.0) & (p.x <= ref.x_end)]
-    eta_ref = ref.eta(x)
-    assert np.max(np.abs(eta - eta_ref) / eta_ref) <= 1e-8
+@pytest.mark.parametrize("delta", [1e-3, 0.3, 0.626, DELTA_C, "extreme"])
+def test_dx_grid_matches_the_quadrature_oracle(delta, critical_point):
+    # eta at x_j against eta0 exp(-z_j^2), z_j the oracle's inverse at x_j;
+    # gating x through z = sqrt(ln(eta0/eta_j)) instead would amplify the
+    # rounding of eta_j by about eta0/(|kappa0| x_j) next to the crest.
+    # Measured: 1.40, 0.62, 1.38, 4.28 and 2.15 eps eta0
+    half = _half(delta, critical_point)
+    x = _dx_grid(half, 0.01)
+    checked = (x <= 0.1) | (np.arange(x.size) % 10 == 0)
+    x = x[checked]
+    eta = assemble_profile(half, x, kappa0=None).eta[x.size - 1:]
+    oracle = x_oracle(delta)
+    # Newton for z_j starts where the profile's eta puts it
+    start = np.sqrt(np.log(half.eta[0] / eta))
+    error = max(abs(decimal.Decimal(e) - oracle.eta(oracle.z_of_x(a, z)))
+                for a, e, z in zip(x.tolist(), eta.tolist(), start.tolist()))
+    assert float(error) <= 8 * np.finfo(float).eps * float(oracle.eta0)
+
+
+def test_quadrature_oracle_is_converged():
+    # at the case of the x(z) gate below where it converges slowest, as the
+    # crest nears a corner; measured: 4.4e-29 x_end there, at most
+    # 6.2e-31 x_end at the other nine
+    delta = DELTA_C - 1e-10
+    coarse, fine = x_oracle(delta), x_oracle(delta, ORACLE_NODES + 8)
+    assert max(abs(a - b) for a, b in zip(coarse.x, fine.x)) <= (
+        decimal.Decimal("1e-25") * coarse.x[-1])
 
 
 def assert_tail_positive_and_decaying(p):
@@ -198,24 +217,6 @@ def test_dense_interpolant_matches_samples():
     assert half.eta[11] < eta_mid < half.eta[10]
 
 
-def composite_x(curve, z, nodes=20, panels=400):
-    """x(z) by a composite Gauss-Legendre rule of its own: `nodes` nodes on
-    each of `panels` panels, [0, 1e-10 Z_END] and then geometrically growing
-    ones up to Z_END, which resolve the crest of the waves next to the
-    critical one."""
-    edges = np.concatenate(
-        [[0.0], profile_ode.Z_END * np.geomspace(1e-10, 1.0, panels)])
-    t, w = np.polynomial.legendre.leggauss(nodes)
-
-    def rule(a, b):
-        return 0.5 * (b - a) * (curve.at(
-            a[:, None] + 0.5 * (b - a)[:, None] * (t + 1.0))[3] @ w)
-
-    whole = np.concatenate([[0.0], np.cumsum(rule(edges[:-1], edges[1:]))])
-    i = np.minimum(np.searchsorted(edges, z, side="right") - 1, panels - 1)
-    return whole[i] + rule(edges[i], z)
-
-
 @pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
                                    DELTA_C, "extreme"])
 def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
@@ -230,18 +231,20 @@ def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.55, 0.626, DELTA_C - 1e-10,
-                                   "extreme"])
+@pytest.mark.parametrize("delta", [1e-4, 1e-3, 0.1, 0.3, 0.55, 0.62, 0.626,
+                                   DELTA_C - 1e-10, DELTA_C, "extreme"])
 def test_panel_table_matches_composite_quadrature(delta, critical_point):
+    # against the 40-digit composite Gauss-Legendre rule of x_oracle, at its
+    # 289 panel edges; measured: at most 2.43 eps x_end, at delta = 1e-3
     half = _half(delta, critical_point)
-    z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
-                        half._z])
-    x, _ = half.along_z(z)
-    assert np.max(np.abs(x - composite_x(half._curve, z))) <= (
-        1e-14 * half.x[-1])
+    oracle = x_oracle(delta)
+    x, _ = half.along_z(np.array(ORACLE_EDGES))
+    error = max(abs(decimal.Decimal(a) - b) for a, b in zip(x.tolist(),
+                                                             oracle.x))
+    assert float(error) <= 4 * np.finfo(float).eps * half.x[-1]
     # the samples are the table at z = 0, every node and Z_END, and
     # assemble_profile needs x exactly 0.0 at the crest
-    assert np.array_equal(half.x, x[4097:])
+    assert np.array_equal(half.x, half.along_z(half._z)[0])
     assert half.x[0] == 0.0 and x[0] == 0.0
 
 

@@ -238,6 +238,26 @@ def test_dimensionalize_rejects_underflow(depth, gravity, profile_cache):
         dimensionalize(profile_cache(0.3), depth=depth, gravity=gravity)
 
 
+# phi1, of order delta^4, and the other columns leave the normal range as
+# delta falls: at 1e-76 some samples are subnormal, at 1e-90 every phi1 is 0
+@pytest.mark.parametrize("delta", [1e-76, 1e-90])
+@pytest.mark.parametrize("dx", [None, 0.01])
+def test_profile_that_underflows_is_refused(delta, dx):
+    with pytest.raises(ValueError,
+                       match=f"^delta {delta!r} is too small: its profile "
+                             "falls below the smallest float$"):
+        solve_solitary(delta, dx=dx)
+
+
+@pytest.mark.parametrize("dx", [None, 0.01])
+def test_profile_at_1e_75_keeps_every_value_normal(dx):
+    p = solve_solitary(1e-75, dx=dx)
+    tiny = np.finfo(float).tiny
+    for a in (p.eta, p.u, p.phi0_prime, p.phi1_prime, p.d):
+        assert (np.abs(a) >= tiny).all()
+    assert (np.abs(p.phi1[p.x != 0.0]) >= tiny).all()
+
+
 # h = 1e-300 is the smallest of these depths that leaves every value normal
 @pytest.mark.filterwarnings("error")
 def test_dimensionalize_small_normal_scales(profile_cache):
