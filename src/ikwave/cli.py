@@ -7,9 +7,11 @@ parser finds is two lines on stderr: the command's usage
 ("usage: ikwave solve ...", wrapped on a narrow terminal) and then
 "ikwave solve: error: ...", which for a rejected value names it
 ("argument --delta: ...").  Scales that overflow or underflow in
-dimensional, and a delta so small (below about 1e-75) that its profile
-underflows in solve, compare-kdv or dimensional, are one line,
-"ikwave <command>: error: ...".  An exit 1 error is one line,
+dimensional, a delta so small (below about 1e-75) that its profile
+underflows in solve, compare-kdv or dimensional, and an --out ending in .gp
+(in any case) with --gnuplot in solve or extreme, whose plot script would
+overwrite the CSV, are one line, "ikwave <command>: error: ...", raised
+before anything is solved or written.  An exit 1 error is one line,
 "error: <type>: <message>", except a closed pipe, which prints nothing.
 Arguments are checked by the library's own checks (check_delta, check_dx,
 check_positive, check_exponents, solve_solitary's for a profile that
@@ -61,6 +63,8 @@ TABLE_DELTAS = (0.6, 0.62, 0.625, 0.626, 0.6263, 0.62633, 0.626334,
 # each crest zoom holds x = i * ZOOM_DX, |i| < ZOOM_SAMPLES, so |x| <= 1
 ZOOM_DX = 0.002
 ZOOM_SAMPLES = 501
+# --gnuplot writes its plot script to the CSV's path with this suffix
+PLOT_SUFFIX = ".gp"
 
 
 class _UsageError(Exception):
@@ -206,19 +210,30 @@ def _solitary(delta, dx=None):
         raise _UsageError(exc) from None
 
 
+def _profile_path(args, default):
+    """The resolved path of a profile CSV, --out or default.  With
+    --gnuplot, a path whose suffix is .gp in any case is a usage error,
+    since the plot script next to it would overwrite it."""
+    path = resolve_out_path(args.out or default)
+    if args.gnuplot and path.suffix.lower() == PLOT_SUFFIX:
+        raise _UsageError(f"--out {args.out} ends in {PLOT_SUFFIX}, where "
+                          "--gnuplot would overwrite it with the plot script")
+    return path
+
+
 def _wrote_profile(path, gnuplot):
     """Report the profile CSV at path and, with --gnuplot, write and report
     a plot script for it next to it."""
     print(f"wrote {path}")
     if gnuplot:
-        gp = path.with_suffix(".gp")
+        gp = path.with_suffix(PLOT_SUFFIX)
         write_text(gp, gnuplot_script(path.name))
         print(f"wrote {gp}")
 
 
 def cmd_solve(args):
+    path = _profile_path(args, _default_name("profile", args.delta))
     profile = _solitary(args.delta, dx=args.dx)
-    path = resolve_out_path(args.out or _default_name("profile", args.delta))
     write_text(path, profile_csv_text(profile))
     _kv("delta", profile.delta)
     _kv("c", profile.c)
@@ -276,10 +291,10 @@ def cmd_critical(args):
 
 
 def cmd_extreme(args):
+    path = _profile_path(args, "extreme_profile.csv")
     from .extreme_wave import extreme_profile
     cp = solve_critical()
     profile = extreme_profile(cp)
-    path = resolve_out_path(args.out or "extreme_profile.csv")
     write_text(path, profile_csv_text(profile))
     _kv("delta_c", cp.delta_c)
     _kv("eta_max", profile.eta_max)

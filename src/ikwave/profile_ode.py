@@ -259,13 +259,13 @@ class HalfProfile:
     Chebyshev series of its antiderivative, summed by Clenshaw's recurrence
     one gathered coefficient row at a time.  x is inverted to z by Newton
     sweeps on x(z), started from the cubic Hermite interpolant of z(x)
-    through the samples, with slopes dz/dx = 1/(dx/dz); on an interval with
-    dx/dz = 0 at an end (the corner crest) the start is linear.  The start
-    is the sample's z exactly at every sample x.  Each point leaves the
-    sweeps after its own last step, so its value does not depend on the
-    other points of the call.  An x outside [0, x_end], a z outside
-    [0, Z_END] or a NaN raises ValueError: the panel table covers that
-    range only.
+    through the samples, with slopes dz/dx = 1/(dx/dz).  On the interval
+    [0, x_1] of the corner crest, where dx/dz = 0 at z = 0 and x ~ z^2, the
+    start is z_1 sqrt(x/x_1) instead.  The start is the sample's z exactly
+    at every sample x.  Each point leaves the sweeps after its own last
+    step, so its value does not depend on the other points of the call.
+    An x outside [0, x_end], a z outside [0, Z_END] or a NaN raises
+    ValueError: the panel table covers that range only.
     """
 
     def __init__(self, curve, panels):
@@ -279,11 +279,13 @@ class HalfProfile:
         self._g_start = self._clenshaw(np.arange(len(self._start)), -1.0)
         self.x = self._x_of_z(self._z)
         self.eta, self.u, self.phi1, slope = curve.at(self._z)
-        # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1]
+        # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1];
+        # dx/dz is 0 only at z = 0, at the corner crest, where x ~ z^2: that
+        # interval takes sqrt(t) for t and c1 = z_j+1 - z_j, c2 = c3 = 0
         dz, dx = np.diff(self._z), np.diff(self.x)
-        linear = (slope[:-1] == 0.0) | (slope[1:] == 0.0)
-        a = np.where(linear, dz, _ratio(dx, slope[:-1], 0.0))
-        b = np.where(linear, dz, _ratio(dx, slope[1:], 0.0))
+        self._corner = slope[:-1] == 0.0
+        a = np.where(self._corner, dz, _ratio(dx, slope[:-1], 0.0))
+        b = np.where(self._corner, dz, dx / slope[1:])
         self._dx, self._cubic = dx, (a, 3.0 * dz - 2.0 * a - b,
                                      a + b - 2.0 * dz)
 
@@ -307,6 +309,7 @@ class HalfProfile:
         j = np.minimum(np.searchsorted(self.x, x, side="right") - 1,
                        len(self.x) - 2)
         t = (x - self.x[j]) / self._dx[j]
+        t = np.where(self._corner[j], np.sqrt(t), t)
         c1, c2, c3 = (c[j] for c in self._cubic)
         z = self._z[j] + t * (c1 + t * (c2 + t * c3))
         # at t = 1, z_j + (z_j+1 - z_j) need not be z_j+1

@@ -29,8 +29,9 @@ C = A0 - a0 (x) a0, so q(s) = det(S) b^T S^-1 b with S = A1 + s C and
 b = 1 - a0.  model_params' exact elimination of [S | b] yields both: the
 pivots D_k multiply to det(S), and with y the eliminated b,
 b^T S^-1 b = sum y_k^2 / D_k.  q_coefficients does this in Fractions at
-s = 0, ..., N-1 and interpolates.  A1 and C are positive definite, as
-exact_params and check_positivity prove, so some V has V^T A1 V = I and
+s = 0, ..., N-1 and interpolates them in Poly, as the Lagrange sum
+sum_j q(j) prod_{m != j} (s - m)/(j - m).  A1 and C are positive definite,
+as exact_params and check_positivity prove, so some V has V^T A1 V = I and
 V^T C V = diag(lambda_j), every lambda_j > 0.  With beta = V^T b,
 
     q(s) = det(A1) sum_i beta_i^2 prod_{j != i} (1 + s lambda_j),
@@ -220,48 +221,36 @@ def fundamental_checks():
     }
 
 
-def _interpolate(values):
-    """Coefficients, lowest degree first, of the polynomial through
-    (s, values[s]) for s = 0, ..., len(values) - 1."""
-    n = len(values)
-    # Newton's divided differences on the unit-spaced nodes 0, ..., n - 1
-    d = list(values)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            d[i] = (d[i] - d[i - 1]) / k
-    # Horner in the Newton basis: c <- c (s - k) + d[k]
-    c = [d[-1]]
-    for k in range(n - 2, -1, -1):
-        c = ([d[k] - k * c[0]]
-             + [c[i - 1] - k * c[i] for i in range(1, len(c))] + [c[-1]])
-    return c
-
-
 def q_coefficients(p):
     """Exact Fraction coefficients of q(s), s = xi^2, lowest degree first.
 
     p is what check_exponents accepts.  Each q(s) at s = 0, ..., N-1 is
     det(S) b^T S^-1 b from one exact elimination of [S | b] (see the module
-    docstring).  S is positive definite for s >= 0 when the matrices are
-    built right; a pivot <= 0 raises NonPositiveDetected.
+    docstring), and q is their Lagrange sum, a Poly in s.  S is positive
+    definite for s >= 0 when the matrices are built right; a pivot <= 0
+    raises NonPositiveDetected.
     """
     p = check_exponents(p)
     A1, A0, a0 = _matrices(p)
     C = _centered(A0, a0)
     b = [1 - a for a in a0]
     values = []
-    for s in range(len(p)):
-        U = _eliminate([[x + s * y for x, y in zip(r1, rc)] + [bk]
+    for j in range(len(p)):
+        U = _eliminate([[x + j * y for x, y in zip(r1, rc)] + [bk]
                         for r1, rc, bk in zip(A1, C, b)])
         if U is None:
             raise NonPositiveDetected(
-                f"A1 + {s} (A0 - a0 (x) a0) is not positive definite "
+                f"A1 + {j} (A0 - a0 (x) a0) is not positive definite "
                 f"for p={p}")
         pivots = [row[k] for k, row in enumerate(U)]
         values.append(math.prod(pivots)
                       * sum(row[-1] * row[-1] / dk
                             for row, dk in zip(U, pivots)))
-    return _interpolate(values)
+    s = Poly({(1,): 1})
+    q = sum((v * math.prod((s - m) * Fraction(1, j - m)
+                           for m in range(len(p)) if m != j)
+             for j, v in enumerate(values)), Poly())
+    return [q.get((k,) if k else (), Fraction(0)) for k in range(len(p))]
 
 
 def q_positivity(p):

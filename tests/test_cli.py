@@ -225,6 +225,21 @@ def test_solve_gnuplot_flag(out_dir, capsys):
             f"wrote {out_dir / name}.csv", f"wrote {out_dir / name}.gp"]
 
 
+@pytest.mark.parametrize("out", ["p.gp", "P.GP"])
+@pytest.mark.parametrize("command", [["solve", "--delta", "0.3"],
+                                     ["extreme"]])
+def test_gnuplot_onto_the_csv_is_a_usage_error(command, out, out_dir,
+                                               capsys):
+    # the plot script takes the CSV's name with suffix .gp
+    assert run(command + ["--out", out, "--gnuplot"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"ikwave {command[0]}: error: --out ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_solve_rerun_is_byte_identical(out_dir):
     assert run(["solve", "--delta", "0.45", "--out", "a.csv"]) == 0
     first = (out_dir / "a.csv").read_bytes()

@@ -161,6 +161,17 @@ def test_one_sided_slope_by_difference_quotient(critical_point, extreme):
         assert quotient(h) == pytest.approx(critical_point.slope_nondim, abs=1e-5)
 
 
+@pytest.mark.parametrize("x", [1e-14, 1e-12, 1e-11, 1e-10, 1e-8])
+def test_resampling_next_to_the_corner(x, critical_point):
+    # eta = eta_c0 + slope x + O(x^2): the x^2 term is at most 0.35 eps
+    # eta_c0 here, where dx/dz rounds to 0 and Newton takes no step
+    cp = critical_point
+    half = profile_ode.integrate_from(cp.delta_c, cp.eta_c0)
+    eta = float(half(x)[0])
+    bound = 2 * np.finfo(float).eps * cp.eta_c0
+    assert abs(eta - (cp.eta_c0 + cp.slope_nondim * x)) <= bound
+
+
 def test_crest_velocity_relation(critical_point):
     # v_c(0) u'(0+) + eta'(0+) = 0 ties the one-sided derivatives together
     slope = critical_point.slope_nondim
