@@ -38,7 +38,6 @@ _EXPORTS = {
     "dimensionalize": "solitary_profile",
     "exact_params": "model_params",
     "extreme_profile": "extreme_wave",
-    "first_order_family": "theory_checks",
     "fundamental_checks": "theory_checks",
     "included_angle": "crest_init",
     "integrate_half": "profile_ode",

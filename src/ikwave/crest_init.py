@@ -359,7 +359,9 @@ def _one_row(delta):
 def diagnostics_table(deltas):
     """Crest diagnostics (delta, eta(0), -kappa(0), d(0)), one row per delta.
 
-    Rows are returned in input order; a failing delta yields a row carrying
-    the error message instead of aborting the sweep.
+    Rows are returned in input order.  A delta whose crest fails with an
+    IkwaveError (past delta_c, NoSolitaryRoot) yields a row carrying the
+    error message, and the sweep goes on; a delta that check_delta rejects
+    raises its ValueError.
     """
     return [_one_row(delta) for delta in deltas]

@@ -1,9 +1,10 @@
 """Executable checks of the analytic ingredients behind the solver.
 
-Four independent pieces of theory admit direct verification:
+Four pieces of theory admit direct verification:
 
-* the leading-order profile equation 2 c1 eta0 - (3/2) eta0^2 - gamma eta0''
-  with c1 = 2 gamma, eta0 = 4 gamma sech^2 x, which vanishes identically;
+* the leading-order profile equation 2 c1 eta - (3/2) eta^2 - gamma eta''
+  = 0, solved by eta0 = 4 gamma sech^2 x at c1 = 2 gamma and by the whole
+  family of the last item;
 * the closed-form fundamental pair of the linearized profile operator
   -gamma u'' + (4 gamma - 3 eta0) u,
 
@@ -20,8 +21,14 @@ Four independent pieces of theory admit direct verification:
 
   a polynomial of degree N-1 in s = xi^2, which for p = [2] is the constant
   4/9;
-* the first-order small-amplitude family (c, eta, phi0, phi_vec) that every
-  solitary solution approaches as delta -> 0.
+* the first-order small-amplitude family that every solitary solution
+  approaches as delta -> 0.  With k^2 = alpha/(2 gamma) for any alpha > 0,
+
+      c = 1 + alpha delta^2,   eta = 2 alpha delta^2 sech^2(k x),
+      phi0' = -eta,            phi = -gamma_vec delta^2 (phi0')',
+
+  and eta / delta^2 solves the leading-order equation with c1 = alpha.
+  alpha = 2 gamma gives eta = delta^2 eta0, solitary_profile.kdv_profile.
 
 q is proved positive for every xi, not sampled.  Adding multiples of the
 border row and column to the others turns A0 - 1 (x) a0 into the symmetric
@@ -53,12 +60,16 @@ S' = -2 T S, d/dx maps a numerator over S^k to
 
     d_x + S d_T + 2 k T
 
-of it, over the same S^k.  Each residual, and the Wronskian minus 1, is
-then one numerator over a power of S, and each is the zero Poly.  For
-x -> +inf, E = 1 - T ~ 2 exp(-2x) and S^k ~ (2E)^k; if E^m is the lowest
-power of E in the numerator and its coefficient c carries no x, then
-u ~ c 2^(m - 2k) exp(-2(m - k) x), so the rate 2(k - m) and the limit
-c 2^(m - 2k) are read off exactly: -2 and 4 for u1, 2 and -1/16 for u2.
+of it, over the same S^k.  The family carries K = k^2 as a third
+variable: in xi = k x, with T = tanh xi and S = sech^2 xi, its eta over
+delta^2 is 4 gamma K S and d^2/dx^2 = K d^2/dxi^2, so one residual, a
+Poly in (xi, T, K), holds for every alpha = 2 gamma K at once.  Each
+residual, and the Wronskian minus 1, is then one numerator over a power
+of S, and each is the zero Poly.  For x -> +inf, E = 1 - T ~ 2 exp(-2x)
+and S^k ~ (2E)^k; if E^m is the lowest power of E in the numerator and
+its coefficient c carries no x, then u ~ c 2^(m - 2k) exp(-2(m - k) x),
+so the rate 2(k - m) and the limit c 2^(m - 2k) are read off exactly: -2
+and 4 for u1, 2 and -1/16 for u2.
 
 Everything here runs on the standard library.
 """
@@ -68,8 +79,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import NonPositiveDetected
-from .model_params import (_centered, _eliminate, _matrices, check_exponents,
-                           exact_params)
+from .model_params import _centered, _eliminate, _matrices, check_exponents
 
 
 def _power(key, i):
@@ -175,26 +185,28 @@ def _tail(u):
     return 2 * (k - m), lead.popitem()[1] * Fraction(2) ** (m - 2 * k)
 
 
-def _sech2(x):
-    """sech^2 x; 0 where cosh x overflows."""
-    try:
-        s = 1.0 / math.cosh(x)
-    except OverflowError:
-        return 0.0
-    return s * s
+def _family(gamma):
+    """(K, eta) of the leading-order family, as Polys in (xi, T, K): K = k^2
+    = alpha/(2 gamma), T = tanh xi with xi = k x, and eta = 2 alpha S
+    = 4 gamma K S, the family's elevation over delta^2."""
+    k2 = Poly({(0, 0, 1): 1})
+    return k2, 4 * gamma * k2 * _variables()[2]
 
 
 def verify_kdv_solution(gamma):
-    """Residual of 2 c1 eta0 - (3/2) eta0^2 - gamma eta0'' with c1 = 2 gamma
-    and eta0 = 4 gamma sech^2 x, as the largest |coefficient| of it as a
-    polynomial in T = tanh x: 0, exactly, for every positive gamma."""
+    """Residual of 2 alpha eta - (3/2) eta^2 - gamma eta'' for the whole
+    leading-order family eta = 2 alpha sech^2(k x), k^2 = alpha/(2 gamma),
+    as the largest |coefficient| of it as a polynomial in T = tanh(k x) and
+    K = k^2: 0, exactly, for every positive gamma and every alpha > 0.
+    K = 1, alpha = 2 gamma, is eta0 = 4 gamma sech^2 x."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     gamma = Fraction(gamma)
-    eta0 = 4 * gamma * _variables()[2]
-    eta0_second = _d_dx(_d_dx((eta0, 0)))[0]
-    return _size(4 * gamma * eta0 - Fraction(3, 2) * eta0 ** 2
-                 - gamma * eta0_second)
+    k2, eta = _family(gamma)
+    # d^2/dx^2 = K d^2/dxi^2
+    eta_second = k2 * _d_dx(_d_dx((eta, 0)))[0]
+    return _size(4 * gamma * k2 * eta - Fraction(3, 2) * eta ** 2
+                 - gamma * eta_second)
 
 
 def fundamental_checks():
@@ -268,47 +280,3 @@ def q_positivity(p):
             f"q(s) has a coefficient <= 0 for p={p}: "
             f"coefficients {[str(ck) for ck in c]}")
     return float(c[0])
-
-
-def first_order_family(delta, alpha, grid):
-    """Leading-order family (c, eta, phi0, phi_vec) at delta, for p = [2].
-
-        c    = 1 + alpha delta^2,
-        eta  = 2 alpha delta^2 sech^2(k x),        k = sqrt(alpha/(2 gamma)),
-        phi0 = -2 sqrt(2 alpha gamma) delta^2 tanh(k x),
-        phi  = -4 alpha gamma_vec sqrt(alpha/(2 gamma)) delta^4
-               tanh(k x) sech^2(k x)   (one row, for the one exponent),
-
-    dropping higher-order corrections.  eta and phi0 are lists over the
-    grid, and phi_vec holds one such list per exponent.  At
-    alpha = 2 gamma the surface elevation reduces to the classical soliton
-    (4/3) delta^2 sech^2 x when gamma = 1/3.
-    """
-    if not (0.0 < delta < math.inf and 0.0 < alpha < math.inf):
-        raise ValueError(f"delta and alpha must be positive and finite, "
-                         f"got {delta!r} and {alpha!r}")
-    gamma, gamma_vec, *_ = exact_params((2,))
-    gamma = float(gamma)
-    k = math.sqrt(alpha / (2.0 * gamma))
-    s2 = [_sech2(k * x) for x in grid]
-    t = [math.tanh(k * x) for x in grid]
-    c = 1.0 + alpha * delta * delta
-    eta = [2.0 * alpha * delta * delta * v for v in s2]
-    phi0 = [-2.0 * math.sqrt(2.0 * alpha * gamma) * delta * delta * v
-            for v in t]
-    scale = -4.0 * alpha * k * delta ** 4
-    phi_vec = [[scale * (float(g) * (tv * sv)) for tv, sv in zip(t, s2)]
-               for g in gamma_vec]
-    return c, eta, phi0, phi_vec
-
-
-def family_deviation(delta, grid):
-    """max |eta - delta^2 eta0| over grid, for the family's eta at
-    alpha = 2 gamma (p = [2]) and the leading-order profile
-    eta0 = 4 gamma sech^2 x: delta^2 eta0 is the classical soliton
-    (4/3) delta^2 sech^2 x, so the deviation is rounding."""
-    grid = [float(x) for x in grid]
-    gamma = float(exact_params((2,))[0])
-    _, eta, _, _ = first_order_family(delta, 2.0 * gamma, grid)
-    return max(abs(e - 4.0 * gamma * _sech2(x) * delta * delta)
-               for e, x in zip(eta, grid))

@@ -9,7 +9,8 @@ degree at most n that agree at n + 1 points are equal, so agreement at that
 many rational gamma, in Fractions, proves the identity.  Identities in
 (t, gamma) are expanded and compared term by term.  The crest height's
 series in delta^2 is the fixed point of a contraction on power series
-truncated at a fixed order.  Only the standard library is used.
+truncated at a fixed order, and so is its reversion, the speed-amplitude
+law.  Only the standard library is used.
 """
 
 from fractions import Fraction
@@ -166,6 +167,11 @@ def test_one_crest_fixes_the_signs():
     assert abs(crest_denominator(crest) + float(n_value) / (2.0 * H)) <= 1e-14
 
 
+def truncate(p, order):
+    """p, a Poly in one variable, without its terms above order."""
+    return Poly({k: a for k, a in p.items() if _power(k, 0) <= order})
+
+
 def crest_series(order):
     """eta0 = gamma + t as a Poly in E = delta^2, to E^order, with
     gamma = (4/9) E (3 + E) and t the smallest root of F.  That root is
@@ -173,20 +179,31 @@ def crest_series(order):
     by a factor O(E): each step fixes one more power of E, and its
     truncated fixed point is t to E^order."""
     E = Poly({(1,): 1})
-
-    def truncate(p):
-        return Poly({k: a for k, a in p.items() if _power(k, 0) <= order})
-
     gamma = Fraction(4, 9) * E * (3 + E)
 
     def F(t):
         return crest_polynomial(t, gamma)[2]
 
     t = Poly()
-    while (step := truncate(t + Fraction(1, 20) * F(t))) != t:
+    while (step := truncate(t + Fraction(1, 20) * F(t), order)) != t:
         t = step
-    assert truncate(F(t)) == Poly()
+    assert truncate(F(t), order) == Poly()
     return gamma + t
+
+
+def speed_series(order):
+    """F^2 = c^2 = 1 + gamma as a Poly in eps = eta0, to eps^order, by
+    reverting crest_series: eta0 = (4/3) E + h(E) with h = O(E^2), so
+    E -> (3/4)(eps - h(E)) is a contraction by a factor O(eps), and its
+    truncated fixed point is E to eps^order."""
+    eps, eta0 = Poly({(1,): 1}), crest_series(order)
+    h = eta0 - Fraction(4, 3) * eps
+    E = Poly()
+    while (step := truncate(Fraction(3, 4) * (eps - h.subs(0, E)),
+                            order)) != E:
+        E = step
+    assert truncate(eta0.subs(0, E), order) == eps
+    return truncate(1 + Fraction(4, 9) * E * (3 + E), order)
 
 
 def test_crest_height_series():
@@ -213,3 +230,15 @@ def test_solve_crest_follows_the_series():
         eta0 = Fraction(solve_crest(delta).eta0)
         head = sum(series.get((k,), 0) * E ** k for k in range(1, 7))
         assert abs(eta0 - head) <= 2 * a7 * E ** 7 + 2 * eps * eta0
+
+
+def test_speed_amplitude_law():
+    # F^2 = 1 + eps - (1/20) eps^2 - (3/50) eps^3 - (9/200) eps^4
+    # - (261/5000) eps^5 + ..., eps = eta0 = a/h
+    law = speed_series(5)
+    coeffs = [law.get((k,) if k else (), 0) for k in range(6)]
+    # through eps^2 Laitone's second-order law for Euler's solitary wave
+    assert coeffs[:3] == [1, 1, Fraction(-1, 20)]
+    # the model's own higher terms
+    assert coeffs[3:] == [Fraction(-3, 50), Fraction(-9, 200),
+                          Fraction(-261, 5000)]

@@ -281,7 +281,7 @@ def test_dimensional_writes_csv(out_dir, capsys):
     assert "amplitude = " in out
 
 
-# the five identities print exact values, the same on every platform
+# the six proved lines print exact values, the same on every platform
 PROVED = """\
 PASS kdv_residual = 0
 PASS ode_residual_u1 = 0
@@ -296,8 +296,7 @@ def test_checks_pass(capsys):
     assert run(["checks"]) == 0
     assert capsys.readouterr().out == PROVED + (
         "PASS q_min = 0.444444444444\n"
-        "PASS q_constant_dev = 0\n"
-        "PASS family_kdv_dev = 3.46944695195e-18\n")
+        "PASS q_constant_dev = 0\n")
 
 
 def test_checks_builds_q_once(monkeypatch):
@@ -333,7 +332,7 @@ def test_corrupted_closed_form_fails_checks(which, failed, monkeypatch,
     monkeypatch.setattr(theory_checks, "_exact_pair", lambda: pair)
     assert run(["checks"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert [line.split()[1] for line in lines
             if not line.startswith("PASS ")] == failed
 

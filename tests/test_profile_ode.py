@@ -189,6 +189,24 @@ def test_tail_is_positive_and_strictly_decreasing(delta):
         assert_tail_positive_and_decaying(solve_solitary(delta, dx=dx))
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 0.3, 0.6])
+def test_tail_rate(delta):
+    # eta = eta0 exp(-z^2) ~ C exp(-lambda x) as z -> inf, so x ~ z^2/lambda
+    # and 2z/(dx/dz) -> lambda = sqrt(15 gamma/(delta^2 (6 c^2 - 1)));
+    # by z = 10 the corrections, O(eta), are far below rounding
+    c, gamma = crest_init.phase_speed(delta), crest_init.speed_excess(delta)
+    lam = math.sqrt(15.0 * gamma / (delta * delta * (6.0 * c * c - 1.0)))
+    z = np.array([10.0, 25.0])
+    slope = profile_ode._Curve(delta, solve_crest(delta).eta0).at(z)[3]
+    rate = 2.0 * z / slope
+    np.testing.assert_allclose(rate, lam, rtol=4.5e-16, atol=0.0)
+    if delta <= 0.1:
+        # lambda = 2 - (19/15) delta^2 + O(delta^4): Laitone's width
+        # correction 2 (19/30) (measured: -1.092 and -1.082 delta^4)
+        gap = (2.0 - rate) / (delta * delta) - 19.0 / 15.0
+        assert np.all(np.abs(gap) <= 1.2 * delta * delta)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(np.log(1e-6), np.log(DELTA_C), exclude_max=True))
 def test_profiles_across_the_branch(log_delta):

@@ -174,6 +174,12 @@ def test_diagnostics_table_keeps_going_after_failures():
     assert rows[2].error is not None
 
 
+def test_diagnostics_table_raises_on_a_delta_check_delta_rejects():
+    # only an IkwaveError becomes a row: check_delta's ValueError propagates
+    with pytest.raises(ValueError, match="got -1.0"):
+        diagnostics_table([0.3, -1.0, 0.7])
+
+
 def test_diagnostics_table_empty():
     assert diagnostics_table([]) == []
 

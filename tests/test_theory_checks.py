@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (exact_params, first_order_family, fundamental_checks,
-                    kdv_profile, q_coefficients, q_positivity,
+from ikwave import (fundamental_checks, q_coefficients, q_positivity,
                     verify_kdv_solution)
 from ikwave import model_params, theory_checks
 from ikwave.errors import NonPositiveDetected
 from oracles import float_matrices
-
-
-GRID = np.linspace(-10.0, 10.0, 2001)
 
 
 def _exact_value(u, x, t):
@@ -61,6 +57,26 @@ def test_tail_without_a_rate_is_nan(n):
 def test_leading_order_profile_equation():
     for gamma in (1.0 / 3.0, 1.0, 2.5, Fraction(1, 3)):
         assert verify_kdv_solution(gamma) == 0
+
+
+def test_family_at_k_one_is_the_soliton():
+    # K = 1, alpha = 2 gamma: eta = 4 gamma sech^2 x
+    for gamma in (Fraction(1, 3), Fraction(5, 2)):
+        _, eta = theory_checks._family(gamma)
+        assert eta.subs(2, 1) == 4 * gamma * theory_checks._variables()[2]
+        assert eta.subs(2, 1) != eta
+
+
+def test_family_proof_needs_the_k_of_the_second_derivative():
+    # with d^2/dx^2 taken as d^2/dxi^2, dropping its factor K, the same
+    # residual is a nonzero Poly, which vanishes at K = 1
+    gamma = Fraction(1, 3)
+    d = theory_checks._d_dx
+    k2, eta = theory_checks._family(gamma)
+    residual = (4 * gamma * k2 * eta - Fraction(3, 2) * eta ** 2
+                - gamma * d(d((eta, 0)))[0])
+    assert residual != theory_checks.Poly()
+    assert residual.subs(2, 1) == theory_checks.Poly()
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
@@ -142,50 +158,6 @@ def test_q_positive_for_random_exponent_sets(p, s):
     assert len(c) == len(p)
     _check_q_against_determinant(p, c, s)
     assert q_positivity(p) == float(c[0])
-
-
-def test_first_order_family_reduces_to_soliton():
-    # alpha = 2*gamma with gamma = 1/3 collapses eta to the classical soliton
-    gamma = float(exact_params([2])[0])
-    c, eta, phi0, phi_vec = first_order_family(0.1, 2.0 * gamma, GRID)
-    assert c == pytest.approx(1.0 + 2.0 / 3.0 * 0.01, abs=1e-15)
-    np.testing.assert_allclose(eta, kdv_profile(0.1, GRID), atol=1e-16)
-
-
-def test_first_order_family_shapes_and_limits():
-    grid = np.linspace(-40.0, 40.0, 401)
-    c, eta, phi0, phi_vec = first_order_family(0.2, 0.5, grid)
-    assert len(eta) == len(phi0) == grid.size
-    assert [len(row) for row in phi_vec] == [grid.size]
-    # odd parts vanish at the origin
-    mid = grid.size // 2
-    assert phi0[mid] == 0.0
-    assert phi_vec[0][mid] == 0.0
-    # tanh limits of the leading potential
-    gamma = float(exact_params([2])[0])
-    limit = 2.0 * np.sqrt(2.0 * 0.5 * gamma) * 0.2 ** 2
-    assert phi0[-1] == pytest.approx(-limit, abs=1e-12)
-    assert phi0[0] == pytest.approx(limit, abs=1e-12)
-
-
-@pytest.mark.parametrize("delta, alpha", [
-    (-0.1, 0.5), (0.0, 0.5), (float("nan"), 0.5), (float("inf"), 0.5),
-    (0.1, 0.0), (0.1, float("nan")), (0.1, float("inf")),
-])
-def test_first_order_family_rejects_bad_arguments(delta, alpha):
-    with pytest.raises(ValueError):
-        first_order_family(delta, alpha, GRID)
-
-
-def test_family_matches_solver_to_fourth_order(profile_cache):
-    # executable form of the small-amplitude convergence statement; the
-    # constant 1.0 was calibrated once and frozen
-    gamma = float(exact_params([2])[0])
-    for delta in (0.05, 0.1):
-        p = profile_cache(delta)
-        _, eta, _, _ = first_order_family(delta, 2.0 * gamma, p.x)
-        sup = float(np.max(np.abs(p.eta - eta)))
-        assert sup <= 1.0 * delta ** 4
 
 
 def test_nonpositive_guard_trips(monkeypatch):
