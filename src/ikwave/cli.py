@@ -83,12 +83,13 @@ def _checked(check):
 
 
 def _listed(check):
-    """check on each item of a comma-separated list; ValueError if none."""
+    """check on each item of a comma-separated list; ValueError if an item,
+    or the whole list, is empty."""
     def parse(text):
-        vals = tuple(check(t) for t in text.split(",") if t)
-        if not vals:
-            raise ValueError("empty list")
-        return vals
+        items = text.split(",")
+        if not all(items):
+            raise ValueError(f"empty item in list {text!r}")
+        return tuple(map(check, items))
     return parse
 
 
@@ -356,10 +357,8 @@ def _profile_csv_with_kdv(delta):
 def _zoom_csv(delta):
     """The profile at delta near its crest, resampled on |x| <= 1 only."""
     from .solitary_profile import assemble_profile, integrate_half
-    crest = solve_crest(delta)
-    zoom = assemble_profile(integrate_half(crest),
-                            [i * ZOOM_DX for i in range(ZOOM_SAMPLES)],
-                            kappa0=crest_curvature(crest))
+    zoom = assemble_profile(integrate_half(solve_crest(delta)),
+                            [i * ZOOM_DX for i in range(ZOOM_SAMPLES)])
     return profile_csv_text(zoom)
 
 

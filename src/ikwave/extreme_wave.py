@@ -21,5 +21,4 @@ def extreme_profile(cp):
     dx/dz vanishes at z = 0, which makes eta fall linearly in x, a corner,
     once the half profile is mirrored.
     """
-    return assemble_profile(integrate_from(cp.delta_c, cp.eta_c0),
-                            kappa0=None)
+    return assemble_profile(integrate_from(cp.delta_c, cp.eta_c0))

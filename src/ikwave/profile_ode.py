@@ -26,7 +26,7 @@ The surface potentials are recovered from the 2x2 solve
 
 On the curve below w = c eta + Hu equals eta W, with W = curve_w(eta) of
 order delta^2.  The sum c eta + Hu cancels to a relative error of about
-eps/delta^2, so derived_columns forms phi1' as 1.5 eta W/H^3; d and I2 keep
+eps/delta^2, so the phi1' column is formed as 1.5 eta W/H^3; d and I2 keep
 w as written, where the cancelled digits are below their rounding.
 
 A solitary wave lies on the curve I1 = I2 = 0 (crest_init), where u is a
@@ -53,7 +53,8 @@ panel is accepted on the Legendre coefficients of the interpolant of dx/dz
 through its nodes; its x(z) is the antiderivative of that interpolant,
 kept as a Chebyshev series and accurate to rounding.  The quadrature sees
 dx/dz only.  The samples of a half profile are z = 0, every panel node and
-Z_END, where one pass of the closed forms gives eta, u, phi1 and dx/dz.
+Z_END, where one pass of the closed forms gives dx/dz and every profile
+column after x: eta, u, phi1, phi0', phi1', d, I1 and I2.
 Resampling at given x inverts x(z) by Newton sweeps started from the cubic
 Hermite interpolant of z(x) through the samples (HalfProfile).  Only numpy
 is needed.
@@ -84,24 +85,6 @@ PANEL_MAX_DEPTH = 30
 # leaves an error of order Z_TOL^2 by their quadratic convergence
 Z_TOL = 1e-10
 NEWTON_MAX_SWEEPS = 50
-
-
-def derived_columns(state, c, delta):
-    """(phi0', phi1', d, I1, I2) at states (eta, u, phi1) on the curve
-    I1 = I2 = 0, from one pass of the kernel; floats or arrays.
-
-    phi1' is 1.5 eta W/H^3, W from curve_w, as the module docstring says.
-    """
-    eta, u, phi1 = state
-    H, _, w, d = _terms(eta, u, phi1, c, delta)
-    dd = delta * delta
-    H3 = H * H * H
-    I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
-    I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
-          + 4.0 / (3.0 * dd) * H3 * phi1 ** 2)
-    inv = 1.5 / H3
-    W = curve_w(eta, c, speed_excess(delta), np.sqrt)
-    return inv * (-H * H * (c * eta + H * u / 3.0)), inv * (eta * W), d, I1, I2
 
 
 @dataclass
@@ -218,8 +201,8 @@ class _Curve:
         """eta = eta0 exp(-z^2) at an array of z >= 0."""
         return self.eta0 * np.exp(-(z * z))
 
-    def at(self, z):
-        """(eta, u, phi1, dx/dz) at an array of z >= 0."""
+    def _closed_forms(self, z):
+        """(eta, u, phi1, H, W, w, d, dx/dz) at an array of z >= 0."""
         delta, c, gamma, eta0, W0 = (self.delta, self.c, self.gamma,
                                      self.eta0, self.W0)
         z2 = z * z
@@ -234,9 +217,27 @@ class _Curve:
         R = np.sqrt(0.75 * eta0 * _ratio(-np.expm1(-z2), z2, 1.0) * K)
         phi1 = -delta * eta * z * R / (H * H)
         _, v, w, d = _terms(eta, u, phi1, c, delta)
-        slope = _ratio(2.0 * delta * H * H * d,
-                       (6.0 * H * w + 10.0 * H * H * v) * R, 0.0)
-        return eta, u, phi1, slope
+        return eta, u, phi1, H, W, w, d, _ratio(
+            2.0 * delta * H * H * d, (6.0 * H * w + 10.0 * H * H * v) * R, 0.0)
+
+    def at(self, z):
+        """dx/dz at an array of z >= 0, all that x(z) and its inversion
+        need."""
+        return self._closed_forms(z)[-1]
+
+    def columns(self, z):
+        """(columns, dx/dz) at an array of z >= 0, from one pass of the
+        closed forms; columns are the eight profile columns after x,
+        (eta, u, phi1, phi0', phi1', d, I1, I2)."""
+        eta, u, phi1, H, W, w, d, slope = self._closed_forms(z)
+        c, dd = self.c, self.delta * self.delta
+        H3 = H * H * H
+        I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
+        I2 = (eta ** 2 - H * u ** 2 + 2.0 * u * w - 6.0 / (5.0 * H) * w ** 2
+              + 4.0 / (3.0 * dd) * H3 * phi1 ** 2)
+        inv = 1.5 / H3
+        return (eta, u, phi1, inv * (-H * H * (c * eta + H * u / 3.0)),
+                inv * (eta * W), d, I1, I2), slope
 
 
 def _check_range(name, values, end):
@@ -251,9 +252,10 @@ def _check_range(name, values, end):
 class HalfProfile:
     """A half profile on [0, x_end]: its samples, and its values anywhere.
 
-    x, eta, u and phi1 are the samples at z = 0, every panel node and
-    Z_END.  Calling it gives (eta, u, phi1) at any x in [0, x_end], and
-    along_z gives (x, eta) at any z in [0, Z_END].
+    x and the eight columns after it (eta, u, phi1, phi0_prime, phi1_prime,
+    d, I1, I2) are the samples at z = 0, every panel node and Z_END.
+    Calling it gives those eight columns at any x in [0, x_end], and along_z
+    gives (x, eta) at any z in [0, Z_END].
 
     x(z) is read from the Panels table: the panel that holds z, then one
     Chebyshev series of its antiderivative, summed by Clenshaw's recurrence
@@ -278,7 +280,8 @@ class HalfProfile:
         self._x_start, self._coef = panels.x_start, panels.coef
         self._g_start = self._clenshaw(np.arange(len(self._start)), -1.0)
         self.x = self._x_of_z(self._z)
-        self.eta, self.u, self.phi1, slope = curve.at(self._z)
+        (self.eta, self.u, self.phi1, self.phi0_prime, self.phi1_prime,
+         self.d, self.I1, self.I2), slope = curve.columns(self._z)
         # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1];
         # dx/dz is 0 only at z = 0, at the corner crest, where x ~ z^2: that
         # interval takes sqrt(t) for t and c1 = z_j+1 - z_j, c2 = c3 = 0
@@ -328,25 +331,25 @@ class HalfProfile:
         todo = np.arange(z.size)
         for _ in range(NEWTON_MAX_SWEEPS):
             zt = z[todo]
-            step = _ratio(self._x_of_z(zt) - flat[todo],
-                          self._curve.at(zt)[3], 0.0)
+            step = _ratio(self._x_of_z(zt) - flat[todo], self._curve.at(zt),
+                          0.0)
             z[todo] = zt - step
             todo = todo[np.abs(step) > Z_TOL]
             if not todo.size:
                 break
-        return tuple(a.reshape(x.shape) for a in self._curve.at(z)[:3])
+        return tuple(a.reshape(x.shape) for a in self._curve.columns(z)[0])
 
 
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
     One panel quadrature of x(z) over [0, Z_END] (solve_ivp), then one pass
-    of the closed forms for eta, u and phi1 at z = 0, at every panel node
-    and at Z_END.
+    of the closed forms for the profile columns at z = 0, at every panel
+    node and at Z_END.
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)
-    return HalfProfile(curve, solve_ivp(lambda z: curve.at(z)[3], Z_END))
+    return HalfProfile(curve, solve_ivp(curve.at, Z_END))
 
 
 def integrate_half(crest):

@@ -1,9 +1,13 @@
 """Full symmetric solitary-wave profiles and their diagnostics.
 
-A half trajectory from the crest is extended to the whole line by the exact
-symmetry eta(-x) = eta(x), u(-x) = u(x), phi1(-x) = -phi1(x): the left half
-is a bitwise reflection of the stored right-half samples, so the symmetry
-holds to the last bit by construction.  The classical long-wave soliton
+A half profile from the crest, which carries every profile column, is
+extended to the whole line by the exact symmetry eta(-x) = eta(x),
+u(-x) = u(x), phi1(-x) = -phi1(x) (phi1 and x are the columns odd in x):
+the left half is a bitwise reflection of the right-half samples, so the
+symmetry holds to the last bit by construction.  The crest curvature kappa0
+is worked out from the half profile too: None at the corner crest of the
+extreme wave, crest_curvature of its crest otherwise.  The classical
+long-wave soliton
 
     eta_kdv(x) = (4/3) delta^2 sech^2 x
 
@@ -12,8 +16,9 @@ computed profile scales like delta^4.
 
 The crest values (solve_crest, crest_curvature) and the crest table
 (diagnostics_table, TableRow) come from crest_init, which needs no numpy.
-They stay module attributes here too, because solve_solitary and the
-benchmark harness (perfbench) look them up here at call time.
+They stay module attributes here too, because solve_solitary,
+assemble_profile and the benchmark harness (perfbench) look them up here at
+call time.
 """
 
 import sys
@@ -24,9 +29,10 @@ import numpy as np
 
 from .crest_init import (TableRow,  # noqa: F401 (re-exported)
                          check_delta, check_dx, check_positive,
-                         crest_curvature, diagnostics_table, solve_crest)
+                         crest_curvature, crest_on_curve, diagnostics_table,
+                         solve_crest)
 from .output import ODD_COLUMNS, PROFILE_COLUMNS
-from .profile_ode import Z_END, HalfProfile, derived_columns, integrate_half
+from .profile_ode import Z_END, HalfProfile, integrate_half
 
 
 @dataclass
@@ -46,34 +52,37 @@ class WaveProfile:
     I2: np.ndarray
     eta_max: float
     kappa0: Optional[float]  # None for the extreme wave (corner crest)
-    # the half profile it mirrors: (eta, u, phi1) at any x in [0, x_end]
+    # the half profile it mirrors: every column after x at any x in
+    # [0, x_end]
     interpolant: HalfProfile
 
 
-def assemble_profile(half, x=None, *, kappa0):
+def assemble_profile(half, x=None):
     """Mirror a HalfProfile into a full WaveProfile.
 
     With no x the half profile's own samples are mirrored; with a half grid
-    x, the half profile's values there.  Raises ValueError unless x is 1-D,
-    not empty, starts at 0 and increases strictly.
+    x, the half profile's values there.  kappa0 is None at a corner crest,
+    where dx/dz vanishes at the crest, and otherwise crest_curvature of the
+    crest on the curve at the half profile's height.  Raises ValueError
+    unless x is 1-D, not empty, starts at 0 and increases strictly.
     """
     if x is None:
-        x, state = half.x, (half.eta, half.u, half.phi1)
+        right = [getattr(half, name) for name in PROFILE_COLUMNS]
     else:
         x = np.asarray(x, dtype=float)
         if not (x.ndim == 1 and x.size and x[0] == 0.0
                 and (np.diff(x) > 0.0).all()):
             raise ValueError("half grid must be 1-D, start at x = 0 and "
                              "increase strictly")
-        state = half(x)
-    delta, c = half.delta, half.c
-    eta, u, phi1 = state
-    right = (x, eta, u, phi1, *derived_columns(state, c, delta))
+        right = (x, *half(x))
+    delta, eta0 = half.delta, float(half.eta[0])
+    kappa0 = (None if half._corner[0]
+              else crest_curvature(crest_on_curve(delta, eta0)))
     # the left half repeats the right, negated in the columns odd in x
     columns = {name: np.concatenate([(-a if name in ODD_COLUMNS else a)[:0:-1],
                                      a])
                for name, a in zip(PROFILE_COLUMNS, right)}
-    return WaveProfile(delta=delta, c=c, **columns, eta_max=float(eta[0]),
+    return WaveProfile(delta=delta, c=half.c, **columns, eta_max=eta0,
                        kappa0=kappa0, interpolant=half)
 
 
@@ -99,15 +108,14 @@ def solve_solitary(delta, dx=None):
     the smallest normal float.
     """
     dx = None if dx is None else check_dx(dx)
-    crest = solve_crest(delta)
-    half = integrate_half(crest)
+    half = integrate_half(solve_crest(delta))
     x = None
     if dx is not None:
         n = int(np.floor(half.x[-1] / dx))
         # n dx can round past x_end by an ulp, as 35 * 0.01 > 0.35 does
         x = np.arange(n + 1) * dx
         x = x[x <= half.x[-1]]
-    p = assemble_profile(half, x, kappa0=crest_curvature(crest))
+    p = assemble_profile(half, x)
     # phi1 is 0 at the crest alone; no other value of these columns is 0
     if _underflows((p.eta, 1.0), (p.u, 1.0), (p.phi1, p.x),
                    (p.phi0_prime, 1.0), (p.phi1_prime, 1.0), (p.d, 1.0)):

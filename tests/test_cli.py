@@ -43,6 +43,12 @@ def test_usage_errors_exit_2():
      "argument --depth:"),
     (["params", "--p", str(2 ** 1024)], "argument --p:"),
     (["checks", "--p", f"1,{2 ** 1024}"], "argument --p:"),
+    # an empty item is an error, wherever it stands in the list
+    (["table", "--deltas", "0.3,,0.4"], "argument --deltas:"),
+    (["table", "--deltas", "0.3,"], "argument --deltas:"),
+    (["table", "--deltas", ","], "argument --deltas:"),
+    (["params", "--p", "2,,3"], "argument --p:"),
+    (["checks", "--p", ",2"], "argument --p:"),
 ])
 def test_usage_errors_name_their_argument(argv, argument, capsys):
     assert run(argv) == 2
@@ -121,8 +127,9 @@ def test_params_exact(capsys):
 
 
 def test_params_usage_error(capsys):
-    # unparsable, empty, and parsable but rejected by check_exponents
-    for p in ["2,x", "", "2,1", "2,2", "0"]:
+    # unparsable, empty or with an empty item, and parsable but rejected
+    # by check_exponents
+    for p in ["2,x", "", "2,,3", "2,", "2,1", "2,2", "0"]:
         assert run(["params", "--p", p]) == 2
         assert "Traceback" not in capsys.readouterr().err
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikwave import (DELTA_C_APPROX, NoSolitaryRoot, crest_curvature,
-                    phase_speed, solve_crest)
+                    phase_speed, profile_ode, solve_crest)
 from ikwave.crest_init import DX_MIN, check_dx, crest_denominator
-from ikwave.profile_ode import derived_columns
 from oracles import decimal_crest_eta0, quartic_coeffs
 
 
@@ -44,7 +43,8 @@ def test_crest_satisfies_both_identities():
         c, u, eta = crest.c, crest.u0, crest.eta0
         # first crest identity: eta = -(cu + u^2/2)
         assert eta == pytest.approx(-(c * u + 0.5 * u * u), abs=1e-12)
-        assert abs(derived_columns((eta, u, 0.0), c, delta)[4]) <= 1e-12
+        columns, _ = profile_ode._Curve(delta, eta).columns(np.zeros(1))
+        assert abs(float(columns[-1][0])) <= 1e-12
         # the quartic itself
         res = np.polyval(quartic_coeffs(c), u)
         assert abs(res) <= 1e-9

@@ -11,7 +11,7 @@ from ikwave import (NegativeRadicand, NoSolitaryRoot, crest_curvature,
 from ikwave import profile_ode
 from ikwave.crest_init import (CriticalPoint, crest_denominator,
                                crest_polynomial, fold_quartic, speed_excess)
-from ikwave.profile_ode import derived_columns
+from ikwave.output import PROFILE_COLUMNS
 from oracles import decimal_critical_point, decimal_quartic
 
 
@@ -43,7 +43,9 @@ def test_critical_point_residuals(critical_point):
     assert abs(F) <= 1e-12
     assert abs(Ft) <= 1e-12
     # the critical condition is exactly a vanishing crest denominator
-    d0 = derived_columns((cp.eta_c0, cp.u_c0, 0.0), cp.c_c, cp.delta_c)[2]
+    columns, _ = profile_ode._Curve(cp.delta_c, cp.eta_c0).columns(
+        np.zeros(1))
+    d0 = float(columns[PROFILE_COLUMNS.index("d") - 1][0])
     assert abs(d0) <= 1e-10
 
 
@@ -186,7 +188,7 @@ def test_denominator_growth_off_the_crest(critical_point, extreme):
     expected = (3.0 * v * v - 8.0 * H - 3.0 * c / v) * cp.slope_nondim
 
     def d_at(x):
-        return derived_columns(extreme.interpolant(x), cp.c_c, cp.delta_c)[2]
+        return extreme.interpolant(x)[PROFILE_COLUMNS.index("d") - 1]
 
     q1 = d_at(1e-3) / 1e-3
     q2 = d_at(5e-4) / 5e-4

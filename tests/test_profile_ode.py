@@ -13,7 +13,6 @@ from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
 from ikwave import cli, crest_init, profile_ode
 from ikwave.crest_init import CrestState, crest_denominator, curve_w
 from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
-from ikwave.profile_ode import derived_columns
 from ikwave.solitary_profile import assemble_profile
 from oracles import (ORACLE_EDGES, ORACLE_NODES, decimal_crest_curvature,
                      decimal_phi1_prime, x_oracle)
@@ -32,26 +31,22 @@ def test_config_validation():
 
 def test_identities_vanish_at_solved_crest():
     crest = solve_crest(0.55)
-    *_, I1, I2 = derived_columns((crest.eta0, crest.u0, 0.0), crest.c,
-                                 crest.delta)
-    assert abs(I1) <= 1e-12
-    assert abs(I2) <= 1e-11
+    columns, _ = profile_ode._Curve(crest.delta, crest.eta0).columns(
+        np.zeros(1))
+    *_, I1, I2 = columns
+    assert abs(float(I1[0])) <= 1e-12
+    assert abs(float(I2[0])) <= 1e-11
 
 
 def test_profile_fields_are_the_kernel_on_its_samples(profile_cache):
+    # the right half's columns after x are one pass of the closed forms at
+    # the sample z, from a curve built afresh from (delta, eta0)
     p = profile_cache(0.55)
-    columns = derived_columns((p.eta, p.u, p.phi1), p.c, p.delta)
-    for name, a in zip(PROFILE_COLUMNS[4:], columns, strict=True):
-        assert np.array_equal(getattr(p, name), a), name
-
-
-def test_scalar_kernel_calls_match_array_entries(profile_cache):
-    p = profile_cache(0.45)
-    arrays = derived_columns((p.eta, p.u, p.phi1), p.c, p.delta)
-    for i, sample in enumerate(zip(p.eta.tolist(), p.u.tolist(),
-                                   p.phi1.tolist())):
-        scalars = derived_columns(sample, p.c, p.delta)
-        assert scalars == tuple(a[i] for a in arrays), i
+    columns, _ = profile_ode._Curve(p.delta, p.eta_max).columns(
+        p.interpolant._z)
+    right = p.x >= 0.0
+    for name, a in zip(PROFILE_COLUMNS[1:], columns, strict=True):
+        assert np.array_equal(getattr(p, name)[right], a), name
 
 
 def _half(delta, critical_point):
@@ -72,7 +67,7 @@ def test_potential_reconstruction_recovers_velocity(critical_point):
     for delta in (1e-6, 1e-2, 0.3, 0.62, "extreme"):
         half = _half(delta, critical_point)
         for x in (None, _dx_grid(half, 0.01)):
-            p = assemble_profile(half, x, kappa0=None)
+            p = assemble_profile(half, x)
             H = 1.0 + p.eta
             assert np.all(np.abs(p.phi0_prime + H * H * p.phi1_prime - p.u)
                           <= 8 * np.finfo(float).eps * np.abs(p.u)), delta
@@ -83,7 +78,7 @@ def test_phi1_prime_column_matches_decimal_oracle(delta, critical_point):
     # w = eta W keeps the digits that c eta + H u cancels as delta -> 0
     half = _half(delta, critical_point)
     for x in (None, _dx_grid(half, 0.01)):
-        p = assemble_profile(half, x, kappa0=None)
+        p = assemble_profile(half, x)
         right = p.x >= 0.0
         exact = decimal_phi1_prime(p.delta, p.eta[right].tolist())
         error = max(abs(decimal.Decimal(a) - b)
@@ -96,7 +91,7 @@ def test_half_trajectory_conserves_identities():
     # I1 and I2 vanish by construction on the curve; the phi1' residual and
     # the quadrature oracle below are the independent checks
     half = integrate_half(solve_crest(0.45))
-    p = assemble_profile(half, kappa0=None)
+    p = assemble_profile(half)
     assert half.stop == "tail"
     assert np.all(np.diff(half.x) > 0.0)
     assert np.all(p.d > 0.0)
@@ -129,8 +124,9 @@ def phi1_prime_residual(delta, eta0, n=400, h=1e-6):
     """
     curve = profile_ode._Curve(delta, eta0)
     z = np.linspace(0.0, profile_ode.Z_END, n + 1)[1:]
-    eta, _, _, slope = curve.at(z)
-    dphi1 = (curve.at(z + h)[2] - curve.at(z - h)[2]) / (2.0 * h)
+    (eta, *_), slope = curve.columns(z)
+    dphi1 = (curve.columns(z + h)[0][2]
+             - curve.columns(z - h)[0][2]) / (2.0 * h)
     H = 1.0 + eta
     exact = 1.5 * eta * curve_w(eta, curve.c, curve.gamma, np.sqrt) / H ** 3
     return float(np.max(np.abs(dphi1 / slope - exact)) / np.max(np.abs(exact)))
@@ -157,7 +153,7 @@ def test_dx_grid_matches_the_quadrature_oracle(delta, critical_point):
     x = _dx_grid(half, 0.01)
     checked = (x <= 0.1) | (np.arange(x.size) % 10 == 0)
     x = x[checked]
-    eta = assemble_profile(half, x, kappa0=None).eta[x.size - 1:]
+    eta = assemble_profile(half, x).eta[x.size - 1:]
     oracle = x_oracle(delta)
     # Newton for z_j starts where the profile's eta puts it
     start = np.sqrt(np.log(half.eta[0] / eta))
@@ -197,7 +193,7 @@ def test_tail_rate(delta):
     c, gamma = crest_init.phase_speed(delta), crest_init.speed_excess(delta)
     lam = math.sqrt(15.0 * gamma / (delta * delta * (6.0 * c * c - 1.0)))
     z = np.array([10.0, 25.0])
-    slope = profile_ode._Curve(delta, solve_crest(delta).eta0).at(z)[3]
+    slope = profile_ode._Curve(delta, solve_crest(delta).eta0).at(z)
     rate = 2.0 * z / slope
     np.testing.assert_allclose(rate, lam, rtol=4.5e-16, atol=0.0)
     if delta <= 0.1:
@@ -243,8 +239,8 @@ def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
     # assemble_profile give the same columns
     half = _half(delta, critical_point)
     assert np.array_equal(half._z_start(half.x), half._z)
-    mirrored = profile_arrays(assemble_profile(half, kappa0=None))
-    resampled = profile_arrays(assemble_profile(half, half.x, kappa0=None))
+    mirrored = profile_arrays(assemble_profile(half))
+    resampled = profile_arrays(assemble_profile(half, half.x))
     for name, a, b in zip(PROFILE_COLUMNS, mirrored, resampled):
         assert np.array_equal(a, b), name
 
@@ -273,7 +269,7 @@ def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
     # coefficients of each panel, which panel acceptance uses
     half = _half(delta, critical_point)
     nodes = half._z[1:-1].reshape(-1, profile_ode.PANEL_NODES)
-    g = legendre.legint(half._curve.at(nodes)[3] @ profile_ode._TO_COEF,
+    g = legendre.legint(half._curve.at(nodes) @ profile_ode._TO_COEF,
                         lbnd=-1.0, axis=1).T
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
                         half._z[1:-1]])
@@ -316,7 +312,7 @@ def test_along_z_eta_is_the_curve_eta_bit_for_bit(delta, critical_point):
     half = _half(delta, critical_point)
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
                         half._z])
-    assert np.array_equal(half.along_z(z)[1], half._curve.at(z)[0])
+    assert np.array_equal(half.along_z(z)[1], half._curve.columns(z)[0][0])
 
 
 def _depth(half):
@@ -373,10 +369,11 @@ def test_interpolant_rejects_points_off_the_half_profile(delta, critical_point):
     for z in (-1e-3, np.nextafter(profile_ode.Z_END, np.inf), 10.0, np.nan):
         with pytest.raises(ValueError, match="z must lie in"):
             half.along_z(z)
-    # the ends of the range are the first and last samples, bit for bit
+    # the ends of the range are the first and last samples, bit for bit,
+    # in every column
     for k in (0, -1):
         assert [float(a) for a in half(half.x[k])] == [
-            half.eta[k], half.u[k], half.phi1[k]]
+            getattr(half, name)[k] for name in PROFILE_COLUMNS[1:]]
 
 
 def test_crest_curvature_against_reference():

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from ikwave import (compare_kdv, diagnostics_table, dimensionalize,
-                    kdv_profile, solve_solitary)
+from ikwave import (compare_kdv, crest_curvature, diagnostics_table,
+                    dimensionalize, extreme_profile, kdv_profile,
+                    solve_solitary)
 from ikwave import solitary_profile
 from ikwave.crest_init import DX_MIN
 from ikwave.solitary_profile import (assemble_profile, integrate_half,
                                      solve_crest)
+
+# the largest float below the critical shallowness 0.62633493072456297...
+DELTA_C = 0.6263349307245629
 
 
 def test_reference_wave_heights(profile_cache):
@@ -74,7 +78,7 @@ def test_assembly_needs_a_half_grid_from_the_crest():
     for x in (half.x[1:], 0.0, [], [[0.0, 0.1], [0.2, 0.3]], [0.0, 0.5, 0.2],
               [0.0, 0.0, 0.1]):
         with pytest.raises(ValueError, match="x = 0"):
-            assemble_profile(half, x, kappa0=None)
+            assemble_profile(half, x)
 
 
 def test_dx_minimum_is_accepted():
@@ -151,6 +155,29 @@ def test_kdv_error_fourth_order_band(profile_cache):
         gap = abs(ratio - (8.0 / 15.0 + (16.0 / 75.0) * delta ** 2))
         bound = 2.0 * (16.0 / 45.0) * delta ** 4 + 2.0 * eps / delta ** 2
         assert gap <= bound, delta
+
+
+def laitone_eta(delta, x):
+    """Laitone's second-order solitary wave (J. Fluid Mech. 9, 1960),
+    eps S - (3/4) eps^2 S T^2 with S = sech^2(kappa x/delta) and
+    T = tanh(kappa x/delta), in the profile's variables."""
+    eps = (4.0 / 3.0) * delta ** 2 + (8.0 / 15.0) * delta ** 4
+    arg = np.sqrt(0.75 * eps) * (1.0 - 0.625 * eps) * x / delta
+    S, T = 1.0 / np.cosh(arg) ** 2, np.tanh(arg)
+    return eps * S - 0.75 * eps * eps * S * T * T
+
+
+@pytest.mark.parametrize("delta", [1e-1, 3e-2, 1e-2, 1e-3])
+@pytest.mark.parametrize("dx", [None, 0.01])
+def test_shape_off_the_crest_is_laitones_to_second_order(delta, dx):
+    # the whole shape, not the crest height alone: the sup of the delta^6
+    # remainder sits on the flank.  Measured: 0.8479, 0.8378, 0.8369 and
+    # 0.8364 on the native grid, at most 0.8483 on the dx grid, at
+    # |x| = 0.85 to 0.87
+    p = solve_solitary(delta, dx=dx)
+    gap = np.abs(p.eta - laitone_eta(delta, p.x)) / delta ** 6
+    assert gap.max() <= 0.9
+    assert abs(p.x[np.argmax(gap)]) > 0.5
 
 
 def test_diagnostics_table_reference_rows():
@@ -262,6 +289,20 @@ def test_profile_at_1e_75_keeps_every_value_normal(dx):
     for a in (p.eta, p.u, p.phi0_prime, p.phi1_prime, p.d):
         assert (np.abs(a) >= tiny).all()
     assert (np.abs(p.phi1[p.x != 0.0]) >= tiny).all()
+
+
+@pytest.mark.parametrize("delta", [1e-75, 1e-8, 0.3, 0.62, DELTA_C - 1e-12,
+                                   DELTA_C])
+@pytest.mark.parametrize("dx", [None, 0.01])
+def test_kappa0_is_the_crest_curvature_of_a_smooth_crest(delta, dx,
+                                                         critical_point):
+    # assemble_profile works kappa0 out from the half profile: the crest's
+    # curvature where dx/dz(0) > 0, and None at the extreme wave's corner
+    p = solve_solitary(delta, dx=dx)
+    assert p.kappa0 == crest_curvature(solve_crest(delta))
+    assert not p.interpolant._corner[0]
+    extreme = extreme_profile(critical_point)
+    assert extreme.interpolant._corner[0] and extreme.kappa0 is None
 
 
 # h = 1e-300 is the smallest of these depths that leaves every value normal
