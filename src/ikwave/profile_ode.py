@@ -60,7 +60,6 @@ Hermite interpolant of z(x) through the samples (HalfProfile).  Only numpy
 is needed.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -115,21 +114,11 @@ class Panels:
 _NODES, _WEIGHTS = legendre.leggauss(PANEL_NODES)
 _TO_COEF = legendre.legvander(_NODES, PANEL_NODES - 1) * (
     _WEIGHTS[:, None] * (np.arange(PANEL_NODES) + 0.5))
-
-
-@functools.cache
-def _to_table():
-    """The map from the values of dx/dz at the nodes to the Chebyshev
-    coefficients of its interpolant's antiderivative from -1, row k giving
-    degree k: the inverse Vandermonde matrix, then chebint.
-
-    Built on first use rather than at import: its LAPACK call adds about
-    0.4 MB of code pages to the process, which a process that only imports
-    this module need not pay.
-    """
-    return chebyshev.chebint(
-        np.linalg.inv(chebyshev.chebvander(_NODES, PANEL_NODES - 1)),
-        lbnd=-1.0)
+# the map from those values to the Chebyshev coefficients of the
+# interpolant's antiderivative from -1, row k giving degree k: the inverse
+# Vandermonde matrix, then chebint
+_TO_TABLE = chebyshev.chebint(
+    np.linalg.inv(chebyshev.chebvander(_NODES, PANEL_NODES - 1)), lbnd=-1.0)
 
 
 def solve_ivp(fun, z_end):
@@ -179,7 +168,7 @@ def solve_ivp(fun, z_end):
         t=np.concatenate([[0.0], nodes.ravel(), [z_end]]), nfev=nfev,
         start=start, width=width,
         x_start=np.concatenate([[0.0], np.cumsum(width * c0)[:-1]]),
-        coef=_to_table() @ slope.T)
+        coef=_TO_TABLE @ slope.T)
 
 
 def _ratio(num, den, at_zero):

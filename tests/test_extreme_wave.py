@@ -12,7 +12,7 @@ from ikwave import profile_ode
 from ikwave.crest_init import (CriticalPoint, crest_denominator,
                                crest_polynomial, fold_quartic, speed_excess)
 from ikwave.output import PROFILE_COLUMNS
-from oracles import decimal_critical_point, decimal_quartic
+from oracles import decimal_critical_point, decimal_quartic, x_oracle
 
 
 def test_critical_point_digits(critical_point):
@@ -161,6 +161,22 @@ def test_one_sided_slope_by_difference_quotient(critical_point, extreme):
     # the corner itself: no seed step hides the first 1e-4 of the profile
     for h in (1e-6, 1e-8):
         assert quotient(h) == pytest.approx(critical_point.slope_nondim, abs=1e-5)
+
+
+@pytest.mark.parametrize("z", ["1e-10", "1e-12"])
+def test_corner_slope_is_the_curve_at_the_crest(z, critical_point):
+    # near the corner x = a z^2 + O(z^4) and eta = eta_c0 (1 - z^2 + ...),
+    # so eta'(0+) = -eta_c0/a, with a = (dx/dz)/(2z) from the oracle's
+    # integrand.  Measured: 1 ulp at both z here; at z = 1e-6 the O(z^2)
+    # term of (dx/dz)/(2z) moves the slope by 2.3e-12.  slope() takes the
+    # oracle's context from its caller
+    oracle = x_oracle("extreme")
+    with decimal.localcontext(oracle._ctx):
+        z = decimal.Decimal(z)
+        a = oracle.slope(z, oracle.eta(z)) / (2 * z)
+        slope = float(-oracle.eta0 / a)
+    assert abs(slope - critical_point.slope_nondim) <= 2 * math.ulp(
+        critical_point.slope_nondim)
 
 
 @pytest.mark.parametrize("x", [1e-14, 1e-12, 1e-11, 1e-10, 1e-8])

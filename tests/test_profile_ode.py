@@ -285,8 +285,8 @@ def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
 @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
                          + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
 def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
-    # the quadrature's levels, the samples, two Newton sweeps from the
-    # Hermite start, and the final state
+    # one call per quadrature level, then the two Newton sweeps from the
+    # Hermite start; the samples go through _Curve.columns
     calls, levels = [], []
     at, solve_ivp = profile_ode._Curve.at, profile_ode.solve_ivp
 
@@ -303,7 +303,7 @@ def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
     monkeypatch.setattr(profile_ode._Curve, "at", counting_at)
     monkeypatch.setattr(profile_ode, "solve_ivp", counting_solve)
     solve_solitary(delta, dx=0.01)
-    assert len(levels) == 1 and len(calls) <= levels[0] + 4
+    assert len(levels) == 1 and len(calls) == levels[0] + 2
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
