@@ -18,12 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "CrestState": "crest_init",
     "CriticalPoint": "crest_init",
-    "DELTA_C_APPROX": "crest_init",
     "DenominatorVanished": "errors",
     "DimensionalProfile": "solitary_profile",
     "HalfProfile": "profile_ode",
     "IkwaveError": "errors",
-    "NegativeRadicand": "errors",
     "NonPositiveDetected": "errors",
     "NoSolitaryRoot": "errors",
     "StepSizeUnderflow": "errors",

@@ -113,11 +113,8 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import (DenominatorVanished, IkwaveError, NegativeRadicand,
-                     NoSolitaryRoot)
+from .errors import DenominatorVanished, IkwaveError, NoSolitaryRoot
 
-# largest shallowness with a crest, for error messages
-DELTA_C_APPROX = 0.62633493
 # Newton from t = 0 settles within 31 steps at 40 digits, even next to the
 # double root
 CREST_MAX_ITER = 100
@@ -223,7 +220,8 @@ def solve_crest(delta):
             if Ft >= 0:
                 raise NoSolitaryRoot(
                     f"the crest polynomial has no root at delta={delta!r}; "
-                    f"solitary waves exist only for delta <= {DELTA_C_APPROX}")
+                    f"solitary waves exist only for delta <= "
+                    f"{solve_critical().delta_c!r}")
             t_next = t - F / Ft
             if t_next <= t:
                 break
@@ -304,8 +302,11 @@ def solve_critical():
     delta = math.sqrt(1.5 * lo / (1.0 + math.sqrt(1.0 + lo)))
     crest = crest_on_curve(delta, lo + _double_root(lo))
     c, eta, u = crest.c, crest.eta0, crest.u0
-    v = c + u
-    slope, slope_dim = _one_sided_slope(delta, c, 1.0 + eta, v)
+    H, v = 1.0 + eta, c + u
+    num = 3.0 * v * (H * v - c) * (8.0 * H * v - 3.0 * c)
+    den = delta * delta * H * H * (3.0 * v ** 3 - 8.0 * H * v - 3.0 * c)
+    slope = -math.sqrt(num / den)
+    slope_dim = delta * abs(slope)
     return CriticalPoint(
         delta_c=delta, eta_c0=eta, u_c0=u, c_c=c, v_c0=v,
         slope_nondim=slope, slope_dim=slope_dim,
@@ -313,22 +314,10 @@ def solve_critical():
     )
 
 
-def _one_sided_slope(delta, c, H, v):
-    """(eta'(0+), delta |eta'(0+)|) at a corner crest."""
-    num = 3.0 * v * (H * v - c) * (8.0 * H * v - 3.0 * c)
-    den = delta * delta * H * H * (3.0 * v ** 3 - 8.0 * H * v - 3.0 * c)
-    radicand = num / den
-    if radicand < 0.0:
-        raise NegativeRadicand(
-            f"slope radicand {radicand!r} < 0 at delta={delta!r}"
-        )
-    slope = -math.sqrt(radicand)
-    return slope, delta * abs(slope)
-
-
 def crest_slope(cp):
-    """(slope_nondim, slope_dim) at a solved critical point."""
-    return _one_sided_slope(cp.delta_c, cp.c_c, 1.0 + cp.eta_c0, cp.v_c0)
+    """(slope_nondim, slope_dim) of a critical point, as solve_critical
+    stored them."""
+    return cp.slope_nondim, cp.slope_dim
 
 
 def included_angle(slope_dim):

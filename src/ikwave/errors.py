@@ -24,11 +24,6 @@ class StepSizeUnderflow(IkwaveError):
     wider than the narrowest it allows, or met a non-finite dx/dz."""
 
 
-class NegativeRadicand(IkwaveError):
-    """The crest-slope radicand came out non-positive, which contradicts a
-    consistent critical point."""
-
-
 class NonPositiveDetected(IkwaveError):
     """A quantity proven positive (a pivot of A1 or A0 - a0 (x) a0, a
     coefficient of q) came out non-positive in exact arithmetic; signals

@@ -280,13 +280,15 @@ class XOracle:
     def slope(self, z, eta):
         """dx/dz at z, where eta = eta0 exp(-z^2)."""
         c, dd = self.c, self._dd
-        H = 1 + eta
-        u = _curve_u(c, eta)
-        phi1 = -(-dd * (c * u + eta + u * u / 2) / (2 * H * H)).sqrt()
-        v, w = c + u, c * eta + H * u
-        d = 6 * H * v * v - 3 * v * w - H * H * (1 + 4 * H * phi1 * phi1 / dd)
-        eta_prime = (6 * H * w + 10 * H * H * v) * phi1 / (dd * d)
-        return -2 * z * eta / eta_prime
+        with decimal.localcontext(self._ctx):
+            H = 1 + eta
+            u = _curve_u(c, eta)
+            phi1 = -(-dd * (c * u + eta + u * u / 2) / (2 * H * H)).sqrt()
+            v, w = c + u, c * eta + H * u
+            d = (6 * H * v * v - 3 * v * w
+                 - H * H * (1 + 4 * H * phi1 * phi1 / dd))
+            eta_prime = (6 * H * w + 10 * H * H * v) * phi1 / (dd * d)
+            return -2 * z * eta / eta_prime
 
     def _integral(self, a, b, eta_a):
         """The rule for dx/dz on [a, b], with eta_a = eta(a).  eta at a node

@@ -88,7 +88,7 @@ def test_solver_failure_exits_1(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: NoSolitaryRoot" in err
-        assert "0.62633493" in err
+        assert "0.6263349307245629" in err
 
 
 def test_critical_output(capsys):

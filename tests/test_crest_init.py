@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import sys
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (DELTA_C_APPROX, NoSolitaryRoot, crest_curvature,
-                    phase_speed, profile_ode, solve_crest)
+from ikwave import (NoSolitaryRoot, crest_curvature, phase_speed,
+                    profile_ode, solve_crest, solve_critical)
 from ikwave.crest_init import DX_MIN, check_dx, crest_denominator
 from oracles import decimal_crest_eta0, quartic_coeffs
 
@@ -116,12 +117,14 @@ def test_no_root_beyond_critical_shallowness():
 
 
 def test_error_message_names_the_critical_value():
-    with pytest.raises(NoSolitaryRoot, match="0.62633493"):
+    # the last float solve_crest solves, to every digit
+    with pytest.raises(NoSolitaryRoot,
+                       match=re.escape(repr(solve_critical().delta_c))):
         solve_crest(0.7)
 
 
 def test_boundary_value_still_solvable():
-    # the printed 8-digit critical value sits just below the true one
+    # the 8-digit critical value 0.62633493 sits just below the true one
     crest = solve_crest(0.62633493)
     assert crest.eta0 == pytest.approx(0.687915, abs=1e-5)
     assert crest_denominator(crest) == pytest.approx(2.30314e-4, abs=1e-5)
@@ -137,10 +140,6 @@ def test_small_delta_height_near_soliton():
     assert crest.eta0 == pytest.approx((4.0 / 3.0) * 0.09, rel=0.10)
     crest = solve_crest(0.05)
     assert crest.eta0 == pytest.approx((4.0 / 3.0) * 0.0025, rel=2e-3)
-
-
-def test_critical_constant_is_below_true_critical():
-    assert DELTA_C_APPROX == 0.62633493
 
 
 @settings(max_examples=50, deadline=None)
