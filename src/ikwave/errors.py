@@ -11,7 +11,8 @@ class IkwaveError(Exception):
 
 class NoSolitaryRoot(IkwaveError):
     """The crest polynomial has no root (delta exceeds the critical
-    shallowness)."""
+    shallowness), or the crest Newton did not settle within
+    CREST_MAX_ITER steps."""
 
 
 class DenominatorVanished(IkwaveError):

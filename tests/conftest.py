@@ -1,6 +1,6 @@
 import pytest
 
-from ikwave import solve_critical, solve_solitary
+from ikwave import solve_critical
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +11,9 @@ def critical_point():
 @pytest.fixture(scope="session")
 def profile_cache():
     """Memoized profiles; integration dominates test runtime."""
+    # imported here, so that the cold-start tests collect without numpy
+    from ikwave import solve_solitary
+
     cache = {}
 
     def get(delta):

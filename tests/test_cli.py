@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -76,9 +77,16 @@ def test_solve_rejects_dx_below_minimum(dx, out_dir, capsys):
     assert list(out_dir.iterdir()) == []
 
 
+COMMANDS = ["params", "crest", "solve", "table", "compare-kdv", "critical",
+            "extreme", "dimensional", "checks", "reproduce-paper"]
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
-    assert "reproduce-paper" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # each command has a row of its own in the command table
+    for command in COMMANDS:
+        assert re.search(rf"^    {command}( |$)", out, re.M), command
 
 
 def test_solver_failure_exits_1(capsys):
@@ -87,8 +95,10 @@ def test_solver_failure_exits_1(capsys):
         assert run([*args, "--delta", "0.7"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error: NoSolitaryRoot" in err
-        assert "0.6263349307245629" in err
+        # one line that names delta_c to every digit
+        assert err == ("error: NoSolitaryRoot: the crest polynomial has no "
+                       "root at delta=0.7; solitary waves exist only for "
+                       "delta <= 0.6263349307245629\n")
 
 
 def test_critical_output(capsys):
@@ -124,6 +134,8 @@ def test_params_exact(capsys):
     # exact zeros print as 0, not as the rounding noise of a float solve
     assert run(["params", "--p", "1,2,3"]) == 0
     assert "gamma_vec = [0, 0.5, 0]\n" in capsys.readouterr().out
+    assert run(["params", "--p", "1,2,3", "--exact"]) == 0
+    assert "exact gamma_vec = [0, 1/2, 0]\n" in capsys.readouterr().out
 
 
 def test_params_usage_error(capsys):
@@ -180,6 +192,8 @@ def test_last_crest_of_the_branch_has_finite_curvature(capsys):
     assert run(["crest", "--delta", "0.6263349307245629"]) == 0
     values = dict(line.split(" = ")
                   for line in capsys.readouterr().out.splitlines())
+    # correctly rounded, where the crest root is nearly double
+    assert values["eta0"] == "0.687926330883"
     assert np.isfinite(float(values["kappa0"]))
     assert run(["table", "--deltas", "0.6263349307245629"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -363,6 +377,13 @@ def test_reproduce_outputs(out_dir, capsys):
     for line in table[1:]:
         for field in line.split(","):
             float(field)
+    # a rerun into a fresh directory writes the same files, byte for byte
+    assert run(["reproduce-paper", "--out", "again"]) == 0
+    again = out_dir / "again"
+    files = sorted(path.name for path in ref.iterdir())
+    assert sorted(path.name for path in again.iterdir()) == files
+    for name in files:
+        assert (again / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_module_entry_point():

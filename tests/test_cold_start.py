@@ -69,31 +69,8 @@ def _command(args, tmp_path):
     return int(code), set(loaded)
 
 
-def test_import_does_not_load_scipy(tmp_path):
-    assert "scipy" not in _fresh("import sys, ikwave; " + LOADED, [], tmp_path)
-
-
 def test_import_does_not_load_numpy(tmp_path):
     assert _fresh("import sys, ikwave; " + LOADED, [], tmp_path) == []
-
-
-NO_INTEGRATION = [
-    (["critical"], 0),
-    (["crest", "--delta", "0.3"], 0),
-    (["table"], 0),
-    (["params"], 0),
-    (["checks"], 0),
-    (["solve", "--delta", "0.7"], 1),
-    (["solve", "--delta", "abc"], 2),
-]
-
-
-@pytest.mark.parametrize("args, exit_code", NO_INTEGRATION,
-                         ids=[" ".join(args) for args, _ in NO_INTEGRATION])
-def test_command_without_integration_does_not_load_scipy(args, exit_code,
-                                                         tmp_path):
-    code, loaded = _command(args, tmp_path)
-    assert code == exit_code and "scipy" not in loaded
 
 
 # the crest layer's commands, usage errors, and params and checks, which

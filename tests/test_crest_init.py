@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikwave import (NoSolitaryRoot, crest_curvature, phase_speed,
+from ikwave import (NoSolitaryRoot, crest_curvature, crest_init, phase_speed,
                     profile_ode, solve_crest, solve_critical)
 from ikwave.crest_init import DX_MIN, check_dx, crest_denominator
 from oracles import decimal_crest_eta0, quartic_coeffs
@@ -128,6 +128,19 @@ def test_boundary_value_still_solvable():
     crest = solve_crest(0.62633493)
     assert crest.eta0 == pytest.approx(0.687915, abs=1e-5)
     assert crest_denominator(crest) == pytest.approx(2.30314e-4, abs=1e-5)
+
+
+def test_crest_newton_settles_within_31_steps(monkeypatch):
+    # CREST_MAX_ITER's comment as a gate: at the last float of the branch,
+    # next to the double root, Newton from t = 0 takes exactly 31 steps
+    delta = solve_critical().delta_c
+    monkeypatch.setattr(crest_init, "CREST_MAX_ITER", 31)
+    assert solve_crest(delta).eta0 == pytest.approx(0.687926, abs=1e-6)
+    monkeypatch.setattr(crest_init, "CREST_MAX_ITER", 30)
+    with pytest.raises(NoSolitaryRoot) as exc:
+        solve_crest(delta)
+    assert str(exc.value) == ("crest Newton did not settle in 30 steps at "
+                              "delta=0.6263349307245629")
 
 
 def test_wave_height_monotone_in_delta():

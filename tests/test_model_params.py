@@ -148,6 +148,16 @@ def test_misbuilt_indefinite_matrix_raises(name, monkeypatch):
             exact_params((1, 2))
 
 
+def test_misbuilt_a0_makes_gamma_zero(monkeypatch):
+    # a0 = 1 leaves 1 - a0 = 0, so gamma_vec and gamma are 0
+    A1, A0, _ = model_params._matrices((2,))
+    monkeypatch.setattr(model_params, "_matrices",
+                        lambda pv: (A1, A0, [Fraction(1)]))
+    with pytest.raises(NonPositiveDetected) as exc:
+        exact_params((2,))
+    assert str(exc.value) == "gamma = 0 is not positive for p=(2,)"
+
+
 def test_exponent_set_validation():
     with pytest.raises(ValueError, match="need at least one exponent"):
         check_exponents(())
