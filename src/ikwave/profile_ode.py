@@ -52,12 +52,12 @@ x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp).  A
 panel is accepted on the Legendre coefficients of the interpolant of dx/dz
 through its nodes; its x(z) is the antiderivative of that interpolant,
 kept as a Chebyshev series and accurate to rounding.  The quadrature sees
-dx/dz only.  The samples of a half profile are z = 0, every panel node and
-Z_END, where one pass of the closed forms gives dx/dz and every profile
-column after x: eta, u, phi1, phi0', phi1', d, I1 and I2.
-Resampling at given x inverts x(z) by Newton sweeps started from the cubic
-Hermite interpolant of z(x) through the samples (HalfProfile).  Only numpy
-is needed.
+dx/dz only.  The samples of a half profile are x at z = 0, every panel node
+and Z_END.  Every profile column after x (eta, u, phi1, phi0', phi1', d, I1
+and I2) is evaluated at given x in one way: Newton sweeps invert x(z),
+started from the cubic Hermite interpolant of z(x) through the samples, and
+one pass of the closed forms gives the columns at that z (HalfProfile).
+Only numpy is needed.
 """
 
 import math
@@ -215,10 +215,10 @@ class _Curve:
         return self._closed_forms(z)[-1]
 
     def columns(self, z):
-        """(columns, dx/dz) at an array of z >= 0, from one pass of the
-        closed forms; columns are the eight profile columns after x,
-        (eta, u, phi1, phi0', phi1', d, I1, I2)."""
-        eta, u, phi1, H, W, w, d, slope = self._closed_forms(z)
+        """The eight profile columns after x, (eta, u, phi1, phi0', phi1',
+        d, I1, I2), at an array of z >= 0, from one pass of the closed
+        forms."""
+        eta, u, phi1, H, W, w, d, _ = self._closed_forms(z)
         c, dd = self.c, self.delta * self.delta
         H3 = H * H * H
         I1 = c * u + eta + 0.5 * u ** 2 + 2.0 / dd * H ** 2 * phi1 ** 2
@@ -226,7 +226,7 @@ class _Curve:
               + 4.0 / (3.0 * dd) * H3 * phi1 ** 2)
         inv = 1.5 / H3
         return (eta, u, phi1, inv * (-H * H * (c * eta + H * u / 3.0)),
-                inv * (eta * W), d, I1, I2), slope
+                inv * (eta * W), d, I1, I2)
 
 
 def _check_range(name, values, end):
@@ -239,12 +239,12 @@ def _check_range(name, values, end):
 
 
 class HalfProfile:
-    """A half profile on [0, x_end]: its samples, and its values anywhere.
+    """A half profile on [0, x_end], evaluated anywhere on it.
 
-    x and the eight columns after it (eta, u, phi1, phi0_prime, phi1_prime,
-    d, I1, I2) are the samples at z = 0, every panel node and Z_END.
-    Calling it gives those eight columns at any x in [0, x_end], and along_z
-    gives (x, eta) at any z in [0, Z_END].
+    x holds the samples, x(z) at z = 0, every panel node and Z_END.
+    Calling it gives the eight profile columns after x (eta, u, phi1,
+    phi0_prime, phi1_prime, d, I1, I2) at any x in [0, x_end], its samples
+    included, and along_z gives (x, eta) at any z in [0, Z_END].
 
     x(z) is read from the Panels table: the panel that holds z, then one
     Chebyshev series of its antiderivative, summed by Clenshaw's recurrence
@@ -269,8 +269,7 @@ class HalfProfile:
         self._x_start, self._coef = panels.x_start, panels.coef
         self._g_start = self._clenshaw(np.arange(len(self._start)), -1.0)
         self.x = self._x_of_z(self._z)
-        (self.eta, self.u, self.phi1, self.phi0_prime, self.phi1_prime,
-         self.d, self.I1, self.I2), slope = curve.columns(self._z)
+        slope = curve.at(self._z)
         # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1];
         # dx/dz is 0 only at z = 0, at the corner crest, where x ~ z^2: that
         # interval takes sqrt(t) for t and c1 = z_j+1 - z_j, c2 = c3 = 0
@@ -326,15 +325,15 @@ class HalfProfile:
             todo = todo[np.abs(step) > Z_TOL]
             if not todo.size:
                 break
-        return tuple(a.reshape(x.shape) for a in self._curve.columns(z)[0])
+        return tuple(a.reshape(x.shape) for a in self._curve.columns(z))
 
 
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
     One panel quadrature of x(z) over [0, Z_END] (solve_ivp), then one pass
-    of the closed forms for the profile columns at z = 0, at every panel
-    node and at Z_END.
+    of dx/dz at z = 0, at every panel node and at Z_END for the slopes of
+    the Hermite start.
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)

@@ -1,7 +1,7 @@
 """Full symmetric solitary-wave profiles and their diagnostics.
 
-A half profile from the crest, which carries every profile column, is
-extended to the whole line by the exact symmetry eta(-x) = eta(x),
+A half profile from the crest, evaluated on a half grid, is extended to
+the whole line by the exact symmetry eta(-x) = eta(x),
 u(-x) = u(x), phi1(-x) = -phi1(x) (phi1 and x are the columns odd in x):
 the left half is a bitwise reflection of the right-half samples, so the
 symmetry holds to the last bit by construction.  The crest curvature kappa0
@@ -60,22 +60,20 @@ class WaveProfile:
 def assemble_profile(half, x=None):
     """Mirror a HalfProfile into a full WaveProfile.
 
-    With no x the half profile's own samples are mirrored; with a half grid
-    x, the half profile's values there.  kappa0 is None at a corner crest,
-    where dx/dz vanishes at the crest, and otherwise crest_curvature of the
-    crest on the curve at the half profile's height.  Raises ValueError
-    unless x is 1-D, not empty, starts at 0 and increases strictly.
+    The half profile is evaluated on the half grid x, its own samples
+    half.x when x is None, and mirrored.  The crest height is its value at
+    x = 0.  kappa0 is None at a corner crest, where dx/dz vanishes at the
+    crest, and otherwise crest_curvature of the crest on the curve at that
+    height.  Raises ValueError unless x is 1-D, not empty, starts at 0 and
+    increases strictly.
     """
-    if x is None:
-        right = [getattr(half, name) for name in PROFILE_COLUMNS]
-    else:
-        x = np.asarray(x, dtype=float)
-        if not (x.ndim == 1 and x.size and x[0] == 0.0
-                and (np.diff(x) > 0.0).all()):
-            raise ValueError("half grid must be 1-D, start at x = 0 and "
-                             "increase strictly")
-        right = (x, *half(x))
-    delta, eta0 = half.delta, float(half.eta[0])
+    x = half.x if x is None else np.asarray(x, dtype=float)
+    if not (x.ndim == 1 and x.size and x[0] == 0.0
+            and (np.diff(x) > 0.0).all()):
+        raise ValueError("half grid must be 1-D, start at x = 0 and "
+                         "increase strictly")
+    right = (x, *half(x))
+    delta, eta0 = half.delta, float(right[1][0])
     kappa0 = (None if half._corner[0]
               else crest_curvature(crest_on_curve(delta, eta0)))
     # the left half repeats the right, negated in the columns odd in x

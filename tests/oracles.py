@@ -19,6 +19,9 @@ import numpy as np
 
 from ikwave.profile_ode import Z_END
 
+# the largest float below the critical shallowness 0.62633493072456297...
+DELTA_C = 0.6263349307245629
+
 
 def float_matrices(p):
     """A1, A0 and a0 of the exponents p as float arrays, from their entries

@@ -25,7 +25,10 @@ import pytest
 
 import ikwave
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the directory of the ikwave this process imported, put first on each
+# fresh interpreter's path so that both test the same package: the
+# checkout's src/ under PYTHONPATH=src, the installed one otherwise
+IKWAVE_HOME = Path(ikwave.__file__).resolve().parent.parent
 
 LOADED = ('print(*sorted({"numpy", "scipy", "dataclasses", "json"}'
           ' & set(sys.modules)))')
@@ -51,9 +54,9 @@ THREADS = RUN + (f'import os; print(os.environ["OPENBLAS_NUM_THREADS"], '
 def _fresh(code, args, tmp_path, **blas):
     """The last stdout line of code run in a fresh interpreter, split, with
     OPENBLAS_NUM_THREADS set only as blas gives it."""
+    path = [str(IKWAVE_HOME), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, IK_OUT_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+               PYTHONPATH=os.pathsep.join(path))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(blas)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
@@ -67,6 +70,13 @@ def _command(args, tmp_path):
     """(exit code, the set of LOADED's modules loaded) of one command."""
     code, *loaded = _fresh(SCRIPT, args, tmp_path)
     return int(code), set(loaded)
+
+
+def test_fresh_interpreter_imports_the_tested_ikwave(tmp_path):
+    code = ("import pathlib, ikwave; "
+            "print(pathlib.Path(ikwave.__file__).resolve())")
+    assert _fresh(code, [], tmp_path) == [
+        str(Path(ikwave.__file__).resolve())]
 
 
 def test_import_does_not_load_numpy(tmp_path):

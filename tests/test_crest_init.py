@@ -44,7 +44,7 @@ def test_crest_satisfies_both_identities():
         c, u, eta = crest.c, crest.u0, crest.eta0
         # first crest identity: eta = -(cu + u^2/2)
         assert eta == pytest.approx(-(c * u + 0.5 * u * u), abs=1e-12)
-        columns, _ = profile_ode._Curve(delta, eta).columns(np.zeros(1))
+        columns = profile_ode._Curve(delta, eta).columns(np.zeros(1))
         assert abs(float(columns[-1][0])) <= 1e-12
         # the quartic itself
         res = np.polyval(quartic_coeffs(c), u)

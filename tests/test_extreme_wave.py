@@ -11,17 +11,7 @@ from ikwave import profile_ode
 from ikwave.crest_init import (CriticalPoint, crest_denominator,
                                crest_polynomial, fold_quartic, speed_excess)
 from ikwave.output import PROFILE_COLUMNS
-from oracles import decimal_critical_point, decimal_quartic, x_oracle
-
-
-def test_critical_point_digits(critical_point):
-    cp = critical_point
-    assert cp.delta_c == pytest.approx(0.62633493, abs=5e-9)
-    assert cp.eta_c0 == pytest.approx(0.687926, abs=1e-6)
-    assert cp.u_c0 == pytest.approx(-0.797196, abs=1e-6)
-    assert cp.c_c == pytest.approx(1.26153, abs=1e-5)
-    assert cp.v_c0 == pytest.approx(cp.c_c + cp.u_c0, abs=1e-15)
-    assert cp.v_c0 > 0.0
+from oracles import DELTA_C, decimal_critical_point, decimal_quartic, x_oracle
 
 
 def test_critical_point_is_pinned_bitwise(critical_point):
@@ -32,6 +22,10 @@ def test_critical_point_is_pinned_bitwise(critical_point):
         v_c0=0.46433395575837155, slope_nondim=-0.3895225297479565,
         slope_dim=0.2439715666853428, theta_deg=152.5786014395976)
     assert all(type(value) is float for value in critical_point)
+    # a fresh solve gives the same fields, and crest_slope reads two of them
+    assert solve_critical() == critical_point
+    assert crest_slope(critical_point) == (critical_point.slope_nondim,
+                                           critical_point.slope_dim)
 
 
 def test_critical_point_residuals(critical_point):
@@ -42,8 +36,7 @@ def test_critical_point_residuals(critical_point):
     assert abs(F) <= 1e-12
     assert abs(Ft) <= 1e-12
     # the critical condition is exactly a vanishing crest denominator
-    columns, _ = profile_ode._Curve(cp.delta_c, cp.eta_c0).columns(
-        np.zeros(1))
+    columns = profile_ode._Curve(cp.delta_c, cp.eta_c0).columns(np.zeros(1))
     d0 = float(columns[PROFILE_COLUMNS.index("d") - 1][0])
     assert abs(d0) <= 1e-10
 
@@ -84,20 +77,6 @@ def test_branch_ends_with_a_resolved_crest(critical_point):
     assert math.isfinite(crest_curvature(crest))
 
 
-def test_solve_critical_is_deterministic(critical_point):
-    again = solve_critical()
-    assert again.delta_c == critical_point.delta_c
-    assert again.u_c0 == critical_point.u_c0
-
-
-def test_crest_slope_values(critical_point):
-    slope_nondim, slope_dim = crest_slope(critical_point)
-    assert slope_dim == pytest.approx(0.24397, abs=1e-4)
-    assert slope_nondim == pytest.approx(-0.38952, abs=1e-4)
-    assert (slope_nondim, slope_dim) == (critical_point.slope_nondim,
-                                         critical_point.slope_dim)
-
-
 def test_included_angle():
     assert included_angle(0.0) == 180.0
     assert included_angle(math.tan(math.radians(30.0))) == pytest.approx(120.0, abs=1e-12)
@@ -105,12 +84,6 @@ def test_included_angle():
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             included_angle(bad)
-
-
-def test_critical_angle(critical_point):
-    assert critical_point.theta_deg == pytest.approx(152.6, abs=0.05)
-    expect = 180.0 - 2.0 * math.degrees(math.atan(critical_point.slope_dim))
-    assert critical_point.theta_deg == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -210,10 +183,6 @@ def test_denominator_growth_off_the_crest(critical_point, extreme):
     richardson = 2.0 * q2 - q1
     assert richardson == pytest.approx(expected, rel=1e-4)
     assert expected > 0.0  # d increases away from the degenerate crest
-
-
-# the largest float below the critical shallowness 0.62633493072456297...
-DELTA_C = 0.6263349307245629
 
 
 def _local_exponent(f, k):

@@ -13,16 +13,6 @@ from ikwave.model_params import check_exponents
 from oracles import float_matrices
 
 
-def test_single_quadratic_term_constants():
-    gamma, gamma_vec, k1, k2, k3 = exact_params([2])
-    assert abs(float(gamma) - 1.0 / 3.0) <= 1e-15
-    assert len(gamma_vec) == 1
-    assert abs(float(gamma_vec[0]) - 0.5) <= 1e-15
-    assert abs(float(k1) - 1.0 / 6.0) <= 1e-15
-    assert abs(float(k2) - 0.5) <= 1e-15
-    assert abs(float(k3) - 1.0) <= 1e-15
-
-
 def test_exact_constants_single_term():
     gamma, gamma_vec, k1, k2, k3 = exact_params([2])
     assert gamma == Fraction(1, 3)

@@ -10,9 +10,9 @@ from ikwave.output import (ODD_COLUMNS, PROFILE_COLUMNS, fmt, gnuplot_script,
                            mirrored_csv_text, profile_arrays, profile_csv_text,
                            resolve_out_dir, resolve_out_path, write_text)
 from ikwave.solitary_profile import kdv_profile
+from oracles import DELTA_C
 
-# delta_c - 1e-10; test_extreme_wave pins delta_c to 0.6263349307245629
-NEAR_CRITICAL = 0.6263349307245629 - 1e-10
+NEAR_CRITICAL = DELTA_C - 1e-10
 
 
 def test_fmt_has_at_least_nine_significant_digits():

@@ -11,14 +11,12 @@ from ikwave import (DenominatorVanished, StepSizeUnderflow, crest_curvature,
                     extreme_profile, integrate_half, solve_crest,
                     solve_solitary)
 from ikwave import cli, crest_init, profile_ode
-from ikwave.crest_init import CrestState, crest_denominator, curve_w
-from ikwave.output import PROFILE_COLUMNS, profile_arrays, profile_csv_text
+from ikwave.crest_init import (CrestState, crest_denominator, curve_w,
+                               phase_speed)
+from ikwave.output import PROFILE_COLUMNS, profile_csv_text
 from ikwave.solitary_profile import assemble_profile
-from oracles import (ORACLE_EDGES, ORACLE_NODES, decimal_crest_curvature,
-                     decimal_phi1_prime, x_oracle)
-
-# the largest float below the critical shallowness 0.62633493072456297...
-DELTA_C = 0.6263349307245629
+from oracles import (DELTA_C, ORACLE_EDGES, ORACLE_NODES,
+                     decimal_crest_curvature, decimal_phi1_prime, x_oracle)
 
 
 def test_config_validation():
@@ -31,22 +29,10 @@ def test_config_validation():
 
 def test_identities_vanish_at_solved_crest():
     crest = solve_crest(0.55)
-    columns, _ = profile_ode._Curve(crest.delta, crest.eta0).columns(
+    *_, I1, I2 = profile_ode._Curve(crest.delta, crest.eta0).columns(
         np.zeros(1))
-    *_, I1, I2 = columns
     assert abs(float(I1[0])) <= 1e-12
     assert abs(float(I2[0])) <= 1e-11
-
-
-def test_profile_fields_are_the_kernel_on_its_samples(profile_cache):
-    # the right half's columns after x are one pass of the closed forms at
-    # the sample z, from a curve built afresh from (delta, eta0)
-    p = profile_cache(0.55)
-    columns, _ = profile_ode._Curve(p.delta, p.eta_max).columns(
-        p.interpolant._z)
-    right = p.x >= 0.0
-    for name, a in zip(PROFILE_COLUMNS[1:], columns, strict=True):
-        assert np.array_equal(getattr(p, name)[right], a), name
 
 
 def _half(delta, critical_point):
@@ -54,6 +40,23 @@ def _half(delta, critical_point):
         return profile_ode.integrate_from(critical_point.delta_c,
                                           critical_point.eta_c0)
     return integrate_half(solve_crest(delta))
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
+                                   DELTA_C, "extreme"])
+def test_profile_fields_are_the_kernel_on_its_samples(delta, critical_point):
+    # at its own samples the Hermite start is the sample z, so every Newton
+    # step is exactly 0, and the right half's columns after x are one pass
+    # of the closed forms at the sample z, from a curve built afresh from
+    # (delta, eta0)
+    half = _half(delta, critical_point)
+    assert np.array_equal(half._z_start(half.x), half._z)
+    p = assemble_profile(half)
+    columns = profile_ode._Curve(p.delta, p.eta_max).columns(half._z)
+    right = p.x >= 0.0
+    assert np.array_equal(p.x[right], half.x)
+    for name, a in zip(PROFILE_COLUMNS[1:], columns, strict=True):
+        assert np.array_equal(getattr(p, name)[right], a), name
 
 
 def _dx_grid(half, dx):
@@ -95,9 +98,10 @@ def test_half_trajectory_conserves_identities():
     assert half.stop == "tail"
     assert np.all(np.diff(half.x) > 0.0)
     assert np.all(p.d > 0.0)
-    # surface decays monotonically from the crest on the stored samples
-    assert np.all(np.diff(half.eta) < 0.0)
-    assert half.eta[-1] < 1e-5
+    # surface decays monotonically from the crest on the samples
+    eta = half(half.x)[0]
+    assert np.all(np.diff(eta) < 0.0)
+    assert eta[-1] < 1e-5
 
 
 def test_integrate_half_takes_only_a_crest_state():
@@ -109,7 +113,8 @@ def test_achievable_tail_threshold_reached():
     for delta in (1e-4, 0.3, 0.6):
         half = integrate_half(solve_crest(delta))
         assert half.stop == "tail"
-        assert half.eta[-1] / half.eta[0] == pytest.approx(
+        eta = half.along_z(half._z)[1]
+        assert eta[-1] / eta[0] == pytest.approx(
             profile_ode.TAIL_REL, rel=1e-14)
 
 
@@ -124,9 +129,8 @@ def phi1_prime_residual(delta, eta0, n=400, h=1e-6):
     """
     curve = profile_ode._Curve(delta, eta0)
     z = np.linspace(0.0, profile_ode.Z_END, n + 1)[1:]
-    (eta, *_), slope = curve.columns(z)
-    dphi1 = (curve.columns(z + h)[0][2]
-             - curve.columns(z - h)[0][2]) / (2.0 * h)
+    eta, slope = curve.eta(z), curve.at(z)
+    dphi1 = (curve.columns(z + h)[2] - curve.columns(z - h)[2]) / (2.0 * h)
     H = 1.0 + eta
     exact = 1.5 * eta * curve_w(eta, curve.c, curve.gamma, np.sqrt) / H ** 3
     return float(np.max(np.abs(dphi1 / slope - exact)) / np.max(np.abs(exact)))
@@ -156,7 +160,7 @@ def test_dx_grid_matches_the_quadrature_oracle(delta, critical_point):
     eta = assemble_profile(half, x).eta[x.size - 1:]
     oracle = x_oracle(delta)
     # Newton for z_j starts where the profile's eta puts it
-    start = np.sqrt(np.log(half.eta[0] / eta))
+    start = np.sqrt(np.log(half(0.0)[0] / eta))
     error = max(abs(decimal.Decimal(e) - oracle.eta(oracle.z_of_x(a, z)))
                 for a, e, z in zip(x.tolist(), eta.tolist(), start.tolist()))
     assert float(error) <= 8 * np.finfo(float).eps * float(oracle.eta0)
@@ -203,6 +207,61 @@ def test_tail_rate(delta):
         assert np.all(np.abs(gap) <= 1.2 * delta * delta)
 
 
+def _energy_and_momentum(delta, sign=1.0):
+    """(E/delta, P/delta) of the whole line at shallowness delta, the
+    model's energy and momentum per unit physical length (x = delta x*/h):
+
+        E = int [(H phi0'^2 + (2/3) H^3 phi0' phi1' + H^5 phi1'^2/5)/2
+                 + (2/3) delta^-2 H^3 phi1^2 + eta^2/2] dx,
+        P = int eta (phi0' + H^2 phi1' + sign 2 H eta' phi1) dx,
+
+    by Gauss-Legendre on the solver's own panels taken to z = 6.1, where
+    eta/eta0 is about 8e-17.  Every integrand is even in x, so the whole
+    line is twice the half.
+    """
+    curve = profile_ode._Curve(delta, solve_crest(delta).eta0)
+    panels = profile_ode.solve_ivp(curve.at, 6.1)
+    half_width = 0.5 * panels.width[:, None]
+    z = panels.start[:, None] + half_width * (profile_ode._NODES + 1.0)
+    slope = curve.at(z)
+    eta, _, phi1, phi0_x, phi1_x, *_ = curve.columns(z)
+    H = 1.0 + eta
+    energy = (0.5 * (H * phi0_x ** 2 + (2.0 / 3.0) * H ** 3 * phi0_x * phi1_x
+                     + 0.2 * H ** 5 * phi1_x ** 2)
+              + (2.0 / 3.0) / (delta * delta) * H ** 3 * phi1 ** 2
+              + 0.5 * eta ** 2)
+    eta_x = -2.0 * z * eta / slope
+    momentum = eta * (phi0_x + H * H * phi1_x + sign * 2.0 * H * eta_x * phi1)
+    weight = 2.0 * half_width * profile_ode._WEIGHTS * slope / delta
+    return np.sum(weight * energy), np.sum(weight * momentum)
+
+
+def hamiltonian_residual(delta, sign=1.0):
+    """|(E/delta)' + c (P/delta)'| / |(E/delta)'|, d/ddelta by Richardson
+    on central differences of step h = 1e-4 delta and 2h."""
+    h = 1e-4 * delta
+
+    def central(k):
+        (e1, p1), (e0, p0) = (_energy_and_momentum(delta + k * h, sign),
+                              _energy_and_momentum(delta - k * h, sign))
+        return np.array([e1 - e0, p1 - p0]) / (2.0 * k * h)
+
+    de, dp = (4.0 * central(1) - central(2)) / 3.0
+    return abs(de + phase_speed(delta) * dp) / abs(de)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.2, 0.4, 0.55, 0.6, 0.62])
+def test_branch_is_a_critical_curve_of_energy_plus_c_momentum(delta):
+    # the model is Hamiltonian, so along the branch dE = -c dP; E and P are
+    # the model's, on the solver's phi0', phi1' and phi1, and the reduced
+    # system does not enter them.  Measured: 5.9e-13 to 9.6e-13; a central
+    # difference alone leaves up to 7.4e-9
+    assert hamiltonian_residual(delta) <= 1e-11
+    if delta == 0.05:
+        # the opposite sign on 2 H eta' phi1 fails (measured: 1.8e-5)
+        assert hamiltonian_residual(delta, sign=-1.0) > 1e-6
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(np.log(1e-6), np.log(DELTA_C), exclude_max=True))
 def test_profiles_across_the_branch(log_delta):
@@ -228,21 +287,8 @@ def test_dense_interpolant_matches_samples():
     half = integrate_half(solve_crest(0.5))
     mid = 0.5 * (half.x[10] + half.x[11])
     eta_mid = half(mid)[0]
-    assert half.eta[11] < eta_mid < half.eta[10]
-
-
-@pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
-                                   DELTA_C, "extreme"])
-def test_interpolant_at_the_samples_is_the_samples_bit_for_bit(
-        delta, critical_point):
-    # Newton on x(z) starts and stops at the sample z, so both branches of
-    # assemble_profile give the same columns
-    half = _half(delta, critical_point)
-    assert np.array_equal(half._z_start(half.x), half._z)
-    mirrored = profile_arrays(assemble_profile(half))
-    resampled = profile_arrays(assemble_profile(half, half.x))
-    for name, a, b in zip(PROFILE_COLUMNS, mirrored, resampled):
-        assert np.array_equal(a, b), name
+    eta = half(half.x)[0]
+    assert eta[11] < eta_mid < eta[10]
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-3, 0.1, 0.3, 0.55, 0.62, 0.626,
@@ -282,11 +328,10 @@ def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
         4.0 * np.spacing(half.x[-1]))
 
 
-@pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
-                         + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
-def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
-    # one call per quadrature level, then the two Newton sweeps from the
-    # Hermite start; the samples go through _Curve.columns
+def _sweeps(solve, monkeypatch):
+    """The calls of _Curve.at in solve() after the quadrature's, one per
+    level: the slopes of the Hermite start at the samples, then one per
+    Newton sweep."""
     calls, levels = [], []
     at, solve_ivp = profile_ode._Curve.at, profile_ode.solve_ivp
 
@@ -302,8 +347,25 @@ def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
 
     monkeypatch.setattr(profile_ode._Curve, "at", counting_at)
     monkeypatch.setattr(profile_ode, "solve_ivp", counting_solve)
-    solve_solitary(delta, dx=0.01)
-    assert len(levels) == 1 and len(calls) == levels[0] + 2
+    solve()
+    assert len(levels) == 1
+    return len(calls) - levels[0]
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
+                         + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
+def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
+    # the slope pass, then two Newton sweeps from the Hermite start
+    assert _sweeps(lambda: solve_solitary(delta, dx=0.01), monkeypatch) == 3
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, DELTA_C - 1e-10,
+                                   "extreme"])
+def test_native_grid_takes_one_newton_sweep(delta, monkeypatch,
+                                            critical_point):
+    # the slope pass, then one sweep whose every step is exactly 0
+    assert _sweeps(lambda: assemble_profile(_half(delta, critical_point)),
+                   monkeypatch) == 2
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
@@ -312,7 +374,7 @@ def test_along_z_eta_is_the_curve_eta_bit_for_bit(delta, critical_point):
     half = _half(delta, critical_point)
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
                         half._z])
-    assert np.array_equal(half.along_z(z)[1], half._curve.columns(z)[0][0])
+    assert np.array_equal(half.along_z(z)[1], half._curve.columns(z)[0])
 
 
 def _depth(half):
@@ -369,11 +431,12 @@ def test_interpolant_rejects_points_off_the_half_profile(delta, critical_point):
     for z in (-1e-3, np.nextafter(profile_ode.Z_END, np.inf), 10.0, np.nan):
         with pytest.raises(ValueError, match="z must lie in"):
             half.along_z(z)
-    # the ends of the range are the first and last samples, bit for bit,
-    # in every column
+    # at the ends of the range every column is the closed forms at the
+    # first and last sample z, bit for bit
+    columns = half._curve.columns(half._z)
     for k in (0, -1):
         assert [float(a) for a in half(half.x[k])] == [
-            getattr(half, name)[k] for name in PROFILE_COLUMNS[1:]]
+            float(a[k]) for a in columns]
 
 
 def test_crest_curvature_against_reference():

@@ -8,9 +8,7 @@ from ikwave import solitary_profile
 from ikwave.crest_init import DX_MIN
 from ikwave.solitary_profile import (assemble_profile, integrate_half,
                                      solve_crest)
-
-# the largest float below the critical shallowness 0.62633493072456297...
-DELTA_C = 0.6263349307245629
+from oracles import DELTA_C
 
 
 def test_reference_wave_heights(profile_cache):
