@@ -97,7 +97,10 @@ so solve_critical bisects Q, in Horner form, over GAMMA_BRACKET = (0, 1)
 down to adjacent floats and keeps the lower end.  eta(0) = gamma + t(gamma),
 and c = sqrt(1 + gamma), delta^2 = 1.5 gamma/(1 + c) give delta_c with no
 subtraction.  delta_c is the largest float below the critical value, the
-last shallowness solve_crest still solves.
+last shallowness solve_crest still solves.  That halving loop, last_float,
+is the package's one bisection: model_params runs it for its smallest
+eigenvalues too.  It lives here, not there, because model_params imports
+fractions, which imports decimal, and critical loads neither.
 
 At the critical point the profile equations are 0/0 at the crest; the
 one-sided crest slope follows from l'Hopital's rule:
@@ -288,19 +291,28 @@ def _double_root(gamma):
         b + math.sqrt(b * b + 84.0 * gamma * (1.0 + gamma)))
 
 
-def solve_critical():
-    """The critical point, by bisection of Q over GAMMA_BRACKET."""
-    lo, hi = GAMMA_BRACKET
+def last_float(holds, lo, hi):
+    """The last float in [lo, hi) where holds is true, for a predicate that
+    holds at lo, fails at hi and changes once in between.
+
+    Bisection keeps holds(lo) true and holds(hi) false, and halves down to
+    adjacent floats.
+    """
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
-        if fold_quartic(mid) < 0.0:
+            return lo
+        if holds(mid):
             lo = mid
         else:
             hi = mid
-    delta = math.sqrt(1.5 * lo / (1.0 + math.sqrt(1.0 + lo)))
-    crest = crest_on_curve(delta, lo + _double_root(lo))
+
+
+def solve_critical():
+    """The critical point, by bisection of Q over GAMMA_BRACKET."""
+    gamma = last_float(lambda g: fold_quartic(g) < 0.0, *GAMMA_BRACKET)
+    delta = math.sqrt(1.5 * gamma / (1.0 + math.sqrt(1.0 + gamma)))
+    crest = crest_on_curve(delta, gamma + _double_root(gamma))
     c, eta, u = crest.c, crest.eta0, crest.u0
     H, v = 1.0 + eta, c + u
     num = 3.0 * v * (H * v - c) * (8.0 * H * v - 3.0 * c)

@@ -22,11 +22,14 @@ the LDL^T factorisation, so by Sylvester's law of inertia A - lambda I is
 positive definite exactly when every pivot is > 0.  Run on [A1 | 1 - a0]
 it proves A1 positive definite and leaves gamma_vec to back-substitution.
 check_positivity runs it on both matrices and reports, for each, the
-largest double below its smallest eigenvalue, found by bisection.
+largest double below its smallest eigenvalue, found by crest_init's one
+bisection, last_float, on the predicate "the elimination of A - lambda I
+has no pivot <= 0".
 """
 
 from fractions import Fraction
 
+from .crest_init import last_float
 from .errors import NonPositiveDetected
 
 
@@ -118,20 +121,13 @@ def _eliminate(A, shift=0):
 def _smallest_eigenvalue(A):
     """The largest double lambda with A - lambda I positive definite.
 
-    A must be positive definite.  Bisection keeps A - lo I positive definite
-    and A - hi I not, and halves down to adjacent doubles.  hi starts at
-    twice the largest diagonal entry: no diagonal entry is below the
-    smallest eigenvalue, so hi exceeds it (though not always the largest).
+    A must be positive definite.  last_float bisects from lo = 0, where
+    A - lo I is positive definite, and hi, twice the largest diagonal
+    entry: no diagonal entry is below the smallest eigenvalue, so hi
+    exceeds it (though not always the largest).
     """
-    lo, hi = 0.0, 2.0 * float(max(row[i] for i, row in enumerate(A)))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if _eliminate(A, mid) is not None:
-            lo = mid
-        else:
-            hi = mid
+    hi = 2.0 * float(max(row[i] for i, row in enumerate(A)))
+    return last_float(lambda shift: _eliminate(A, shift) is not None, 0.0, hi)
 
 
 def exact_params(p):

@@ -38,22 +38,23 @@ def quartic_coeffs(c):
 
     7u^4 + 42c u^3 + 6(16c^2-3)u^2 + 8c(13c^2-8)u + 8(6c^2-1)(c^2-1) = 0,
 
-    from c u + eta + u^2/2 = 0 and the second crest identity.
+    from c u + eta + u^2/2 = 0 and the second crest identity.  c is a
+    float or a Decimal; the literals are integers, so the coefficients take
+    c's type.
     """
     return [
-        7.0,
-        42.0 * c,
-        6.0 * (16.0 * c * c - 3.0),
-        8.0 * c * (13.0 * c * c - 8.0),
-        8.0 * (6.0 * c * c - 1.0) * (c * c - 1.0),
+        7,
+        42 * c,
+        6 * (16 * c * c - 3),
+        8 * c * (13 * c * c - 8),
+        8 * (6 * c * c - 1) * (c * c - 1),
     ]
 
 
 def decimal_quartic(c, u):
     """The crest quartic of quartic_coeffs and its u-derivative at u, for
     Decimal c and u."""
-    coeffs = [7, 42 * c, 6 * (16 * c * c - 3), 8 * c * (13 * c * c - 8),
-              8 * (6 * c * c - 1) * (c * c - 1)]
+    coeffs = quartic_coeffs(c)
     slope = [4 * coeffs[0], 3 * coeffs[1], 2 * coeffs[2], coeffs[3]]
     f = fp = decimal.Decimal(0)
     for a in coeffs:

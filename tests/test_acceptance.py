@@ -15,7 +15,7 @@ from ikwave import (compare_kdv, diagnostics_table, exact_params,
                     fundamental_checks, phase_speed, q_coefficients,
                     q_positivity, solve_crest, solve_critical,
                     solve_solitary, verify_kdv_solution)
-from ikwave.cli import run
+from ikwave.cli import TABLE_DELTAS, run
 
 
 def _line(name, ok, detail):
@@ -57,6 +57,11 @@ def test_criterion_1_table_reproduction():
         bad.append(f"runtime {elapsed:.2f}s")
     _line("crest-sweep reproduction",
           not bad, f"9 rows in {elapsed * 1e3:.1f} ms" if not bad else "; ".join(bad))
+
+
+def test_table_command_sweeps_the_reference_deltas():
+    # the table command's default sweep and TABLE are one list
+    assert tuple(TABLE) == TABLE_DELTAS
 
 
 def test_criterion_2_critical_point():

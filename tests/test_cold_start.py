@@ -118,6 +118,28 @@ def test_crest_only_command_does_not_load_numpy(args, exit_code, tmp_path):
         assert loaded == set()
 
 
+# the commands that run no crest Newton load neither decimal nor fractions:
+# the bisection model_params shares is crest_init's, so critical never
+# imports model_params, whose fractions imports decimal
+NO_DECIMAL = [
+    (["critical"], 0),
+    (["bogus"], 2),
+    (["solve", "--delta", "abc"], 2),
+    (["solve", "--dx", "0.01"], 2),
+    (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
+     2),
+]
+NO_DECIMAL_LOADED = ('print(*sorted({"numpy", "decimal", "fractions"}'
+                     ' & set(sys.modules)))')
+
+
+@pytest.mark.parametrize("args, exit_code", NO_DECIMAL,
+                         ids=[" ".join(args) for args, _ in NO_DECIMAL])
+def test_crestless_command_does_not_load_numpy_decimal_or_fractions(
+        args, exit_code, tmp_path):
+    assert _fresh(RUN + NO_DECIMAL_LOADED, args, tmp_path) == [str(exit_code)]
+
+
 INTEGRATING = [
     ["solve", "--delta", "0.3"],
     ["compare-kdv", "--delta", "0.3"],

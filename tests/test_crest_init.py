@@ -123,13 +123,6 @@ def test_error_message_names_the_critical_value():
         solve_crest(0.7)
 
 
-def test_boundary_value_still_solvable():
-    # the 8-digit critical value 0.62633493 sits just below the true one
-    crest = solve_crest(0.62633493)
-    assert crest.eta0 == pytest.approx(0.687915, abs=1e-5)
-    assert crest_denominator(crest) == pytest.approx(2.30314e-4, abs=1e-5)
-
-
 def test_crest_newton_settles_within_31_steps(monkeypatch):
     # CREST_MAX_ITER's comment as a gate: at the last float of the branch,
     # next to the double root, Newton from t = 0 takes exactly 31 steps

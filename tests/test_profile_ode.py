@@ -439,13 +439,6 @@ def test_interpolant_rejects_points_off_the_half_profile(delta, critical_point):
             float(a[k]) for a in columns]
 
 
-def test_crest_curvature_against_reference():
-    # -kappa(0) column of the crest sweep
-    for delta, neg_kappa in [(0.6, 2.34087), (0.62, 4.85676), (0.625, 10.4536)]:
-        crest = solve_crest(delta)
-        assert -crest_curvature(crest) == pytest.approx(neg_kappa, rel=1e-4)
-
-
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3,
                                    0.5, 0.6, 0.62])
 def test_crest_curvature_matches_decimal_oracle(delta):
