@@ -29,18 +29,13 @@ def fmt(x):
     return format(float(x), ".12g")
 
 
-def resolve_out_dir():
-    """Output directory: $IK_OUT_DIR, else cwd."""
-    env = os.environ.get("IK_OUT_DIR")
-    return Path(env) if env else Path(".")
-
-
 def resolve_out_path(name):
-    """Join a (possibly relative) file name onto the output directory."""
+    """An absolute file name as given; a relative one joined onto the
+    output directory, $IK_OUT_DIR if set and not empty, else the cwd."""
     name = Path(name)
     if name.is_absolute():
         return name
-    return resolve_out_dir() / name
+    return Path(os.environ.get("IK_OUT_DIR") or ".") / name
 
 
 def _float_columns(arrays):

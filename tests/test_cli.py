@@ -19,25 +19,13 @@ def out_dir(monkeypatch, tmp_path):
     return tmp_path
 
 
-def test_usage_errors_exit_2():
-    assert run([]) == 2
-    assert run(["no-such-command"]) == 2
-    assert run(["solve"]) == 2
-    assert run(["solve", "--delta", "-0.5"]) == 2
-    assert run(["solve", "--delta", "abc"]) == 2
-    # delta^2 below the smallest normal float would make the crest height 0
-    assert run(["solve", "--delta", "1e-200"]) == 2
-    assert run(["crest", "--delta", "1e-155"]) == 2
-    assert run(["dimensional", "--delta", "0.3", "--depth", "0",
-                "--gravity", "9.81"]) == 2
-
-
 @pytest.mark.parametrize("argv, argument", [
     ([], "required: command"),
     (["no-such-command"], "argument command:"),
     (["solve"], "required: --delta"),
     (["solve", "--delta", "-0.5"], "argument --delta:"),
     (["solve", "--delta", "abc"], "argument --delta:"),
+    # delta^2 below the smallest normal float would make the crest height 0
     (["solve", "--delta", "1e-200"], "argument --delta:"),
     (["crest", "--delta", "1e-155"], "argument --delta:"),
     (["dimensional", "--delta", "0.3", "--depth", "0", "--gravity", "9.81"],
@@ -183,8 +171,9 @@ def test_crest_curvature_keeps_its_digits_for_small_delta(capsys):
     assert run(["crest", "--delta", "1e-8"]) == 0
     assert "kappa0 = -2.66666666667e-16" in capsys.readouterr().out.splitlines()
     assert run(["table", "--deltas", "1e-8"]) == 0
-    assert capsys.readouterr().out.splitlines()[1] == (
-        "1e-08,1.33333333333e-16,2.66666666667e-16,5")
+    assert capsys.readouterr().out == (
+        "delta,eta0,neg_kappa0,d0\n"
+        "1e-08,1.33333333333e-16,2.66666666667e-16,5\n")
 
 
 def test_last_crest_of_the_branch_has_finite_curvature(capsys):
@@ -199,16 +188,6 @@ def test_last_crest_of_the_branch_has_finite_curvature(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert np.isfinite(float(out[1].split(",")[2]))
-
-
-def test_table_matches_reference(capsys):
-    assert run(["table", "--deltas", "0.6,0.62"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "delta,eta0,neg_kappa0,d0"
-    row = out[1].split(",")
-    assert float(row[1]) == pytest.approx(0.581258, abs=1e-5)
-    assert float(row[2]) == pytest.approx(2.34087, rel=1e-3)
-    assert float(row[3]) == pytest.approx(1.55722, abs=1e-5)
 
 
 @pytest.mark.parametrize("deltas", ["0,0.5", "-0.1", "nan", "inf", "0.6,x",
@@ -448,7 +427,8 @@ def test_library_and_cli_reject_the_same_scale(name, profile_cache, out_dir,
     assert list(out_dir.iterdir()) == []
 
 
-# scales whose product with the profile overflows are a usage error too
+# scales whose product with the profile overflows are a usage error too:
+# (h/delta) x overflows, and inf * 0 at the crest is nan; sqrt(gh) overflows
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("depth, gravity", [("1e308", "9.81"),
                                             ("1e300", "1e300")])
@@ -458,8 +438,9 @@ def test_dimensional_overflow_is_a_usage_error(depth, gravity, out_dir,
                 "--gravity", gravity]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("ikwave dimensional: error: depth ")
-    assert err.count("\n") == 1
+    assert err == (f"ikwave dimensional: error: depth {float(depth)!r} and "
+                   f"gravity {float(gravity)!r} scale the profile past the "
+                   "largest float\n")
     assert list(out_dir.iterdir()) == []
 
 
@@ -483,7 +464,9 @@ def test_dimensional_underflow_is_a_usage_error(depth, gravity, out_dir,
 
 
 # a delta whose profile leaves the normal range is a usage error of one
-# line in each command that solves a profile; crest and table still print
+# line in each command that solves a profile; crest and table still print.
+# phi1, of order delta^4, goes first: at 1e-76 some samples are subnormal,
+# at 1e-90 every phi1 is 0
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("delta", ["1e-76", "1e-90"])
 @pytest.mark.parametrize("args", [["solve"], ["solve", "--dx", "0.01"],

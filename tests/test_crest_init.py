@@ -15,7 +15,6 @@ from oracles import decimal_crest_eta0, quartic_coeffs
 
 
 def test_phase_speed():
-    assert phase_speed(0.62633493) == pytest.approx(1.26153, abs=1e-5)
     assert phase_speed(0.3) == pytest.approx(1.06, abs=1e-15)
 
 
@@ -30,22 +29,14 @@ def test_quartic_root_at_unit_speed_is_rest_state():
     assert np.polyval(coeffs, 0.0) == 0.0
 
 
-def test_crest_values_match_reference():
-    # (delta, eta0) pairs from the crest sweep
-    for delta, eta0 in [(0.6, 0.581258), (0.62, 0.645485),
-                        (0.625, 0.670918), (0.626, 0.679938)]:
-        crest = solve_crest(delta)
-        assert crest.eta0 == pytest.approx(eta0, abs=1e-6)
-
-
 def test_crest_satisfies_both_identities():
-    for delta in (0.1, 0.3, 0.5, 0.6, 0.62, 0.626):
+    for delta in (0.1, 0.3, 0.5, 0.55, 0.6, 0.62, 0.626):
         crest = solve_crest(delta)
         c, u, eta = crest.c, crest.u0, crest.eta0
         # first crest identity: eta = -(cu + u^2/2)
         assert eta == pytest.approx(-(c * u + 0.5 * u * u), abs=1e-12)
-        columns = profile_ode._Curve(delta, eta).columns(np.zeros(1))
-        assert abs(float(columns[-1][0])) <= 1e-12
+        *_, I1, I2 = profile_ode._Curve(delta, eta).columns(np.zeros(1))
+        assert max(abs(float(I1[0])), abs(float(I2[0]))) <= 1e-12
         # the quartic itself
         res = np.polyval(quartic_coeffs(c), u)
         assert abs(res) <= 1e-9
@@ -64,8 +55,9 @@ def test_crest_state_holds_python_floats():
 # the last five lie within 1e-12 of delta_c, the float delta_c included,
 # where the root is nearly double: a float F fixes it only to about 1e-10
 @pytest.mark.parametrize("delta", [
-    1e-4, 1e-3, 0.3, 0.6, 0.6263, 0.6263349, 0.6263349306142261,
-    0.626334930724, 0.6263349307245, 0.6263349307245623, 0.6263349307245629])
+    1e-4, 1e-3, 0.3, 0.6, 0.62, 0.625, 0.626, 0.6263, 0.6263349,
+    0.6263349306142261, 0.626334930724, 0.6263349307245, 0.6263349307245623,
+    0.6263349307245629])
 def test_crest_matches_decimal_quartic_root(delta):
     # correctly rounded: within half a unit in the last place, compared
     # exactly
@@ -75,15 +67,6 @@ def test_crest_matches_decimal_quartic_root(delta):
         ctx.prec = 100
         assert 2 * abs(decimal.Decimal(eta0) - exact) <= decimal.Decimal(
             math.ulp(eta0))
-
-
-def test_small_delta_height_series():
-    # eta0 = (4/3)eps + (8/15)eps^2 + (16/75)eps^3 + O(eps^4), eps = delta^2
-    for delta in (1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-8):
-        eps = delta * delta
-        series = (4.0 / 3.0) * eps + (8.0 / 15.0) * eps ** 2 + (16.0 / 75.0) * eps ** 3
-        eta0 = solve_crest(delta).eta0
-        assert abs(eta0 - series) <= eps ** 4 + 4.0 * np.spacing(series)
 
 
 # at 40 digits the crest Newton ends on its F <= 0 exit after one step for
@@ -139,13 +122,6 @@ def test_crest_newton_settles_within_31_steps(monkeypatch):
 def test_wave_height_monotone_in_delta():
     heights = [solve_crest(d).eta0 for d in np.linspace(0.05, 0.62, 15)]
     assert all(b > a for a, b in zip(heights, heights[1:]))
-
-
-def test_small_delta_height_near_soliton():
-    crest = solve_crest(0.3)
-    assert crest.eta0 == pytest.approx((4.0 / 3.0) * 0.09, rel=0.10)
-    crest = solve_crest(0.05)
-    assert crest.eta0 == pytest.approx((4.0 / 3.0) * 0.0025, rel=2e-3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -118,7 +118,8 @@ def test_one_sided_slope_by_difference_quotient(critical_point, extreme):
     richardson = 2.0 * q2 - q1
     assert q2 == pytest.approx(critical_point.slope_nondim, abs=5e-3)
     assert richardson == pytest.approx(critical_point.slope_nondim, abs=1e-3)
-    # the corner itself: no seed step hides the first 1e-4 of the profile
+    # the profile starts at the corner itself, so the quotients at h = 1e-6
+    # and 1e-8 already give the corner slope
     for h in (1e-6, 1e-8):
         assert quotient(h) == pytest.approx(critical_point.slope_nondim, abs=1e-5)
 
@@ -159,13 +160,6 @@ def test_resampling_next_to_the_corner(x, critical_point):
     eta = float(half(x)[0])
     bound = 2 * np.finfo(float).eps * cp.eta_c0
     assert abs(eta - (cp.eta_c0 + cp.slope_nondim * x)) <= bound
-
-
-def test_crest_velocity_relation(critical_point):
-    # v_c(0) u'(0+) + eta'(0+) = 0 ties the one-sided derivatives together
-    slope = critical_point.slope_nondim
-    u_prime = -slope / critical_point.v_c0
-    assert critical_point.v_c0 * u_prime + slope == 0.0
 
 
 def test_denominator_growth_off_the_crest(critical_point, extreme):

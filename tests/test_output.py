@@ -8,7 +8,7 @@ from ikwave import dimensionalize, extreme_profile, solve_solitary
 from ikwave.cli import _profile_csv_with_kdv, _zoom_csv
 from ikwave.output import (ODD_COLUMNS, PROFILE_COLUMNS, fmt, gnuplot_script,
                            mirrored_csv_text, profile_arrays, profile_csv_text,
-                           resolve_out_dir, resolve_out_path, write_text)
+                           resolve_out_path, write_text)
 from ikwave.solitary_profile import kdv_profile
 from oracles import DELTA_C
 
@@ -32,10 +32,7 @@ def _per_element_csv(columns, arrays):
 
 
 def test_csv_bytes_equal_the_per_element_formula():
-    profile = solve_solitary(0.3, dx=0.01)
-    arrays = profile_arrays(profile)
-    text = mirrored_csv_text(PROFILE_COLUMNS, arrays)
-    assert text == _per_element_csv(PROFILE_COLUMNS, arrays)
+    text = profile_csv_text(solve_solitary(0.3, dx=0.01))
     # phi1 at the crest is -0.0 on the mirrored grid
     crest = next(line for line in text.splitlines() if line.startswith("0.0,"))
     assert crest.split(",")[PROFILE_COLUMNS.index("phi1")] == "-0.0"
@@ -148,10 +145,12 @@ def test_profile_csv_columns(profile_cache):
 
 
 def test_out_dir_resolution(monkeypatch, tmp_path):
+    # unset or empty, $IK_OUT_DIR leaves a relative name in the cwd
     monkeypatch.delenv("IK_OUT_DIR", raising=False)
-    assert str(resolve_out_dir()) == "."
+    assert str(resolve_out_path("a.csv")) == "a.csv"
+    monkeypatch.setenv("IK_OUT_DIR", "")
+    assert str(resolve_out_path("a.csv")) == "a.csv"
     monkeypatch.setenv("IK_OUT_DIR", str(tmp_path))
-    assert resolve_out_dir() == tmp_path
     assert resolve_out_path("a.csv") == tmp_path / "a.csv"
     assert resolve_out_path(tmp_path / "b.csv") == tmp_path / "b.csv"
 

@@ -27,14 +27,6 @@ def test_config_validation():
     assert profile_ode.Z_TOL == 1e-10 and profile_ode.NEWTON_MAX_SWEEPS == 50
 
 
-def test_identities_vanish_at_solved_crest():
-    crest = solve_crest(0.55)
-    *_, I1, I2 = profile_ode._Curve(crest.delta, crest.eta0).columns(
-        np.zeros(1))
-    assert abs(float(I1[0])) <= 1e-12
-    assert abs(float(I2[0])) <= 1e-11
-
-
 def _half(delta, critical_point):
     if delta == "extreme":
         return profile_ode.integrate_from(critical_point.delta_c,
@@ -88,20 +80,6 @@ def test_phi1_prime_column_matches_decimal_oracle(delta, critical_point):
                     for a, b in zip(p.phi1_prime[right].tolist(), exact))
         assert float(error) <= (8 * np.finfo(float).eps
                                 * np.max(np.abs(p.phi1_prime)))
-
-
-def test_half_trajectory_conserves_identities():
-    # I1 and I2 vanish by construction on the curve; the phi1' residual and
-    # the quadrature oracle below are the independent checks
-    half = integrate_half(solve_crest(0.45))
-    p = assemble_profile(half)
-    assert half.stop == "tail"
-    assert np.all(np.diff(half.x) > 0.0)
-    assert np.all(p.d > 0.0)
-    # surface decays monotonically from the crest on the samples
-    eta = half(half.x)[0]
-    assert np.all(np.diff(eta) < 0.0)
-    assert eta[-1] < 1e-5
 
 
 def test_integrate_half_takes_only_a_crest_state():
@@ -182,7 +160,7 @@ def assert_tail_positive_and_decaying(p):
     assert np.all(np.diff(p.eta[p.x >= 0.0]) < 0.0)
 
 
-@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 0.55]
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 0.45, 0.55]
                          + [DELTA_C - 10.0 ** -k for k in range(3, 16)])
 def test_tail_is_positive_and_strictly_decreasing(delta):
     for dx in (None, 0.01):
@@ -281,14 +259,6 @@ def test_profiles_across_the_branch(log_delta):
         assert np.max(np.abs(p.I1)) <= bound
         assert np.max(np.abs(p.I2)) <= bound
     assert phi1_prime_residual(delta, eta0, n=100) <= 1e-8
-
-
-def test_dense_interpolant_matches_samples():
-    half = integrate_half(solve_crest(0.5))
-    mid = 0.5 * (half.x[10] + half.x[11])
-    eta_mid = half(mid)[0]
-    eta = half(half.x)[0]
-    assert eta[11] < eta_mid < eta[10]
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-3, 0.1, 0.3, 0.55, 0.62, 0.626,
