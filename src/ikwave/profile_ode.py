@@ -48,16 +48,17 @@ At the critical value K and d vanish together at the crest; K is clamped at 0
 and dx/dz is 0 where R = 0, so the corner crest of the extreme wave needs no
 special start.
 
-x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp).  A
-panel is accepted on the Legendre coefficients of the interpolant of dx/dz
-through its nodes; its x(z) is the antiderivative of that interpolant,
-kept as a Chebyshev series and accurate to rounding.  The quadrature sees
-dx/dz only.  The samples of a half profile are x at z = 0, every panel node
-and Z_END.  Every profile column after x (eta, u, phi1, phi0', phi1', d, I1
-and I2) is evaluated at given x in one way: Newton sweeps invert x(z),
-started from the cubic Hermite interpolant of z(x) through the samples, and
-one pass of the closed forms gives the columns at that z (HalfProfile).
-Only numpy is needed.
+x(z) is integrated on adaptive Gauss-Legendre panels (solve_ivp), starting
+from four panels of width Z_END/4.  A panel is accepted on the Legendre
+coefficients of the interpolant of dx/dz through its nodes; its x(z) is the
+antiderivative of that interpolant, kept as a Chebyshev series and accurate
+to rounding.  The quadrature sees dx/dz only, and keeps it at the samples of
+a half profile: z = 0, every panel node and Z_END.  Every profile column
+after x (eta, u, phi1, phi0', phi1', d, I1 and I2) is one pass of the
+closed forms at the z of the given x.  At the samples that z is known; at
+any other x Newton sweeps invert x(z), started from the cubic Hermite
+interpolant of z(x) through the samples, with dx/dz taken once, at the
+start (HalfProfile).  Only numpy is needed.
 """
 
 import math
@@ -72,16 +73,22 @@ from .errors import StepSizeUnderflow
 # each half profile ends where eta/eta0 = TAIL_REL, at z = Z_END
 TAIL_REL = 1e-5
 Z_END = math.sqrt(math.log(1.0 / TAIL_REL))
-# x(z) is integrated on Gauss-Legendre panels of PANEL_NODES nodes.  A panel
-# of width h is accepted once h times its last two Legendre coefficients is
-# at most PANEL_TOL times the one-panel integral over [0, Z_END], and halved
+# x(z) is integrated on Gauss-Legendre panels of PANEL_NODES nodes, starting
+# from the 2^PANEL_START_DEPTH panels that many halvings below [0, Z_END]; no
+# panel passes above that depth anywhere on the branch.  A panel of width h
+# is accepted once h times its last two Legendre coefficients is at most
+# PANEL_TOL times the integral over the starting panels, and halved
 # otherwise; a panel PANEL_MAX_DEPTH halvings below [0, Z_END] that still
 # fails raises StepSizeUnderflow
 PANEL_NODES = 16
+PANEL_START_DEPTH = 2
 PANEL_TOL = 1e-14
 PANEL_MAX_DEPTH = 30
-# Newton sweeps that invert x(z) stop after a step of at most Z_TOL, which
-# leaves an error of order Z_TOL^2 by their quadratic convergence
+# Newton sweeps that invert x(z) keep dx/dz at their start, and a point
+# leaves them once its step times its first step is at most Z_TOL^2.  The
+# first step is a Newton step; each later one shrinks the error by about the
+# first step times (dx/dz)'/(dx/dz).  Either way the error left is of order
+# Z_TOL^2
 Z_TOL = 1e-10
 NEWTON_MAX_SWEEPS = 50
 
@@ -89,7 +96,7 @@ NEWTON_MAX_SWEEPS = 50
 @dataclass
 class Panels:
     """The accepted panels of solve_ivp, sorted by z, as one table of
-    x(z); the closed forms at the nodes are not kept.
+    x(z), and dx/dz at the samples t; no other closed form is kept.
 
     Panel i covers [a_i, a_i + h_i].  With s = 2(z - a_i)/h_i - 1 and G_i
     the antiderivative from s = -1, as a Chebyshev series, of the
@@ -102,7 +109,8 @@ class Panels:
     """
 
     t: np.ndarray        # z at 0, at every node and at the end
-    nfev: int            # evaluations of dx/dz
+    slope: np.ndarray    # dx/dz at t
+    nfev: int            # evaluations of dx/dz at panel nodes
     start: np.ndarray    # a_i
     width: np.ndarray    # h_i
     x_start: np.ndarray  # x_i = x(a_i)
@@ -125,10 +133,12 @@ def solve_ivp(fun, z_end):
     """x(z) = integral of dx/dz from 0 to z on [0, z_end], as Panels.
 
     fun maps an array of z to dx/dz there, an array of its shape.  Panels
-    are halved level by level, with one call of fun on the nodes of every
-    open panel per level, until each passes the PANEL_TOL test of the
-    module constants.  Raises StepSizeUnderflow when dx/dz is not finite,
-    or when a panel PANEL_MAX_DEPTH halvings deep still fails.
+    start PANEL_START_DEPTH halvings below [0, z_end] and are halved level
+    by level, with one call of fun on the nodes of every open panel per
+    level, until each passes the PANEL_TOL test of the module constants.
+    The first call also takes dx/dz at z = 0 and z_end, the ends of t.
+    Raises StepSizeUnderflow when dx/dz is not finite, or when a panel
+    PANEL_MAX_DEPTH halvings deep still fails.
 
     The name and the t and nfev fields are those of the scipy routine this
     replaced, because the benchmark harness wraps this name and reads those
@@ -136,19 +146,27 @@ def solve_ivp(fun, z_end):
     them.
     """
     open_start, width = np.zeros(1), z_end
+    for _ in range(PANEL_START_DEPTH):
+        width *= 0.5
+        open_start = np.concatenate([open_start, open_start + width])
+    ends = np.array([0.0, z_end])
     done = []
     nfev = 0
-    for depth in range(PANEL_MAX_DEPTH + 1):
+    for depth in range(PANEL_START_DEPTH, PANEL_MAX_DEPTH + 1):
         z = open_start[:, None] + (0.5 * width) * (_NODES + 1.0)
-        slope = fun(z)
+        if depth == PANEL_START_DEPTH:
+            slope = fun(np.concatenate([z.ravel(), ends]))
+            slope, ends = slope[:-2].reshape(z.shape), slope[-2:]
+        else:
+            slope = fun(z)
         coef = slope @ _TO_COEF
         nfev += z.size
-        if not np.isfinite(coef).all():
+        if not (np.isfinite(coef).all() and np.isfinite(ends).all()):
             raise StepSizeUnderflow(
                 f"dx/dz is not finite on a panel of width {width!r}")
-        if depth == 0:
+        if depth == PANEL_START_DEPTH:
             # each panel's integral is its width times its coefficient c_0
-            tol = PANEL_TOL * width * abs(coef[0, 0])
+            tol = PANEL_TOL * width * abs(coef[:, 0].sum())
         ok = width * (abs(coef[:, -2]) + abs(coef[:, -1])) <= tol
         done.append((open_start[ok], np.full(ok.sum(), width), coef[ok, 0],
                      z[ok], slope[ok]))
@@ -165,7 +183,8 @@ def solve_ivp(fun, z_end):
     start, width, c0, nodes, slope = (np.concatenate(parts)[order]
                                       for parts in zip(*done))
     return Panels(
-        t=np.concatenate([[0.0], nodes.ravel(), [z_end]]), nfev=nfev,
+        t=np.concatenate([[0.0], nodes.ravel(), [z_end]]),
+        slope=np.concatenate([ends[:1], slope.ravel(), ends[1:]]), nfev=nfev,
         start=start, width=width,
         x_start=np.concatenate([[0.0], np.cumsum(width * c0)[:-1]]),
         coef=_TO_TABLE @ slope.T)
@@ -244,19 +263,27 @@ class HalfProfile:
     x holds the samples, x(z) at z = 0, every panel node and Z_END.
     Calling it gives the eight profile columns after x (eta, u, phi1,
     phi0_prime, phi1_prime, d, I1, I2) at any x in [0, x_end], its samples
-    included, and along_z gives (x, eta) at any z in [0, Z_END].
+    included; at_samples gives them at the samples alone, and along_z gives
+    (x, eta) at any z in [0, Z_END].
 
     x(z) is read from the Panels table: the panel that holds z, then one
     Chebyshev series of its antiderivative, summed by Clenshaw's recurrence
     one gathered coefficient row at a time.  x is inverted to z by Newton
     sweeps on x(z), started from the cubic Hermite interpolant of z(x)
-    through the samples, with slopes dz/dx = 1/(dx/dz).  On the interval
-    [0, x_1] of the corner crest, where dx/dz = 0 at z = 0 and x ~ z^2, the
-    start is z_1 sqrt(x/x_1) instead.  The start is the sample's z exactly
-    at every sample x.  Each point leaves the sweeps after its own last
-    step, so its value does not depend on the other points of the call.
-    An x outside [0, x_end], a z outside [0, Z_END] or a NaN raises
-    ValueError: the panel table covers that range only.
+    through the samples, with slopes dz/dx = 1/(dx/dz) from the quadrature.
+    On the interval [0, x_1] of the corner crest, where dx/dz = 0 at z = 0
+    and x ~ z^2, the start is z_1 sqrt(x/x_1) instead.  The start is the
+    sample's z exactly at every sample x.  The sweeps take dx/dz once, at
+    the start, and stop by the Z_TOL rule of the module constants.  Below
+    delta_c the start is within about 1e-7 of the root, and the second
+    step, at most about 2e-14, is the last: dx/dz at the first step's z
+    would differ by about 1e-7 relative and change it far below z's
+    rounding.  Next to the corner crest of the extreme wave, where
+    z ~ sqrt(x), the start is up to about 5e-5 off, and the sweeps take up
+    to six steps.  Each point leaves the sweeps after its own last step, so
+    its value does not depend on the other points of the call.  An x
+    outside [0, x_end], a z outside [0, Z_END] or a NaN raises ValueError:
+    the panel table covers that range only.
     """
 
     def __init__(self, curve, panels):
@@ -269,7 +296,7 @@ class HalfProfile:
         self._x_start, self._coef = panels.x_start, panels.coef
         self._g_start = self._clenshaw(np.arange(len(self._start)), -1.0)
         self.x = self._x_of_z(self._z)
-        slope = curve.at(self._z)
+        slope = panels.slope
         # z(x) on [x_j, x_j+1] is z_j + t (c1 + t (c2 + t c3)), t in [0, 1];
         # dx/dz is 0 only at z = 0, at the corner crest, where x ~ z^2: that
         # interval takes sqrt(t) for t and c1 = z_j+1 - z_j, c2 = c3 = 0
@@ -281,12 +308,18 @@ class HalfProfile:
                                      a + b - 2.0 * dz)
 
     def _clenshaw(self, i, s):
-        """G_i(s), for panel indices i and s in [-1, 1]."""
+        """G_i(s), for panel indices i and s in [-1, 1]; the recurrence
+        runs on the buffers b1, b2 and t, updated in place."""
         coef = self._coef
         y = s + s
-        b2, b1 = 0.0, coef[-1][i]
+        b1 = np.array(coef[-1][i])
+        b2, t = np.zeros_like(b1), np.empty_like(b1)
         for row in coef[-2:0:-1]:
-            b2, b1 = b1, row[i] + y * b1 - b2
+            # b1, b2 = row[i] + y b1 - b2, b1
+            np.multiply(y, b1, out=t)
+            t += row[i]
+            np.subtract(t, b2, out=b2)
+            b1, b2 = b2, b1
         return coef[0][i] + s * b1 - b2
 
     def _x_of_z(self, z):
@@ -311,29 +344,43 @@ class HalfProfile:
         _check_range("z", z, self._z[-1])
         return self._x_of_z(z), self._curve.eta(z)
 
+    def at_samples(self):
+        """The eight columns at the samples x, one pass of the closed forms
+        at their z; self(self.x) gives the same bits."""
+        return self._curve.columns(self._z)
+
+    def _z_of_x(self, x):
+        """z where x(z) = x, for a 1-D array x in [0, x_end], by the
+        sweeps."""
+        z = self._z_start(x)
+        slope = self._curve.at(z)
+        todo, first = np.arange(z.size), None
+        for _ in range(NEWTON_MAX_SWEEPS):
+            zt = z[todo]
+            step = _ratio(self._x_of_z(zt) - x[todo], slope[todo], 0.0)
+            z[todo] = zt - step
+            step = np.abs(step)
+            if first is None:
+                first = step
+            todo = todo[step * first[todo] > Z_TOL * Z_TOL]
+            if not todo.size:
+                break
+        return z
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         _check_range("x", flat, self.x[-1])
-        z = self._z_start(flat)
-        todo = np.arange(z.size)
-        for _ in range(NEWTON_MAX_SWEEPS):
-            zt = z[todo]
-            step = _ratio(self._x_of_z(zt) - flat[todo], self._curve.at(zt),
-                          0.0)
-            z[todo] = zt - step
-            todo = todo[np.abs(step) > Z_TOL]
-            if not todo.size:
-                break
-        return tuple(a.reshape(x.shape) for a in self._curve.columns(z))
+        return tuple(a.reshape(x.shape)
+                     for a in self._curve.columns(self._z_of_x(flat)))
 
 
 def integrate_from(delta, eta0):
     """Half profile from the crest height eta0 at shallowness delta.
 
-    One panel quadrature of x(z) over [0, Z_END] (solve_ivp), then one pass
-    of dx/dz at z = 0, at every panel node and at Z_END for the slopes of
-    the Hermite start.
+    One panel quadrature of x(z) over [0, Z_END] (solve_ivp), which also
+    gives dx/dz at z = 0, at every panel node and at Z_END for the slopes
+    of the Hermite start.
     Raises StepSizeUnderflow when the quadrature cannot resolve x(z).
     """
     curve = _Curve(delta, eta0)

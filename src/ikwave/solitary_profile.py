@@ -61,18 +61,18 @@ def assemble_profile(half, x=None):
     """Mirror a HalfProfile into a full WaveProfile.
 
     The half profile is evaluated on the half grid x, its own samples
-    half.x when x is None, and mirrored.  The crest height is its value at
-    x = 0.  kappa0 is None at a corner crest, where dx/dz vanishes at the
-    crest, and otherwise crest_curvature of the crest on the curve at that
-    height.  Raises ValueError unless x is 1-D, not empty, starts at 0 and
-    increases strictly.
+    half.x when x is None (at_samples, with no inversion), and mirrored.
+    The crest height is its value at x = 0.  kappa0 is None at a corner
+    crest, where dx/dz vanishes at the crest, and otherwise crest_curvature
+    of the crest on the curve at that height.  Raises ValueError unless x
+    is 1-D, not empty, starts at 0 and increases strictly.
     """
     x = half.x if x is None else np.asarray(x, dtype=float)
     if not (x.ndim == 1 and x.size and x[0] == 0.0
             and (np.diff(x) > 0.0).all()):
         raise ValueError("half grid must be 1-D, start at x = 0 and "
                          "increase strictly")
-    right = (x, *half(x))
+    right = (x, *(half.at_samples() if x is half.x else half(x)))
     delta, eta0 = half.delta, float(right[1][0])
     kappa0 = (None if half._corner[0]
               else crest_curvature(crest_on_curve(delta, eta0)))

@@ -21,6 +21,7 @@ from oracles import (DELTA_C, ORACLE_EDGES, ORACLE_NODES,
 
 def test_config_validation():
     assert profile_ode.PANEL_NODES == 16 and profile_ode.PANEL_TOL == 1e-14
+    assert profile_ode.PANEL_START_DEPTH == 2
     assert profile_ode.PANEL_MAX_DEPTH == 30
     assert crest_init.D_MIN == 1e-13 and profile_ode.TAIL_REL == 1e-5
     assert np.exp(-profile_ode.Z_END ** 2) == pytest.approx(1e-5, rel=1e-14)
@@ -37,18 +38,20 @@ def _half(delta, critical_point):
 @pytest.mark.parametrize("delta", [1e-4, 0.1, 0.3, 0.55, 0.62, 0.626,
                                    DELTA_C, "extreme"])
 def test_profile_fields_are_the_kernel_on_its_samples(delta, critical_point):
-    # at its own samples the Hermite start is the sample z, so every Newton
-    # step is exactly 0, and the right half's columns after x are one pass
-    # of the closed forms at the sample z, from a curve built afresh from
-    # (delta, eta0)
+    # the right half's columns after x are one pass of the closed forms at
+    # the sample z, from a curve built afresh from (delta, eta0); at its own
+    # samples the Hermite start is the sample z, so every Newton step is
+    # exactly 0 and the inversion gives the same bits
     half = _half(delta, critical_point)
     assert np.array_equal(half._z_start(half.x), half._z)
     p = assemble_profile(half)
     columns = profile_ode._Curve(p.delta, p.eta_max).columns(half._z)
     right = p.x >= 0.0
     assert np.array_equal(p.x[right], half.x)
-    for name, a in zip(PROFILE_COLUMNS[1:], columns, strict=True):
+    for name, a, b in zip(PROFILE_COLUMNS[1:], columns, half(half.x),
+                          strict=True):
         assert np.array_equal(getattr(p, name)[right], a), name
+        assert np.array_equal(b, a), name
 
 
 def _dx_grid(half, dx):
@@ -298,10 +301,10 @@ def test_chebyshev_table_is_the_legendre_antiderivative(delta, critical_point):
         4.0 * np.spacing(half.x[-1]))
 
 
-def _sweeps(solve, monkeypatch):
-    """The calls of _Curve.at in solve() after the quadrature's, one per
-    level: the slopes of the Hermite start at the samples, then one per
-    Newton sweep."""
+def _slope_passes(solve, monkeypatch):
+    """The calls of _Curve.at in solve() after the quadrature's: the
+    quadrature gives dx/dz at the samples, and an inversion takes it once,
+    at its Hermite start."""
     calls, levels = [], []
     at, solve_ivp = profile_ode._Curve.at, profile_ode.solve_ivp
 
@@ -324,18 +327,34 @@ def _sweeps(solve, monkeypatch):
 
 @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.3, 0.55, 0.62, 0.626]
                          + [DELTA_C - 10.0 ** -k for k in (3, 6, 10)])
-def test_dx_resampling_takes_two_newton_sweeps(delta, monkeypatch):
-    # the slope pass, then two Newton sweeps from the Hermite start
-    assert _sweeps(lambda: solve_solitary(delta, dx=0.01), monkeypatch) == 3
+def test_dx_resampling_takes_one_slope_pass(delta, monkeypatch):
+    # dx/dz at the Hermite start, kept by every Newton sweep
+    assert _slope_passes(lambda: solve_solitary(delta, dx=0.01),
+                         monkeypatch) == 1
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, DELTA_C - 1e-10,
                                    "extreme"])
-def test_native_grid_takes_one_newton_sweep(delta, monkeypatch,
-                                            critical_point):
-    # the slope pass, then one sweep whose every step is exactly 0
-    assert _sweeps(lambda: assemble_profile(_half(delta, critical_point)),
-                   monkeypatch) == 2
+def test_native_grid_takes_no_slope_pass(delta, monkeypatch, critical_point):
+    # the columns at the samples' own z, with no inversion
+    assert _slope_passes(
+        lambda: assemble_profile(_half(delta, critical_point)),
+        monkeypatch) == 0
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.3, DELTA_C, "extreme"])
+def test_sweeps_end_on_the_table_next_to_the_crest(delta, critical_point):
+    # next to the corner crest z ~ sqrt(x), so the Hermite start is up to
+    # 5e-5 off and the sweeps, which keep the slope of the start, converge
+    # linearly.  Measured at the extreme wave: 36 ulp(x), against 22,420
+    # when a sweep stops on a step of at most Z_TOL alone
+    half = _half(delta, critical_point)
+    x = np.arange(501) * crest_init.DX_MIN
+    residual = np.abs(half._x_of_z(half._z_of_x(x)) - x)
+    if delta == "extreme":
+        assert np.all(residual <= 64 * np.spacing(x))
+    # measured: at most 0.72 eps, at delta = 1e-4
+    assert np.all(residual <= 2 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("delta", [1e-4, 0.3, 0.626, "extreme"])
@@ -345,6 +364,43 @@ def test_along_z_eta_is_the_curve_eta_bit_for_bit(delta, critical_point):
     z = np.concatenate([np.linspace(0.0, profile_ode.Z_END, 4097),
                         half._z])
     assert np.array_equal(half.along_z(z)[1], half._curve.columns(z)[0])
+
+
+def _level_coefficients(curve, depth):
+    """(h, Legendre coefficients of dx/dz) on the 2^depth panels of width
+    h = Z_END/2^depth, one row per panel."""
+    h = profile_ode.Z_END / 2 ** depth
+    z = (np.arange(2 ** depth)[:, None] * h
+         + 0.5 * h * (profile_ode._NODES + 1.0))
+    return h, curve.at(z) @ profile_ode._TO_COEF
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.6]
+                         + [DELTA_C - 10.0 ** -k for k in range(1, 16)]
+                         + [DELTA_C, "extreme"])
+def test_no_panel_passes_above_the_start_depth(delta, critical_point):
+    # solve_ivp starts PANEL_START_DEPTH = 2 halvings deep, which skips only
+    # levels where no panel would pass its PANEL_TOL test; measured: the
+    # one- and two-panel levels fail by a factor of at least 1675
+    half = _half(delta, critical_point)
+    curve = half._curve
+    h, coef = _level_coefficients(curve, profile_ode.PANEL_START_DEPTH)
+    tol = profile_ode.PANEL_TOL * h * abs(coef[:, 0].sum())
+    for depth in range(profile_ode.PANEL_START_DEPTH):
+        h, coef = _level_coefficients(curve, depth)
+        assert np.all(h * (abs(coef[:, -2]) + abs(coef[:, -1])) > tol), depth
+    # the quadrature's dx/dz at the samples is the closed form's, bit for bit
+    panels = profile_ode.solve_ivp(curve.at, profile_ode.Z_END)
+    assert np.array_equal(panels.t, half._z)
+    assert np.array_equal(panels.slope, curve.at(half._z))
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1])
+def test_long_waves_take_the_four_starting_panels(delta):
+    # all four starting panels pass: 4 x 16 node evaluations (one, two and
+    # four panels took 112)
+    curve = profile_ode._Curve(delta, solve_crest(delta).eta0)
+    assert profile_ode.solve_ivp(curve.at, profile_ode.Z_END).nfev == 64
 
 
 def _depth(half):

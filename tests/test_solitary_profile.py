@@ -31,8 +31,6 @@ def test_uniform_resampling():
     bound = 16 * np.finfo(float).eps * p.eta_max
     assert np.max(np.abs(p.I1)) <= bound
     assert np.max(np.abs(p.I2)) <= bound
-    with pytest.raises(ValueError):
-        solve_solitary(0.5, dx=-0.1)
 
 
 @pytest.mark.parametrize("delta, dx, name", [
@@ -88,7 +86,7 @@ BAD_POSITIVE = [float("nan"), float("inf"), 0.0, -1.0]
 
 # 1e-160 squared is subnormal, which check_delta, the rule of solve_crest,
 # rejects too
-@pytest.mark.parametrize("delta", BAD_POSITIVE + [1e-160])
+@pytest.mark.parametrize("delta", BAD_POSITIVE + [-0.1, 1e-160])
 def test_kdv_profile_rejects_bad_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive and finite"):
         kdv_profile(delta, np.linspace(0.0, 1.0, 3))
@@ -110,8 +108,6 @@ def test_kdv_profile_values():
     assert vals[0] == pytest.approx(0.12, abs=1e-15)
     assert vals[1] == pytest.approx(0.12 / np.cosh(1.0) ** 2, abs=1e-15)
     assert vals[2] < 1e-16
-    with pytest.raises(ValueError):
-        kdv_profile(-0.1, x)
 
 
 def test_kdv_profile_is_zero_where_cosh_overflows():
